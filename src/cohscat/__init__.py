@@ -42,11 +42,8 @@ from .emitter import (
 )
 from .fock import (
     CircuitElement,
-    FockState,
     FringeTable,
     SourceModel,
-    apply_circuit,
-    apply_element,
     circuit_unitary,
     fit_fringe,
     mzi_fringes,

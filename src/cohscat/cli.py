@@ -38,32 +38,6 @@ from .pulsed import (
 from .scenario import Scenario, SchemaError
 from .spectrum import GridError, FitConvergenceError, emission_spectrum, lorentzian
 
-FIGURE_IDS = (
-    "fig1d",
-    "fig2a",
-    "fig2b",
-    "fig2c",
-    "fig2d",
-    "fig2e",
-    "fig3b",
-    "fig3c",
-    "fig3d",
-    "fig3e",
-)
-SIM_NAMES = (
-    "steady",
-    "g2",
-    "g1",
-    "spectrum",
-    "hom-cw",
-    "rabi",
-    "stream",
-    "hbt",
-    "hom-pulsed",
-    "noon",
-)
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -316,24 +290,28 @@ def _fig3c(scenario: Scenario, outdir: Path, threads: int) -> dict:
     }
 
 
-def _circuit_reflectivities(scenario: Scenario):
+def _circuit_fringes(scenario: Scenario, outdir: Path, csv_name: str, input_kinds):
+    """Fringe tables of the scenario's interferometer, one per input kind;
+    the last one is written to csv_name. Returns (r1, r2, tables)."""
     blk = scenario.circuit
     if blk.single_visibility is not None:
-        r = solve_coupler_reflectivity(blk.single_visibility)
-        return r, r
-    return blk.r1, blk.r2
+        r1 = r2 = solve_coupler_reflectivity(blk.single_visibility)
+    else:
+        r1, r2 = blk.r1, blk.r2
+    phi = np.linspace(0.0, blk.phi_span_rad, blk.n_phi)
+    source = scenario.source_model.resolve()
+    tables = [mzi_fringes(source, r1, r2, phi, input_kind=kind) for kind in input_kinds]
+    with open(outdir / csv_name, "w", newline="\n") as fh:
+        fh.write("\n".join(tables[-1].csv_rows()) + "\n")
+    return r1, r2, tables
 
 
 def _fig3d(scenario: Scenario, outdir: Path, threads: int) -> dict:
-    r1, r2 = _circuit_reflectivities(scenario)
-    phi = np.linspace(0.0, scenario.circuit.phi_span_rad, scenario.circuit.n_phi)
-    table = mzi_fringes(scenario.source_model.resolve(), r1, r2, phi, input_kind="single")
-    with open(outdir / "fig3d.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(table.csv_rows()) + "\n")
+    r1, r2, [table] = _circuit_fringes(scenario, outdir, "fig3d.csv", ("single",))
     fit = fit_fringe(table, harmonic=1, column="p_out0")
     render_lines(
         outdir / "fig3d.svg",
-        {"out 0": (phi, table.p_out0), "out 1": (phi, table.p_out1)},
+        {"out 0": (table.phi, table.p_out0), "out 1": (table.phi, table.p_out1)},
         title="Single-photon fringes",
         xlabel="phase (rad)",
         ylabel="probability",
@@ -343,19 +321,13 @@ def _fig3d(scenario: Scenario, outdir: Path, threads: int) -> dict:
 
 
 def _fig3e(scenario: Scenario, outdir: Path, threads: int) -> dict:
-    r1, r2 = _circuit_reflectivities(scenario)
-    phi = np.linspace(0.0, scenario.circuit.phi_span_rad, scenario.circuit.n_phi)
-    source = scenario.source_model.resolve()
-    single = mzi_fringes(source, r1, r2, phi, input_kind="single")
-    dual = mzi_fringes(source, r1, r2, phi, input_kind="dual")
-    with open(outdir / "fig3e.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(dual.csv_rows()) + "\n")
+    _, _, [single, dual] = _circuit_fringes(scenario, outdir, "fig3e.csv", ("single", "dual"))
     fit_s = fit_fringe(single, harmonic=1, column="p_out0")
     fit_d = fit_fringe(dual, harmonic=2, column="p_coincidence")
     ratio = fit_d.frequency / fit_s.frequency
     render_lines(
         outdir / "fig3e.svg",
-        {"coincidence": (phi, dual.p_coincidence)},
+        {"coincidence": (dual.phi, dual.p_coincidence)},
         title="Two-photon coincidence fringes",
         xlabel="phase (rad)",
         ylabel="probability",
@@ -380,6 +352,7 @@ _FIGURES = {
     "fig3d": _fig3d,
     "fig3e": _fig3e,
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def run_figure(fig_id: str, scenario: Scenario, threads: int = 1) -> dict:
@@ -519,11 +492,7 @@ def _sim_hom_pulsed(scenario, outdir, args, threads) -> dict:
 
 
 def _sim_noon(scenario, outdir, args, threads) -> dict:
-    r1, r2 = _circuit_reflectivities(scenario)
-    phi = np.linspace(0.0, scenario.circuit.phi_span_rad, scenario.circuit.n_phi)
-    table = mzi_fringes(scenario.source_model.resolve(), r1, r2, phi, input_kind=args.input)
-    with open(outdir / "noon.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(table.csv_rows()) + "\n")
+    r1, r2, [table] = _circuit_fringes(scenario, outdir, "noon.csv", (args.input,))
     results = {"input": args.input, "r1": r1, "r2": r2}
     if args.input == "dual":
         fit = fit_fringe(table, harmonic=2, column="p_coincidence")

@@ -8,7 +8,7 @@ rad/ns, energies in µeV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,15 +32,13 @@ class EmitterParams:
     t1 : radiative lifetime (ns)
     t2 : coherence time (ns), bounded by 0 < t2 <= 2*t1
     detuning : laser-transition detuning (rad/ns)
-    cavity_q, purcell_factor : device metadata, not used by the dynamics
+    cavity_q : device metadata, not used by the dynamics
     """
 
     t1: float
     t2: float
     detuning: float = 0.0
     cavity_q: float | None = None
-    purcell_factor: float | None = None
-    hbar_const: float = field(default=HBAR_UEV_NS, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.t1) and self.t1 > 0):
@@ -54,7 +52,7 @@ class EmitterParams:
 
     def linewidth_uev(self) -> float:
         """Homogeneous FWHM linewidth 2*hbar/t2 in µeV."""
-        return 2.0 * self.hbar_const / self.t2
+        return 2.0 * HBAR_UEV_NS / self.t2
 
     @property
     def gamma(self) -> float:
@@ -75,7 +73,6 @@ class EmitterParams:
             t2=ratio * 2.0 * self.t1,
             detuning=self.detuning,
             cavity_q=self.cavity_q,
-            purcell_factor=self.purcell_factor,
         )
 
 
@@ -108,7 +105,6 @@ def derive_cavity_params(
         t1=t1,
         t2=coherence_ratio * 2.0 * t1,
         cavity_q=cavity_q,
-        purcell_factor=purcell_factor,
     )
 
 
@@ -291,30 +287,45 @@ def _breakpoints(drive: DriveField, t_start: float, t_end: float):
     return []
 
 
-def _evolve_array(params, drive, x0, t_grid, tol) -> np.ndarray:
+def _bloch_rhs(params: EmitterParams, drive: DriveField):
+    """Right-hand side f(t, x) of the Bloch equations of ``bloch_system``
+    under the drive envelope. A fourth state component, when present,
+    counts emitted photons: dn/dt = rho_ee / t1."""
+
     def rhs(t, x):
         w_drive = float(drive.omega(t))
-        return [
+        dx = [
             -x[0] / params.t2 + params.detuning * x[1],
             -params.detuning * x[0] - x[1] / params.t2 - w_drive * x[2],
             w_drive * x[1] - (x[2] + 1.0) / params.t1,
         ]
+        if len(x) == 4:
+            dx.append((1.0 + x[2]) / (2.0 * params.t1))
+        return dx
 
+    return rhs
+
+
+def _evolve_array(params, drive, x0, t_grid, tol) -> np.ndarray:
+    """States on t_grid (one column per time) from x0 at t_grid[0]; x0
+    holds (u, v, w) or (u, v, w, n), see ``_bloch_rhs``."""
+    rhs = _bloch_rhs(params, drive)
     # Split at envelope discontinuities so the adaptive stepper never
     # straddles a square edge.
     pieces = [t_grid[0]] + _breakpoints(drive, t_grid[0], t_grid[-1]) + [t_grid[-1]]
-    out = np.empty((3, len(t_grid)))
+    out = np.empty((len(x0), len(t_grid)))
     out[:, 0] = x0
     x_cur = np.array(x0, dtype=float)
     for a, b in zip(pieces[:-1], pieces[1:]):
         inside = (t_grid > a) & (t_grid <= b)
-        t_eval = t_grid[inside]
+        # The piece end is always evaluated: the next piece starts from it.
+        t_eval = np.union1d(t_grid[inside], b)
         sol = solve_ivp(
             rhs,
             (a, b),
             x_cur,
             method="DOP853",
-            t_eval=t_eval if len(t_eval) else None,
+            t_eval=t_eval,
             rtol=tol,
             atol=tol * 1e-2,
             dense_output=False,
@@ -322,14 +333,8 @@ def _evolve_array(params, drive, x0, t_grid, tol) -> np.ndarray:
         if not sol.success:
             t_fail = sol.t[-1] if len(sol.t) else a
             raise IntegrationError(f"integration failed near t = {t_fail}: {sol.message}")
-        if len(t_eval):
-            out[:, inside] = sol.y
-            x_cur = sol.y[:, -1].copy()
-        if sol.t[-1] < b:  # pragma: no cover - solve_ivp reports failure above
-            raise IntegrationError(f"integration stalled at t = {sol.t[-1]}")
-        if not len(t_eval):
-            sol_end = solve_ivp(rhs, (a, b), x_cur, method="DOP853", rtol=tol, atol=tol * 1e-2)
-            x_cur = sol_end.y[:, -1]
+        out[:, inside] = sol.y[:, : np.count_nonzero(inside)]
+        x_cur = sol.y[:, -1]
     return out
 
 

@@ -1,11 +1,13 @@
-"""Few-photon multimode linear optics with partial distinguishability.
+"""Two-photon linear optics of a two-coupler interferometer.
 
-States live in the occupation basis of (mode, internal label) pairs: the
-internal label tags a photon's unmeasured degrees of freedom, so photons
-with different labels never interfere while the circuit acts on the mode
-index alone. Amplitudes evolve by expanding creation-operator monomials
-element by element; a matrix-permanent evaluator over the composed circuit
-unitary provides an independent route to the same transition amplitudes.
+The interferometer (coupler r1, phase phi on mode 0, coupler r2) acts on
+the two modes through one 2x2 mode matrix U(phi). Detection probabilities
+follow in closed form from its entries: a single photon entering mode 0
+leaves mode 0 with |U00|^2; a photon pair entering one per mode coincides
+with |U00 U11 + U01 U10|^2 when indistinguishable and with
+|U00|^2 |U11|^2 + |U01|^2 |U10|^2 when distinguishable. A matrix-permanent
+evaluator over a composed circuit unitary gives general few-photon
+transition amplitudes.
 """
 
 from __future__ import annotations
@@ -13,16 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 _MAX_PHOTONS = 3
 _UNITARY_TOL = 1e-12
-
-Config = tuple[tuple[int, int], ...]  # sorted ((mode, label), ...)
 
 
 @dataclass(frozen=True)
@@ -76,107 +75,6 @@ def circuit_unitary(elements, n_modes: int) -> np.ndarray:
     for el in elements:
         u = el.matrix(n_modes) @ u
     return u
-
-
-def _config_norm(config: Config) -> float:
-    norm = 1.0
-    for count in Counter(config).values():
-        norm *= math.factorial(count)
-    return norm
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Superposition over occupation configurations of (mode, label) pairs."""
-
-    amplitudes: dict[Config, complex]
-    n_modes: int
-
-    def __post_init__(self):
-        if not self.amplitudes:
-            raise ValueError("state must contain at least one configuration")
-        counts = {len(cfg) for cfg in self.amplitudes}
-        if len(counts) != 1:
-            raise ValueError("all configurations must hold the same photon number")
-        if max(counts) > _MAX_PHOTONS:
-            raise ValueError(f"at most {_MAX_PHOTONS} photons supported")
-        for cfg in self.amplitudes:
-            if tuple(sorted(cfg)) != cfg:
-                raise ValueError(f"configuration {cfg} is not in sorted canonical form")
-            if any(m < 0 or m >= self.n_modes for m, _ in cfg):
-                raise ValueError(f"configuration {cfg} uses modes outside 0..{self.n_modes - 1}")
-        total = sum(abs(a) ** 2 for a in self.amplitudes.values())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"state norm^2 is {total}, must be 1")
-
-    @property
-    def n_photons(self) -> int:
-        return len(next(iter(self.amplitudes)))
-
-    @classmethod
-    def from_photons(cls, photons, n_modes: int) -> "FockState":
-        """Product state with one photon per (mode, label) entry."""
-        cfg = tuple(sorted(tuple(p) for p in photons))
-        return cls(amplitudes={cfg: 1.0 + 0.0j}, n_modes=n_modes)
-
-    def mode_occupations(self) -> dict[tuple[int, ...], float]:
-        """Probability of each mode-occupation pattern, labels traced out."""
-        probs: dict[tuple[int, ...], float] = {}
-        for cfg, amp in self.amplitudes.items():
-            occ = [0] * self.n_modes
-            for mode, _ in cfg:
-                occ[mode] += 1
-            key = tuple(occ)
-            probs[key] = probs.get(key, 0.0) + abs(amp) ** 2
-        return probs
-
-    def expected_mode_counts(self) -> np.ndarray:
-        out = np.zeros(self.n_modes)
-        for occ, p in self.mode_occupations().items():
-            out += p * np.asarray(occ)
-        return out
-
-
-def apply_element(state: FockState, element: CircuitElement) -> FockState:
-    """Evolve the state through one element by monomial expansion."""
-    if max(element.modes) >= state.n_modes:
-        raise ValueError(
-            f"element touches mode {max(element.modes)}, state has {state.n_modes} modes"
-        )
-    if element.kind == "phase":
-        out = {}
-        mode = element.modes[0]
-        for cfg, amp in state.amplitudes.items():
-            k = sum(1 for m, _ in cfg if m == mode)
-            out[cfg] = out.get(cfg, 0.0) + amp * np.exp(1j * element.phi * k)
-        return FockState(amplitudes=out, n_modes=state.n_modes)
-
-    u = element.matrix(state.n_modes)
-    out: dict[Config, complex] = {}
-    for cfg, amp in state.amplitudes.items():
-        base = amp / math.sqrt(_config_norm(cfg))
-        choices = []
-        for mode, label in cfg:
-            if mode in element.modes:
-                choices.append([(m, label, u[m, mode]) for m in element.modes])
-            else:
-                choices.append([(mode, label, 1.0 + 0.0j)])
-        for combo in itertools.product(*choices):
-            factor = base
-            for _, _, coeff in combo:
-                factor *= coeff
-            if factor == 0.0:
-                continue
-            new_cfg = tuple(sorted((m, l) for m, l, _ in combo))
-            out[new_cfg] = out.get(new_cfg, 0.0) + factor * math.sqrt(_config_norm(new_cfg))
-    out = {cfg: a for cfg, a in out.items() if abs(a) > 1e-14}
-    return FockState(amplitudes=out, n_modes=state.n_modes)
-
-
-def apply_circuit(state: FockState, elements) -> FockState:
-    for el in elements:
-        state = apply_element(state, el)
-    return state
 
 
 def _permanent(mat: np.ndarray) -> complex:
@@ -257,31 +155,12 @@ class FringeTable:
             yield ",".join(f"{x:.12g}" for x in row)
 
 
-def _mzi_elements(r1: float, phi: float, r2: float):
-    return [
-        CircuitElement.coupler(r1, 0, 1),
-        CircuitElement.phase(phi, 0),
-        CircuitElement.coupler(r2, 0, 1),
-    ]
-
-
-def _dual_component_probs(r1, phi, r2, labels):
-    state = FockState.from_photons([(0, labels[0]), (1, labels[1])], n_modes=2)
-    state = apply_circuit(state, _mzi_elements(r1, phi, r2))
-    probs = state.mode_occupations()
-    coinc = probs.get((1, 1), 0.0)
-    mean0 = state.expected_mode_counts()[0]
-    return mean0 / 2.0, coinc
-
-
-def _contamination_probs(r1, phi, r2, port):
-    photons = [(port, 0), (port, 1)]  # re-excited photons do not interfere
-    state = FockState.from_photons(photons, n_modes=2)
-    state = apply_circuit(state, _mzi_elements(r1, phi, r2))
-    probs = state.mode_occupations()
-    coinc = probs.get((1, 1), 0.0)
-    mean0 = state.expected_mode_counts()[0]
-    return mean0 / 2.0, coinc
+def _mzi_unitary(r1: float, r2: float, phi: np.ndarray) -> np.ndarray:
+    """Mode matrices U(phi) = B2 diag(e^{i phi}, 1) B1, shape (len(phi), 2, 2)."""
+    b1 = CircuitElement.coupler(r1, 0, 1).matrix(2)
+    b2 = CircuitElement.coupler(r2, 0, 1).matrix(2)
+    phase = np.exp(1j * phi)[:, None, None]
+    return phase * np.outer(b2[:, 0], b1[0, :]) + np.outer(b2[:, 1], b1[1, :])
 
 
 def mzi_fringes(
@@ -294,8 +173,9 @@ def mzi_fringes(
     """Single-photon and coincidence fringes of a two-coupler interferometer.
 
     Dual input mixes an indistinguishable pair (weight overlap) with a
-    distinguishable-label pair, plus two-photons-in-one-port contamination
-    events of relative weight multiphoton_g per input port.
+    distinguishable pair, plus two-photons-in-one-port contamination
+    events of relative weight multiphoton_g per input port; the two
+    contaminating photons never interfere.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or len(phi_grid) < 2:
@@ -305,32 +185,25 @@ def mzi_fringes(
     # a half-open [0, 2*pi) sampling counts as full coverage
     if span + step < 2.0 * math.pi - 1e-9:
         raise ValueError("phi grid must cover at least 2*pi")
-    p0 = np.empty_like(phi_grid)
-    p1 = np.empty_like(phi_grid)
-    pc = np.empty_like(phi_grid)
-    for i, phi in enumerate(phi_grid):
-        if input_kind == "single":
-            state = FockState.from_photons([(0, 0)], n_modes=2)
-            state = apply_circuit(state, _mzi_elements(coupler_r1, phi, coupler_r2))
-            mean0 = state.expected_mode_counts()[0]
-            p0[i], p1[i], pc[i] = mean0, 1.0 - mean0, 0.0
-            continue
-        if input_kind != "dual":
-            raise ValueError(f"input_kind must be single or dual, got {input_kind!r}")
-        m = source.overlap
-        g = source.multiphoton_g
-        p0_ind, pc_ind = _dual_component_probs(coupler_r1, phi, coupler_r2, (0, 0))
-        p0_dis, pc_dis = _dual_component_probs(coupler_r1, phi, coupler_r2, (0, 1))
-        p0_mix = m * p0_ind + (1.0 - m) * p0_dis
-        pc_mix = m * pc_ind + (1.0 - m) * pc_dis
-        if g > 0:
-            p0_c0, pc_c0 = _contamination_probs(coupler_r1, phi, coupler_r2, 0)
-            p0_c1, pc_c1 = _contamination_probs(coupler_r1, phi, coupler_r2, 1)
-            weight = 1.0 + 2.0 * g
-            p0_mix = (p0_mix + g * (p0_c0 + p0_c1)) / weight
-            pc_mix = (pc_mix + g * (pc_c0 + pc_c1)) / weight
-        p0[i], p1[i], pc[i] = p0_mix, 1.0 - p0_mix, pc_mix
-    return FringeTable(phi=phi_grid, p_out0=p0, p_out1=p1, p_coincidence=pc)
+    if input_kind not in ("single", "dual"):
+        raise ValueError(f"input_kind must be single or dual, got {input_kind!r}")
+    u = _mzi_unitary(coupler_r1, coupler_r2, phi_grid)
+    p = np.abs(u) ** 2  # p[:, k, j]: a photon entering mode j leaves mode k
+    if input_kind == "single":
+        p0 = p[:, 0, 0]
+        return FringeTable(phi=phi_grid, p_out0=p0, p_out1=1.0 - p0, p_coincidence=np.zeros_like(p0))
+    m = source.overlap
+    g = source.multiphoton_g
+    pc_ind = np.abs(u[:, 0, 0] * u[:, 1, 1] + u[:, 0, 1] * u[:, 1, 0]) ** 2
+    pc_dis = p[:, 0, 0] * p[:, 1, 1] + p[:, 0, 1] * p[:, 1, 0]
+    # Both photons in port j: coincidence 2 |U0j|^2 |U1j|^2.
+    pc_contam = 2.0 * (p[:, 0, 0] * p[:, 1, 0] + p[:, 0, 1] * p[:, 1, 1])
+    pc = (m * pc_ind + (1.0 - m) * pc_dis + g * pc_contam) / (1.0 + 2.0 * g)
+    # Each photon of a pair enters by its own port, and contamination puts
+    # both photons in port 0 as often as in port 1, so every component of
+    # the mixture has the same mean port-0 share.
+    p0 = (p[:, 0, 0] + p[:, 0, 1]) / 2.0
+    return FringeTable(phi=phi_grid, p_out0=p0, p_out1=1.0 - p0, p_coincidence=pc)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .emitter import DriveField, EmitterParams, IntegrationError
+from .emitter import DriveField, EmitterParams, _evolve_array
 
 _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 
@@ -166,22 +165,8 @@ def rabi_curve(
         else:
             raise ValueError(f"unknown pulse shape {shape!r}")
         t_end = t_pulse_end + 15.0 * params.t1
-
-        def rhs(t, x):
-            w_drive = float(drive.omega(t))
-            return [
-                -x[0] / params.t2 + params.detuning * x[1],
-                -params.detuning * x[0] - x[1] / params.t2 - w_drive * x[2],
-                w_drive * x[1] - (x[2] + 1.0) / params.t1,
-                (1.0 + x[2]) / (2.0 * params.t1),
-            ]
-
-        sol = solve_ivp(
-            rhs, (0.0, t_end), [0.0, 0.0, -1.0, 0.0], method="DOP853", rtol=tol, atol=tol * 1e-2
-        )
-        if not sol.success:
-            raise IntegrationError(f"rabi_curve integration failed: {sol.message}")
-        out.append((float(area), float(sol.y[3, -1])))
+        x = _evolve_array(params, drive, [0.0, 0.0, -1.0, 0.0], np.array([0.0, t_end]), tol)
+        out.append((float(area), float(x[3, -1])))
     return out
 
 
@@ -426,7 +411,7 @@ class PeakReport:
             raise ValueError("overlap estimate must lie in [0, 1]")
 
 
-def hbt_analyze(stream: PhotonStream, bin_width: float = 0.05, max_side_lag: int = 20) -> PeakReport:
+def hbt_analyze(stream: PhotonStream, max_side_lag: int = 20) -> PeakReport:
     """Cluster the pulsed autocorrelation and form the two-photon metric.
 
     The metric normalizes the same-pulse pair count by the mean
@@ -479,7 +464,6 @@ def hbt_analyze(stream: PhotonStream, bin_width: float = 0.05, max_side_lag: int
         aux={
             "same_pulse_pairs": same_pulse,
             "within_pair_cross": within_cross,
-            "bin_width": bin_width,
             "mean_per_pulse": stream.mean_per_pulse,
         },
     )

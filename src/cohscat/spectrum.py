@@ -100,7 +100,7 @@ def incoherent_spectrum(
     energy_grid = np.asarray(energy_grid, dtype=float)
     de_req = _uniform_spacing(energy_grid)
     span_req = energy_grid[-1] - energy_grid[0]
-    hbar = params.hbar_const
+    hbar = HBAR_UEV_NS
 
     # Internal FFT grid: wide enough to hold the sidebands at +-hbar*rabi
     # without wrap-around, fine enough to resolve the homogeneous line.

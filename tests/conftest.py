@@ -1,7 +1,16 @@
 """Shared test oracles, kept independent of the library code paths they check."""
 
+import itertools
+import math
+from collections import Counter
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+
+from cohscat.fock import _MAX_PHOTONS, CircuitElement
+
+Config = tuple[tuple[int, int], ...]  # sorted ((mode, label), ...)
 
 
 def g2_resonant_closed_form(t1, rabi, taus):
@@ -34,6 +43,173 @@ def liouvillian_reference(t1, t2, detuning, rabi):
         ],
         dtype=complex,
     )
+
+
+# ---------------------------------------------------------------------------
+# Few-photon Fock engine: states over (mode, internal label) occupation
+# configurations, evolved element by element by creation-operator monomial
+# expansion. Photons with different labels never interfere. It shares no
+# code with the closed-form fringes of cohscat.fock.
+
+
+def _config_norm(config: Config) -> float:
+    norm = 1.0
+    for count in Counter(config).values():
+        norm *= math.factorial(count)
+    return norm
+
+
+@dataclass(frozen=True)
+class FockState:
+    """Superposition over occupation configurations of (mode, label) pairs."""
+
+    amplitudes: dict[Config, complex]
+    n_modes: int
+
+    def __post_init__(self):
+        if not self.amplitudes:
+            raise ValueError("state must contain at least one configuration")
+        counts = {len(cfg) for cfg in self.amplitudes}
+        if len(counts) != 1:
+            raise ValueError("all configurations must hold the same photon number")
+        if max(counts) > _MAX_PHOTONS:
+            raise ValueError(f"at most {_MAX_PHOTONS} photons supported")
+        for cfg in self.amplitudes:
+            if tuple(sorted(cfg)) != cfg:
+                raise ValueError(f"configuration {cfg} is not in sorted canonical form")
+            if any(m < 0 or m >= self.n_modes for m, _ in cfg):
+                raise ValueError(f"configuration {cfg} uses modes outside 0..{self.n_modes - 1}")
+        total = sum(abs(a) ** 2 for a in self.amplitudes.values())
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"state norm^2 is {total}, must be 1")
+
+    @property
+    def n_photons(self) -> int:
+        return len(next(iter(self.amplitudes)))
+
+    @classmethod
+    def from_photons(cls, photons, n_modes: int) -> "FockState":
+        """Product state with one photon per (mode, label) entry."""
+        cfg = tuple(sorted(tuple(p) for p in photons))
+        return cls(amplitudes={cfg: 1.0 + 0.0j}, n_modes=n_modes)
+
+    def mode_occupations(self) -> dict[tuple[int, ...], float]:
+        """Probability of each mode-occupation pattern, labels traced out."""
+        probs: dict[tuple[int, ...], float] = {}
+        for cfg, amp in self.amplitudes.items():
+            occ = [0] * self.n_modes
+            for mode, _ in cfg:
+                occ[mode] += 1
+            key = tuple(occ)
+            probs[key] = probs.get(key, 0.0) + abs(amp) ** 2
+        return probs
+
+    def expected_mode_counts(self) -> np.ndarray:
+        out = np.zeros(self.n_modes)
+        for occ, p in self.mode_occupations().items():
+            out += p * np.asarray(occ)
+        return out
+
+
+def apply_element(state: FockState, element: CircuitElement) -> FockState:
+    """Evolve the state through one element by monomial expansion."""
+    if max(element.modes) >= state.n_modes:
+        raise ValueError(
+            f"element touches mode {max(element.modes)}, state has {state.n_modes} modes"
+        )
+    if element.kind == "phase":
+        out = {}
+        mode = element.modes[0]
+        for cfg, amp in state.amplitudes.items():
+            k = sum(1 for m, _ in cfg if m == mode)
+            out[cfg] = out.get(cfg, 0.0) + amp * np.exp(1j * element.phi * k)
+        return FockState(amplitudes=out, n_modes=state.n_modes)
+
+    u = element.matrix(state.n_modes)
+    out: dict[Config, complex] = {}
+    for cfg, amp in state.amplitudes.items():
+        base = amp / math.sqrt(_config_norm(cfg))
+        choices = []
+        for mode, label in cfg:
+            if mode in element.modes:
+                choices.append([(m, label, u[m, mode]) for m in element.modes])
+            else:
+                choices.append([(mode, label, 1.0 + 0.0j)])
+        for combo in itertools.product(*choices):
+            factor = base
+            for _, _, coeff in combo:
+                factor *= coeff
+            if factor == 0.0:
+                continue
+            new_cfg = tuple(sorted((m, l) for m, l, _ in combo))
+            out[new_cfg] = out.get(new_cfg, 0.0) + factor * math.sqrt(_config_norm(new_cfg))
+    out = {cfg: a for cfg, a in out.items() if abs(a) > 1e-14}
+    return FockState(amplitudes=out, n_modes=state.n_modes)
+
+
+def apply_circuit(state: FockState, elements) -> FockState:
+    for el in elements:
+        state = apply_element(state, el)
+    return state
+
+
+def _mzi_elements(r1: float, phi: float, r2: float):
+    return [
+        CircuitElement.coupler(r1, 0, 1),
+        CircuitElement.phase(phi, 0),
+        CircuitElement.coupler(r2, 0, 1),
+    ]
+
+
+def _dual_component_probs(r1, phi, r2, labels):
+    state = FockState.from_photons([(0, labels[0]), (1, labels[1])], n_modes=2)
+    state = apply_circuit(state, _mzi_elements(r1, phi, r2))
+    probs = state.mode_occupations()
+    coinc = probs.get((1, 1), 0.0)
+    mean0 = state.expected_mode_counts()[0]
+    return mean0 / 2.0, coinc
+
+
+def _contamination_probs(r1, phi, r2, port):
+    photons = [(port, 0), (port, 1)]  # re-excited photons do not interfere
+    state = FockState.from_photons(photons, n_modes=2)
+    state = apply_circuit(state, _mzi_elements(r1, phi, r2))
+    probs = state.mode_occupations()
+    coinc = probs.get((1, 1), 0.0)
+    mean0 = state.expected_mode_counts()[0]
+    return mean0 / 2.0, coinc
+
+
+def engine_fringes(source, coupler_r1, coupler_r2, phi_grid, input_kind="dual"):
+    """(p_out0, p_out1, p_coincidence) of the two-coupler interferometer,
+    one phase at a time through the Fock engine."""
+    phi_grid = np.asarray(phi_grid, dtype=float)
+    p0 = np.empty_like(phi_grid)
+    p1 = np.empty_like(phi_grid)
+    pc = np.empty_like(phi_grid)
+    for i, phi in enumerate(phi_grid):
+        if input_kind == "single":
+            state = FockState.from_photons([(0, 0)], n_modes=2)
+            state = apply_circuit(state, _mzi_elements(coupler_r1, phi, coupler_r2))
+            mean0 = state.expected_mode_counts()[0]
+            p0[i], p1[i], pc[i] = mean0, 1.0 - mean0, 0.0
+            continue
+        if input_kind != "dual":
+            raise ValueError(f"input_kind must be single or dual, got {input_kind!r}")
+        m = source.overlap
+        g = source.multiphoton_g
+        p0_ind, pc_ind = _dual_component_probs(coupler_r1, phi, coupler_r2, (0, 0))
+        p0_dis, pc_dis = _dual_component_probs(coupler_r1, phi, coupler_r2, (0, 1))
+        p0_mix = m * p0_ind + (1.0 - m) * p0_dis
+        pc_mix = m * pc_ind + (1.0 - m) * pc_dis
+        if g > 0:
+            p0_c0, pc_c0 = _contamination_probs(coupler_r1, phi, coupler_r2, 0)
+            p0_c1, pc_c1 = _contamination_probs(coupler_r1, phi, coupler_r2, 1)
+            weight = 1.0 + 2.0 * g
+            p0_mix = (p0_mix + g * (p0_c0 + p0_c1)) / weight
+            pc_mix = (pc_mix + g * (pc_c0 + pc_c1)) / weight
+        p0[i], p1[i], pc[i] = p0_mix, 1.0 - p0_mix, pc_mix
+    return p0, p1, pc
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import cohscat as cs
-from cohscat.emitter import bloch_system, leakage_for_contrast
+from cohscat.emitter import _bloch_rhs, bloch_system, leakage_for_contrast
 
 
 def test_params_validation():
@@ -121,6 +121,36 @@ def test_evolve_preserves_bloch_ball(rng):
     for drive in drives:
         for st in cs.evolve(params, drive, cs.BlochState.ground(), ts):
             assert st.u ** 2 + st.v ** 2 + st.w ** 2 <= 1.0 + 1e-7
+
+
+@pytest.mark.parametrize("t0, duration, t_end, points", [(0.05, 0.5, 2.0, 5), (0.13, 0.3, 4.0, 201)])
+def test_evolve_square_edges_off_grid(t0, duration, t_end, points):
+    # Square edges that fall between grid points split the integration;
+    # the states must match a grid that samples both edges.
+    params = cs.EmitterParams(t1=1.0, t2=2.0)
+    drive = cs.DriveField(rabi=2.0 * math.pi, shape="square", duration=duration, t0=t0)
+    ts = np.linspace(0.0, t_end, points)
+    with_edges = np.union1d(ts, [t0, t0 + duration])
+    assert len(with_edges) == points + 2
+    coarse = [st.as_array() for st in cs.evolve(params, drive, cs.BlochState.ground(), ts)]
+    fine = [st.as_array() for st in cs.evolve(params, drive, cs.BlochState.ground(), with_edges)]
+    fine = np.array(fine)[np.isin(with_edges, ts)]
+    assert np.max(np.abs(np.array(coarse) - fine)) < 1e-8
+
+
+def test_bloch_rhs_matches_bloch_system(rng):
+    for _ in range(20):
+        t1 = rng.uniform(0.1, 2.0)
+        params = cs.EmitterParams(t1=t1, t2=rng.uniform(0.05, 1.0) * 2.0 * t1, detuning=rng.normal())
+        rabi = rng.uniform(0.0, 10.0)
+        a_mat, b_vec = bloch_system(params, rabi)
+        rhs = _bloch_rhs(params, cs.DriveField(rabi=rabi))
+        x = rng.uniform(-1.0, 1.0, size=3)
+        t = rng.uniform(0.0, 5.0)
+        assert np.allclose(rhs(t, x), a_mat @ x + b_vec, rtol=0.0, atol=1e-13)
+        with_counter = rhs(t, np.append(x, rng.uniform()))
+        assert np.allclose(with_counter[:3], a_mat @ x + b_vec, rtol=0.0, atol=1e-13)
+        assert with_counter[3] == pytest.approx((1.0 + x[2]) / (2.0 * t1), rel=1e-15)
 
 
 def test_drive_field_areas_match_quadrature():

@@ -7,14 +7,12 @@ import pytest
 import cohscat as cs
 from cohscat.fock import (
     CircuitElement,
-    FockState,
     FringeTable,
-    apply_circuit,
-    apply_element,
     circuit_unitary,
     permanent_amplitude,
     single_photon_visibility,
 )
+from conftest import FockState, apply_circuit, apply_element, engine_fringes
 
 
 def random_elements(rng, n_modes, n_el=6):
@@ -116,6 +114,20 @@ def test_apply_composition_equals_composed_unitary():
         assert state.amplitudes.get(cfg, 0.0) == pytest.approx(
             permanent_amplitude(u, [1, 1, 0], occ_out), abs=1e-10
         )
+
+
+def test_fringes_match_engine_at_unbalanced_couplers():
+    rng = np.random.default_rng(23)
+    phi = np.linspace(0.0, 2.0 * math.pi, 41)
+    for _ in range(8):
+        r1, r2 = rng.uniform(0.05, 0.95, size=2)
+        src = cs.SourceModel(overlap=rng.uniform(0.05, 0.95), multiphoton_g=rng.uniform(0.01, 0.5))
+        for kind in ("single", "dual"):
+            table = cs.mzi_fringes(src, r1, r2, phi, input_kind=kind)
+            p0, p1, pc = engine_fringes(src, r1, r2, phi, input_kind=kind)
+            assert np.max(np.abs(table.p_out0 - p0)) < 1e-12
+            assert np.max(np.abs(table.p_out1 - p1)) < 1e-12
+            assert np.max(np.abs(table.p_coincidence - pc)) < 1e-12
 
 
 def test_mzi_single_photon_swap_and_fringe():
