@@ -65,14 +65,23 @@ def write_manifest(outdir: Path, command: str, scenario: Scenario, results: dict
         "scenario": scenario.resolved_dict(),
         "results": results,
     }
+    # Serialized before the file opens, so a NaN or infinity (a ValueError)
+    # leaves no truncated manifest behind.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(outdir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _thread_count(flag_value: int | None) -> int:
     if flag_value is not None:
-        return max(1, flag_value)
+        return flag_value
     env = os.environ.get("COHSCAT_THREADS")
     if env:
         try:
@@ -541,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON scenario (a manifest.json also works)")
         p.add_argument("--out", help="output directory (overrides the scenario)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides the scenario)")
-        p.add_argument("--threads", type=int, help="worker count for Monte Carlo runs")
+        p.add_argument("--threads", type=_positive_int, help="worker count for Monte Carlo runs")
 
     p_fig = sub.add_parser("fig", help="reproduce a bundled figure scenario")
     p_fig.add_argument("id", choices=FIGURE_IDS)
@@ -576,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fwhm-ns", type=float, default=None)
     for name in ("stream", "hbt", "hom-pulsed"):
         p = sim_parser(name)
-        p.add_argument("--pairs", type=int, default=None)
+        p.add_argument("--pairs", type=_positive_int, default=None)
     p = sim_parser("noon")
     p.add_argument("--input", choices=("single", "dual"), default="dual")
     return parser

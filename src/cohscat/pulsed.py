@@ -3,26 +3,34 @@ coincidence-peak analysis and the click-level two-photon interference
 estimator.
 
 The Monte Carlo engine unravels the emitter master equation into
-trajectories over two-pulse excitation cycles. Pulse cycles are
-statistically independent (the emitter starts each cycle in the ground
-state; residual excitation at the end of a cycle is negligible for any
-sensible cycle period). Within a pulse window the two amplitude components
-are propagated with per-step matrix exponentials of the non-Hermitian
-generator; radiative jump times are drawn by thresholding the squared norm
-against a uniform deviate, with analytic inversion over the drive-free
-stretches. Pure dephasing (t2 < 2 t1) enters as an independent Poisson
-process of coherence sign flips; a radiative jump resets the emitter to the
-ground state and records a time tag.
+trajectories over two-pulse excitation cycles, in the waiting-time form of
+the quantum-jump method (Dalibard, Castin & Moelmer, PRL 68, 580 (1992)).
+Pulse cycles are statistically independent (the emitter starts each cycle
+in the ground state; residual excitation at the end of a cycle is
+negligible for any sensible cycle period).
+Within a pulse window the two amplitude components evolve under per-step
+matrix exponentials of the non-Hermitian generator, and a radiative jump
+happens at the first step boundary where the squared norm falls below a
+uniform deviate; a jump resets the emitter to the ground state, records a
+time tag and draws a new deviate. Pure dephasing (t2 < 2 t1) enters as
+coherence sign flips, Bernoulli at every boundary. The drive-free
+stretches between windows are solved analytically.
 
-Randomness comes from the counter-based Philox generator; worker w of a
-fan-out over `workers` chunks uses the key (seed, w), so a stream is fully
-determined by (seed, workers) and chunk results compose by concatenation.
+Rather than marching every trajectory through every step, the engine
+tabulates the cumulative step products once per stream and jumps each
+trajectory from event to event (jump, flip, table segment end, window end),
+locating jumps by bisection on the non-increasing no-jump norm.
+
+Randomness comes from the counter-based Philox generator. Pairs fall into
+fixed chunks of 2^16; chunk i uses the key (seed, i), so a stream depends
+on the seed and the model alone, never on the thread count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -32,10 +40,12 @@ from scipy.linalg import expm
 from .emitter import DriveField, EmitterParams, _evolve_array
 
 _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
+_CHUNK_PAIRS = 1 << 16  # pairs per Philox key
+_SEGMENT_T1 = 18.0  # propagator-table segment length, in t1
 
 
-def _rng(seed: int, worker: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64(worker)], dtype=np.uint64)
+def _rng(seed: int, substream: int) -> np.random.Generator:
+    key = np.array([np.uint64(seed), np.uint64(substream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -91,8 +101,8 @@ class PhotonStream:
     """Time-tagged emission record.
 
     times are global (ns, ascending); pair_index / pulse_index annotate the
-    excitation cycle and the pulse within it. params/train snapshot the
-    generating model, seed/workers pin the random stream.
+    excitation cycle and the pulse within it. params/train/seed determine
+    the stream; workers records the thread count that was requested.
     """
 
     times: np.ndarray
@@ -170,25 +180,74 @@ def rabi_curve(
     return out
 
 
-def _pulse_step_matrices(params: EmitterParams, train: PulseTrain, steps: int):
-    """Per-step 2x2 propagators over one pulse window (midpoint Rabi rate)."""
-    half = train._half_window()
-    drive = train.drive(center=half)
-    dt = 2.0 * half / steps
-    t_mid = (np.arange(steps) + 0.5) * dt
-    omegas = drive.omega(t_mid)
-    g_rad = 1.0 / params.t1
-    mats = np.empty((steps, 2, 2), dtype=complex)
-    for k, w in enumerate(omegas):
-        gen = np.array(
-            [
-                [-1j * params.detuning - g_rad / 2.0, 0.5j * w],
-                [0.5j * w, 0.0],
-            ],
-            dtype=complex,
-        )
-        mats[k] = expm(gen * dt)
-    return mats, dt
+class _WindowTables:
+    """Read-only propagator tables of one pulse window, shared by all chunks.
+
+    Step j (0 <= j < steps) applies m_j = expm(G dt), G the non-Hermitian
+    no-jump generator at the step's midpoint Rabi rate; boundary j lies
+    after j steps. The window splits into segments of `seg` steps (about
+    18 t1, so |det| >= e^-9 and the inverses stay well conditioned):
+
+    - c[j]: the product of the steps from the start of the segment holding
+      step j-1 through step j-1 (c[0] = I);
+    - inv[k]: the inverse of the product that continues from boundary k,
+      the identity at a segment start;
+    - g00, g11, g01: the entries of c[j]^H c[j].
+
+    A trajectory anchored at boundary k with state x carries y = inv[k] x;
+    for k < j <= seg_end[k] its state is c[j] y and its squared norm the
+    quadratic form of y under the Gram entries at j.
+    """
+
+    def __init__(self, params: EmitterParams, train: PulseTrain, steps: int):
+        half = train._half_window()
+        drive = train.drive(center=half)
+        self.steps = steps
+        self.dt = dt = 2.0 * half / steps
+        omegas = drive.omega((np.arange(steps) + 0.5) * dt)
+        g_rad = 1.0 / params.t1
+        gens = np.zeros((steps, 2, 2), dtype=complex)
+        gens[:, 0, 0] = -1j * params.detuning - g_rad / 2.0
+        gens[:, 0, 1] = gens[:, 1, 0] = 0.5j * omegas
+        mats = expm(gens * dt)
+
+        seg = max(1, min(steps, int(_SEGMENT_T1 * params.t1 / dt)))
+        n_seg = -(-steps // seg)
+        prod = np.tile(np.eye(2, dtype=complex), (n_seg * seg, 1, 1))
+        prod[:steps] = mats
+        prod = prod.reshape(n_seg, seg, 2, 2)
+        # Hillis-Steele scan within each segment, later steps on the left.
+        shift = 1
+        while shift < seg:
+            prod[:, shift:] = prod[:, shift:] @ prod[:, :-shift]
+            shift *= 2
+        c = np.empty((steps + 1, 2, 2), dtype=complex)
+        c[0] = np.eye(2)
+        c[1:] = prod.reshape(-1, 2, 2)[:steps]
+        c00, c01, c10, c11 = c[:, 0, 0], c[:, 0, 1], c[:, 1, 0], c[:, 1, 1]
+        det = c00 * c11 - c01 * c10
+        inv = [c11 / det, -c01 / det, -c10 / det, c00 / det]
+        for q, one in zip(inv, (1.0, 0.0, 0.0, 1.0)):
+            q[::seg] = one
+        self.c = (c00, c01, c10, c11)
+        self.inv = tuple(inv)
+        self.g00 = np.abs(c00) ** 2 + np.abs(c10) ** 2
+        self.g11 = np.abs(c01) ** 2 + np.abs(c11) ** 2
+        self.g01 = c00.conj() * c01 + c10.conj() * c11
+        self.seg_end = np.minimum((np.arange(steps + 1) // seg + 1) * seg, steps)
+        gamma_phi = params.gamma_phi
+        self.flip_p = -math.expm1(-0.5 * gamma_phi * dt) if gamma_phi > 0 else 0.0
+
+    def norm(self, j, p0, p1, q):
+        """Squared norm c[j] y for |y0|^2 = p0, |y1|^2 = p1, conj(y0) y1 = q."""
+        return self.g00[j] * p0 + self.g11[j] * p1 + 2.0 * (self.g01[j] * q).real
+
+    def flip_gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Boundaries to each trajectory's next dephasing flip (Bernoulli at
+        every boundary, so geometric gaps); past the window end if none."""
+        if self.flip_p == 0.0:
+            return np.full(n, self.steps + 1, dtype=np.int64)
+        return rng.geometric(self.flip_p, n)
 
 
 class _ChunkState:
@@ -215,29 +274,80 @@ class _ChunkState:
         self.thresh[idx] = self.rng.random(len(idx))
 
 
-def _run_pulse_window(state: _ChunkState, mats, dt, t_start, pulse_idx, gamma_phi):
-    """March all trajectories through one pulse window, recording jumps."""
-    flip_p = 1.0 - math.exp(-0.5 * gamma_phi * dt) if gamma_phi > 0 else 0.0
-    norm_prev = np.abs(state.ce) ** 2 + np.abs(state.cg) ** 2
-    for k in range(len(mats)):
-        m = mats[k]
-        ce_new = m[0, 0] * state.ce + m[0, 1] * state.cg
-        cg_new = m[1, 0] * state.ce + m[1, 1] * state.cg
-        state.ce, state.cg = ce_new, cg_new
-        norm = np.abs(state.ce) ** 2 + np.abs(state.cg) ** 2
-        jumped = np.flatnonzero(norm < state.thresh)
-        if len(jumped):
-            s0 = norm_prev[jumped]
-            s1 = norm[jumped]
-            frac = np.log(s0 / state.thresh[jumped]) / np.log(s0 / s1)
-            t_jump = t_start + (k + np.clip(frac, 0.0, 1.0)) * dt
-            state.record(jumped, t_jump, pulse_idx)
-            state.reset_ground(jumped)
-            norm[jumped] = 1.0
-        if flip_p > 0.0:
-            flips = state.rng.random(state.n) < flip_p
-            state.cg[flips] = -state.cg[flips]
-        norm_prev = norm
+def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx):
+    """Carry all trajectories through one pulse window, recording jumps.
+
+    The law is that of marching step by step: after each step the squared
+    norm is tested against the threshold (a jump resets to the ground state
+    at that boundary; its time interpolates log-linearly within the step),
+    then the coherence sign flips with probability flip_p. Each pass moves
+    every unfinished trajectory to its next event: the first boundary
+    below its threshold (bisection; the norm does not increase between
+    events), else its next flip, segment end or the window end.
+    """
+    rng, steps, dt = state.rng, tab.steps, tab.dt
+    k = np.zeros(state.n, dtype=np.int64)
+    y0, y1 = state.ce.copy(), state.cg.copy()
+    s_anchor = np.abs(y0) ** 2 + np.abs(y1) ** 2
+    flip = tab.flip_gaps(rng, state.n)
+    act = np.arange(state.n)
+    while len(act):
+        ka = k[act]
+        stop = np.minimum(np.minimum(flip[act], tab.seg_end[ka]), steps)
+        ya0, ya1 = y0[act], y1[act]
+        quad = (np.abs(ya0) ** 2, np.abs(ya1) ** 2, ya0.conj() * ya1)
+        u = state.thresh[act]
+        fell = tab.norm(stop, *quad) < u
+        finished = []
+
+        jmp = act[fell]
+        if len(jmp):
+            # Invariant: norm(lo) >= u > norm(hi); mid > lo keeps every
+            # evaluation inside the anchor's segment.
+            lo, hi = ka[fell], stop[fell]
+            qj = tuple(q[fell] for q in quad)
+            uj = u[fell]
+            for _ in range(int((hi - lo).max() - 1).bit_length()):
+                mid = (lo + hi + 1) // 2
+                below = tab.norm(mid, *qj) < uj
+                hi = np.where(below, mid, hi)
+                lo = np.where(below, lo, mid)
+            s0 = np.where(hi - 1 == ka[fell], s_anchor[jmp], tab.norm(hi - 1, *qj))
+            s1 = tab.norm(hi, *qj)
+            frac = np.log(s0 / uj) / np.log(s0 / s1)
+            state.record(jmp, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * dt, pulse_idx)
+            state.reset_ground(jmp)
+            k[jmp] = hi
+            y0[jmp] = tab.inv[1][hi]
+            y1[jmp] = tab.inv[3][hi]
+            s_anchor[jmp] = 1.0
+            # A flip at the jump boundary acts on the ground state, where a
+            # sign is a global phase: consume it.
+            hit = jmp[flip[jmp] == hi]
+            flip[hit] += tab.flip_gaps(rng, len(hit))
+            finished.append(jmp[hi == steps])
+
+        mov = act[~fell]
+        if len(mov):
+            st = stop[~fell]
+            c00, c01, c10, c11 = (m[st] for m in tab.c)
+            ya0, ya1 = ya0[~fell], ya1[~fell]
+            x0 = c00 * ya0 + c01 * ya1
+            x1 = c10 * ya0 + c11 * ya1
+            flipped = flip[mov] == st
+            x1[flipped] = -x1[flipped]
+            hit = mov[flipped]
+            flip[hit] += tab.flip_gaps(rng, len(hit))
+            state.ce[mov] = x0
+            state.cg[mov] = x1
+            i00, i01, i10, i11 = (m[st] for m in tab.inv)
+            k[mov] = st
+            y0[mov] = i00 * x0 + i01 * x1
+            y1[mov] = i10 * x0 + i11 * x1
+            s_anchor[mov] = np.abs(x0) ** 2 + np.abs(x1) ** 2
+            finished.append(mov[st == steps])
+
+        act = np.setdiff1d(act, np.concatenate(finished), assume_unique=True)
 
 
 def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params):
@@ -263,21 +373,17 @@ def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params):
         state.cg[flips] = -state.cg[flips]
 
 
-def _simulate_chunk(params, train, seed, worker, n_chunk, steps_per_pulse):
-    rng = _rng(seed, worker)
+def _simulate_chunk(params, train, tables, rng, n_chunk):
     state = _ChunkState(n_chunk, rng)
     half = train._half_window()
-    driven = train.pulse_area > 0
-    if driven:
-        mats, dt = _pulse_step_matrices(params, train, steps_per_pulse)
 
     # Local timeline: pulse 0 spans [-half, half] around 0, pulse 1 around
     # `separation`; the cycle ends where the next cycle's window begins.
-    if driven:
-        _run_pulse_window(state, mats, dt, -half, 0, params.gamma_phi)
+    if tables is not None:
+        _run_pulse_window(state, tables, -half, 0)
     _run_free_decay(state, half, train.separation - 2.0 * half, 0, params)
-    if driven:
-        _run_pulse_window(state, mats, dt, train.separation - half, 1, params.gamma_phi)
+    if tables is not None:
+        _run_pulse_window(state, tables, train.separation - half, 1)
     _run_free_decay(
         state, train.separation + half, train.pair_period - train.separation - 2.0 * half, 1, params
     )
@@ -298,31 +404,35 @@ def simulate_stream(
     train: PulseTrain,
     seed: int,
     workers: int = 1,
-    steps_per_pulse: int = 400,
+    steps_per_pulse: int = 4096,
 ) -> PhotonStream:
     """Quantum-jump Monte Carlo photon stream for a two-pulse train.
 
-    Deterministic for fixed (seed, workers); chunk w of the fan-out draws
-    from the Philox key (seed, w) and simulates a contiguous block of pulse
-    pairs, so any worker count yields a well-defined stream with identical
-    statistics.
+    The stream is a function of (params, train, seed, steps_per_pulse):
+    pairs are split into fixed chunks of 2^16, chunk i draws from the
+    Philox key (seed, i), and `workers` only sets how many threads (at most
+    the core count) run the chunks.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if steps_per_pulse < 1:
+        raise ValueError("steps_per_pulse must be >= 1")
+    tables = _WindowTables(params, train, steps_per_pulse) if train.pulse_area > 0 else None
     n = train.n_pairs
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    jobs = [(w, bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w + 1] > bounds[w]]
+    n_chunks = -(-n // _CHUNK_PAIRS)
 
-    def run(job):
-        w, lo, hi = job
-        idx, t_local, pulse = _simulate_chunk(params, train, seed, w, hi - lo, steps_per_pulse)
+    def run(chunk):
+        lo = chunk * _CHUNK_PAIRS
+        size = min(_CHUNK_PAIRS, n - lo)
+        idx, t_local, pulse = _simulate_chunk(params, train, tables, _rng(seed, chunk), size)
         return idx + lo, t_local, pulse
 
-    if len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(run, jobs))
+    threads = min(workers, os.cpu_count() or 1, n_chunks)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, range(n_chunks)))
     else:
-        parts = [run(job) for job in jobs]
+        parts = [run(chunk) for chunk in range(n_chunks)]
 
     pair_idx = np.concatenate([p[0] for p in parts])
     t_local = np.concatenate([p[1] for p in parts])

@@ -152,3 +152,19 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert meta["workers"] == 2
     monkeypatch.setenv("COHSCAT_THREADS", "nope")
     assert run_cli(["sim", "stream", "--pairs", "10", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--pairs", "0"), ("--pairs", "-3"),
+                                        ("--threads", "0"), ("--threads", "-5")])
+def test_nonpositive_count_flags_exit_code(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sim", "stream", flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_manifest_rejects_non_finite_results(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_manifest(tmp_path, "sim stream", Scenario(), {"mean_per_pulse": float("nan")})
+    assert not (tmp_path / "manifest.json").exists()

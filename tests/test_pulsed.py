@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.linalg import expm
 
 import cohscat as cs
+from cohscat import pulsed
+from conftest import pair_moment_oracle
 
 PARAMS = cs.default_cavity_params()  # t1 = 0.1072 ns, t2 = 2*t1
 
@@ -84,19 +86,107 @@ def test_mc_mean_matches_ode_expectation():
 
 
 def test_stream_determinism_and_worker_equivalence():
-    train = make_train(0.71, 0.057, 4000)
+    # more pairs than one 2^16-pair chunk, so threads really split the work
+    train = make_train(0.71, 0.057, (1 << 16) + 3000)
     a = cs.simulate_stream(PARAMS, train, seed=11)
-    b = cs.simulate_stream(PARAMS, train, seed=11)
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.pair_index, b.pair_index)
-    assert np.array_equal(a.pulse_index, b.pulse_index)
+    assert a.pair_index.max() >= 1 << 16
+    for workers in (1, 2, 3):
+        b = cs.simulate_stream(PARAMS, train, seed=11, workers=workers)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.pair_index.tobytes() == b.pair_index.tobytes()
+        assert a.pulse_index.tobytes() == b.pulse_index.tobytes()
 
-    c = cs.simulate_stream(PARAMS, train, seed=11, workers=4)
-    assert not np.array_equal(a.times, c.times)  # different substreams...
-    ks = ks_2samp(np.diff(a.times), np.diff(c.times))  # ...same law
-    assert ks.pvalue > 0.01
-    c2 = cs.simulate_stream(PARAMS, train, seed=11, workers=4)
-    assert np.array_equal(c.times, c2.times)
+
+def test_thread_pool_is_capped(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        """Runs the chunks in this thread and records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pulsed, "ThreadPoolExecutor", RecordingPool)
+    # four chunks of undriven pairs: cheap, and no jumps at all
+    train = make_train(0.0, 0.057, 4 << 16)
+    for cores, expected in ((3, 3), (16, 4)):
+        monkeypatch.setattr(pulsed.os, "cpu_count", lambda: cores)
+        cs.simulate_stream(PARAMS, train, seed=1, workers=10**6)
+        assert requested.pop() == expected
+
+
+DENSE = cs.EmitterParams(t1=2.0 * PARAMS.t1, t2=2.0 * PARAMS.t1)  # pure dephasing on
+
+
+@pytest.mark.parametrize(
+    "params,area_pi,fwhm,oracle",
+    [(PARAMS, 0.71, 0.057, 0.021292), (DENSE, 3.0, 0.4, 0.88518)],
+    ids=["default", "dense"],
+)
+def test_stream_matches_conditional_master_equation(params, area_pi, fwhm, oracle):
+    train = make_train(area_pi, fwhm, 100000)
+    counts = cs.simulate_stream(params, train, seed=41).counts_per_pulse().ravel()
+    n = counts.size
+    expected = cs.rabi_curve(params, [area_pi * math.pi], fwhm)[0][1]
+    assert abs(counts.mean() - expected) < 4.0 * counts.std() / math.sqrt(n)
+
+    pairs = counts * (counts - 1) / 2.0
+    moment = pair_moment_oracle(params, train)
+    assert moment == pytest.approx(oracle, rel=2e-5)
+    assert abs(pairs.mean() - moment) < 4.0 * pairs.std() / math.sqrt(n)
+
+
+def test_window_tables_match_sequential_products():
+    # several re-anchoring segments, so segment starts and ends are covered
+    params = cs.EmitterParams(t1=0.01, t2=0.02, detuning=3.0)
+    train = cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=0.4, n_pairs=1)
+    steps = 500
+    tab = pulsed._WindowTables(params, train, steps)
+    dt = 2.0 * train._half_window() / steps
+    drive = train.drive(center=train._half_window())
+    c = np.array(tab.c).T.reshape(-1, 2, 2)
+    inv = np.array(tab.inv).T.reshape(-1, 2, 2)
+    starts = set(range(0, steps, int(pulsed._SEGMENT_T1 * params.t1 / dt)))
+    assert len(starts) > 2
+    # |det C| = exp(-t / (2 t1)) over at most 18 t1 keeps the inverses tame
+    assert np.abs(np.linalg.det(c)).min() > math.exp(-9.0) * (1.0 - 1e-9)
+    prod = np.eye(2, dtype=complex)
+    for j in range(1, steps + 1):
+        if j - 1 in starts:
+            prod = np.eye(2, dtype=complex)
+        w = drive.omega((j - 0.5) * dt)
+        gen = np.array([[-1j * params.detuning - 0.5 / params.t1, 0.5j * w], [0.5j * w, 0.0]])
+        prod = expm(gen * dt) @ prod
+        np.testing.assert_allclose(c[j], prod, rtol=0, atol=1e-12)
+        gram = c[j].conj().T @ c[j]
+        assert tab.g00[j] == pytest.approx(gram[0, 0].real, abs=1e-12)
+        assert tab.g11[j] == pytest.approx(gram[1, 1].real, abs=1e-12)
+        assert tab.g01[j] == pytest.approx(gram[0, 1], abs=1e-12)
+    for k in range(steps):
+        expected = np.eye(2) if k in starts else np.linalg.inv(c[k])
+        np.testing.assert_allclose(inv[k], expected, rtol=1e-9, atol=1e-9)
+        assert tab.seg_end[k] == min(b for b in starts | {steps} if b > k)
+
+
+def test_long_window_stays_finite_and_unbiased():
+    # a 1 ns square pulse on a 0.01 ns emitter: the no-jump propagator over
+    # the window has |det| = e^-50, so the tables must re-anchor
+    params = cs.EmitterParams(t1=0.01, t2=0.02)
+    train = cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")
+    stream = cs.simulate_stream(params, train, seed=13)
+    assert np.all(np.isfinite(stream.times))
+    counts = stream.counts_per_pulse().ravel()
+    expected = cs.rabi_curve(params, [3.0 * math.pi], 1.0, shape="square")[0][1]
+    assert abs(counts.mean() - expected) < 5.0 * counts.std() / math.sqrt(counts.size)
 
 
 def test_dephasing_channel_keeps_emission_statistics():
