@@ -85,9 +85,9 @@ def _thread_count(flag_value: int | None) -> int:
     env = os.environ.get("COHSCAT_THREADS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise SchemaError(f"COHSCAT_THREADS must be an integer, got {env!r}") from exc
+            return _positive_int(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise SchemaError(f"COHSCAT_THREADS must be a positive integer, got {env!r}") from exc
     return os.cpu_count() or 1
 
 
@@ -570,18 +570,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sim_parser(name)
         p.add_argument("--rabi-ghz", type=float)
         p.add_argument("--tau-max", type=float, default=10.0)
-        p.add_argument("--points", type=int, default=1001)
+        p.add_argument("--points", type=_positive_int, default=1001)
     p = sim_parser("spectrum")
     p.add_argument("--rabi-ghz", type=float)
     p.add_argument("--span-uev", type=float, default=80.0)
-    p.add_argument("--points", type=int, default=4096)
+    p.add_argument("--points", type=_positive_int, default=4096)
     p = sim_parser("hom-cw")
     p.add_argument("--rabi-ghz", type=float)
     p.add_argument("--tau-max", type=float, default=25.0)
-    p.add_argument("--points", type=int, default=4001)
+    p.add_argument("--points", type=_positive_int, default=4001)
     p = sim_parser("rabi")
     p.add_argument("--max-area-pi", type=float, default=3.0)
-    p.add_argument("--points", type=int, default=61)
+    p.add_argument("--points", type=_positive_int, default=61)
     p.add_argument("--fwhm-ns", type=float, default=None)
     for name in ("stream", "hbt", "hom-pulsed"):
         p = sim_parser(name)

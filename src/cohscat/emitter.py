@@ -287,13 +287,15 @@ def _breakpoints(drive: DriveField, t_start: float, t_end: float):
     return []
 
 
-def _bloch_rhs(params: EmitterParams, drive: DriveField):
+def _bloch_rhs(params: EmitterParams, drive: DriveField, scale=1.0):
     """Right-hand side f(t, x) of the Bloch equations of ``bloch_system``
-    under the drive envelope. A fourth state component, when present,
-    counts emitted photons: dn/dt = rho_ee / t1."""
+    under the drive envelope. x is (k,) or (k, n): n independent emitters,
+    column i driven by the envelope times scale[i] (a scalar scale drives
+    all alike). A fourth component, when present, counts emitted photons:
+    dn/dt = rho_ee / t1."""
 
     def rhs(t, x):
-        w_drive = float(drive.omega(t))
+        w_drive = float(drive.omega(t)) * scale
         dx = [
             -x[0] / params.t2 + params.detuning * x[1],
             -params.detuning * x[0] - x[1] / params.t2 - w_drive * x[2],
@@ -301,27 +303,38 @@ def _bloch_rhs(params: EmitterParams, drive: DriveField):
         ]
         if len(x) == 4:
             dx.append((1.0 + x[2]) / (2.0 * params.t1))
-        return dx
+        return np.array(dx)
 
     return rhs
 
 
-def _evolve_array(params, drive, x0, t_grid, tol) -> np.ndarray:
-    """States on t_grid (one column per time) from x0 at t_grid[0]; x0
-    holds (u, v, w) or (u, v, w, n), see ``_bloch_rhs``."""
-    rhs = _bloch_rhs(params, drive)
+def _evolve_array(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
+    """States on t_grid from x0 at t_grid[0], shape x0.shape + (len(t_grid),).
+
+    x0 holds (u, v, w) or (u, v, w, n), one column per emitter when 2-D;
+    ``scale`` multiplies the drive per column (see ``_bloch_rhs``). All
+    columns share one adaptive integration, its error norm taken over
+    every component.
+    """
+    x0 = np.array(x0, dtype=float)
+    shape = x0.shape
+    rhs = _bloch_rhs(params, drive, scale)
+
+    def fun(t, y):  # solve_ivp integrates a flat state
+        return rhs(t, y.reshape(shape)).ravel()
+
     # Split at envelope discontinuities so the adaptive stepper never
     # straddles a square edge.
     pieces = [t_grid[0]] + _breakpoints(drive, t_grid[0], t_grid[-1]) + [t_grid[-1]]
-    out = np.empty((len(x0), len(t_grid)))
-    out[:, 0] = x0
-    x_cur = np.array(x0, dtype=float)
+    x_cur = x0.ravel()
+    out = np.empty((x_cur.size, len(t_grid)))
+    out[:, 0] = x_cur
     for a, b in zip(pieces[:-1], pieces[1:]):
         inside = (t_grid > a) & (t_grid <= b)
         # The piece end is always evaluated: the next piece starts from it.
         t_eval = np.union1d(t_grid[inside], b)
         sol = solve_ivp(
-            rhs,
+            fun,
             (a, b),
             x_cur,
             method="DOP853",
@@ -335,7 +348,7 @@ def _evolve_array(params, drive, x0, t_grid, tol) -> np.ndarray:
             raise IntegrationError(f"integration failed near t = {t_fail}: {sol.message}")
         out[:, inside] = sol.y[:, : np.count_nonzero(inside)]
         x_cur = sol.y[:, -1]
-    return out
+    return out.reshape(shape + (len(t_grid),))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .emitter import DriveField, EmitterParams, _evolve_array
 
@@ -154,38 +153,68 @@ def rabi_curve(
     and the subsequent decay, which equals the trajectory-averaged photon
     number of the jump unraveling. Approaches sin^2(area/2) for
     pulse_fwhm << t1.
+
+    Every area shares the envelope shape, window and end time; only the
+    peak Rabi rate differs. So all nonzero areas integrate together as one
+    (4, n_areas) system under the unit-area pulse scaled per column, and
+    only the state at the end of each piece is kept.
     """
+    areas = np.asarray(areas, dtype=float)
     if pulse_fwhm <= 0:
         raise ValueError("pulse_fwhm must be > 0")
-    out = []
-    for area in np.asarray(areas, dtype=float):
-        if area < 0:
-            raise ValueError("areas must be >= 0")
-        if area == 0.0:
-            out.append((0.0, 0.0))
-            continue
+    if shape not in ("gaussian", "square"):
+        raise ValueError(f"unknown pulse shape {shape!r}")
+    if np.any(areas < 0):
+        raise ValueError("areas must be >= 0")
+    if not np.all(np.isfinite(areas)):
+        raise ValueError("areas must be finite")
+    photons = np.zeros(len(areas))
+    driven = areas > 0.0
+    if np.any(driven):
         if shape == "gaussian":
             sigma = pulse_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
             t0 = _WINDOW_SIGMAS * sigma
-            drive = DriveField.from_area(area, "gaussian", pulse_fwhm, t0=t0)
             t_pulse_end = 2.0 * t0
-        elif shape == "square":
-            drive = DriveField.from_area(area, "square", pulse_fwhm, t0=0.0)
-            t_pulse_end = pulse_fwhm
         else:
-            raise ValueError(f"unknown pulse shape {shape!r}")
+            t0 = 0.0
+            t_pulse_end = pulse_fwhm
+        unit = DriveField.from_area(1.0, shape, pulse_fwhm, t0=t0)
         t_end = t_pulse_end + 15.0 * params.t1
-        x = _evolve_array(params, drive, [0.0, 0.0, -1.0, 0.0], np.array([0.0, t_end]), tol)
-        out.append((float(area), float(x[3, -1])))
+        x0 = np.tile([[0.0], [0.0], [-1.0], [0.0]], np.count_nonzero(driven))
+        x = _evolve_array(params, unit, x0, np.array([0.0, t_end]), tol, scale=areas[driven])
+        photons[driven] = x[3, :, -1]
+    return [(float(a), float(n)) for a, n in zip(areas, photons)]
+
+
+def _expm_2x2(m: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a complex (..., 2, 2) stack in closed form.
+
+    With c = tr(M)/2 and H = M - c I, H^2 = s^2 I where
+    s^2 = ((M00 - M11)/2)^2 + M01 M10, so
+    expm(M) = e^c (cosh(s) I + sinh(s)/s H). Both functions of s are even,
+    so the branch of the square root does not matter; near s = 0 (a
+    defective M, e.g. the critical drive) sinh(s)/s comes from its series.
+    """
+    c = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    s2 = (0.5 * (m[..., 0, 0] - m[..., 1, 1])) ** 2 + m[..., 0, 1] * m[..., 1, 0]
+    s = np.sqrt(s2)
+    small = np.abs(s) < 1e-3
+    s_safe = np.where(small, 1.0, s)
+    sinhc = np.where(small, 1.0 + s2 / 6.0 + s2 * s2 / 120.0, np.sinh(s_safe) / s_safe)
+    ec = np.exp(c)
+    out = (ec * sinhc)[..., None, None] * m
+    diag = ec * (np.cosh(s) - c * sinhc)
+    out[..., 0, 0] += diag
+    out[..., 1, 1] += diag
     return out
 
 
 class _WindowTables:
     """Read-only propagator tables of one pulse window, shared by all chunks.
 
-    Step j (0 <= j < steps) applies m_j = expm(G dt), G the non-Hermitian
-    no-jump generator at the step's midpoint Rabi rate; boundary j lies
-    after j steps. The window splits into segments of `seg` steps (about
+    Step j (0 <= j < steps) applies m_j = expm(G dt) (`_expm_2x2`), G the
+    non-Hermitian no-jump generator at the step's midpoint Rabi rate;
+    boundary j lies after j steps. The window splits into segments of `seg` steps (about
     18 t1, so |det| >= e^-9 and the inverses stay well conditioned):
 
     - c[j]: the product of the steps from the start of the segment holding
@@ -209,7 +238,7 @@ class _WindowTables:
         gens = np.zeros((steps, 2, 2), dtype=complex)
         gens[:, 0, 0] = -1j * params.detuning - g_rad / 2.0
         gens[:, 0, 1] = gens[:, 1, 0] = 0.5j * omegas
-        mats = expm(gens * dt)
+        mats = _expm_2x2(gens * dt)
 
         seg = max(1, min(steps, int(_SEGMENT_T1 * params.t1 / dt)))
         n_seg = -(-steps // seg)

@@ -194,6 +194,10 @@ class PulseTrainBlock:
     n_pairs: int = 100000
     shape: str = "gaussian"
 
+    def __post_init__(self):
+        if self.n_pairs < 1:
+            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
+
     def resolve(self, n_pairs: int | None = None) -> PulseTrain:
         return PulseTrain(
             pulse_area=self.pulse_area_pi * math.pi,

@@ -45,6 +45,57 @@ def liouvillian_reference(t1, t2, detuning, rabi):
     )
 
 
+def rabi_curve_per_area(params, areas, pulse_fwhm, shape="gaussian", tol=1e-10):
+    """Photons per pulse versus area, one Bloch-plus-counter integration
+    per area, the way ``rabi_curve`` worked before it batched the areas.
+
+    Own scalar right-hand side and envelope; a square pulse integrates its
+    driven and free stretches separately, so no step straddles an edge.
+    The window, end time and tolerances are those of ``rabi_curve``.
+    """
+    from scipy.integrate import solve_ivp
+
+    t1, t2, d = params.t1, params.t2, params.detuning
+    root = math.sqrt(math.pi / (4.0 * math.log(2.0)))
+    sigma = pulse_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+    def rhs_for(envelope):
+        def rhs(t, x):
+            w_drive = envelope(t)
+            u, v, w = x[0], x[1], x[2]
+            return [
+                -u / t2 + d * v,
+                -d * u - v / t2 - w_drive * w,
+                w_drive * v - (w + 1.0) / t1,
+                (1.0 + w) / (2.0 * t1),
+            ]
+
+        return rhs
+
+    out = []
+    for area in areas:
+        if area == 0.0:
+            out.append((0.0, 0.0))
+            continue
+        if shape == "gaussian":
+            t0 = 5.0 * sigma
+            peak = area / (pulse_fwhm * root)
+            t_end = 2.0 * t0 + 15.0 * t1
+            pieces = [(0.0, t_end, lambda t: peak * math.exp(-0.5 * ((t - t0) / sigma) ** 2))]
+        else:
+            rate = area / pulse_fwhm
+            t_end = pulse_fwhm + 15.0 * t1
+            pieces = [(0.0, pulse_fwhm, lambda t: rate), (pulse_fwhm, t_end, lambda t: 0.0)]
+        x = [0.0, 0.0, -1.0, 0.0]
+        for a, b, envelope in pieces:
+            sol = solve_ivp(rhs_for(envelope), (a, b), x, method="DOP853",
+                            t_eval=[b], rtol=tol, atol=tol * 1e-2)
+            assert sol.success, sol.message
+            x = sol.y[:, -1]
+        out.append((float(area), float(x[3])))
+    return out
+
+
 def pair_moment_oracle(params, train, reset_points=51, tol=1e-10):
     """Expected same-pulse photon pairs E[N(N-1)/2] for one pulse from the
     ground state, from the conditional master equation (Fischer et al.,

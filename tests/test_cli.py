@@ -168,3 +168,33 @@ def test_manifest_rejects_non_finite_results(tmp_path):
     with pytest.raises(ValueError):
         cli.write_manifest(tmp_path, "sim stream", Scenario(), {"mean_per_pulse": float("nan")})
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_threads_env_exit_code(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("COHSCAT_THREADS", value)
+    out = tmp_path / "o"
+    assert run_cli(["sim", "stream", "--pairs", "10", "--out", str(out)]) == 2
+    assert "COHSCAT_THREADS must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_pairs", [0, -4])
+def test_nonpositive_pairs_in_config_is_schema_error(tmp_path, capsys, n_pairs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulse_train": {"n_pairs": n_pairs}}))
+    out = tmp_path / "o"
+    assert run_cli(["sim", "stream", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "n_pairs must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sim", ["g2", "g1", "spectrum", "hom-cw", "rabi"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_points_flag_exit_code(tmp_path, capsys, sim, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sim", sim, "--points", value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 import cohscat as cs
 from cohscat import pulsed
-from conftest import pair_moment_oracle
+from conftest import pair_moment_oracle, rabi_curve_per_area
 
 PARAMS = cs.default_cavity_params()  # t1 = 0.1072 ns, t2 = 2*t1
 
@@ -46,6 +46,50 @@ def test_rabi_curve_maxima_at_odd_pi():
     # local maxima of the sampled curve sit at pi and 3*pi
     peaks = [areas[i] for i in range(1, 40) if probs[i] > probs[i - 1] and probs[i] > probs[i + 1]]
     assert np.allclose(peaks, [math.pi, 3.0 * math.pi], atol=areas[1] - areas[0])
+
+
+SIM_RABI_AREAS = np.linspace(0.0, 3.0, 61) * math.pi  # `sim rabi` default grid
+SIM_RABI_FWHM = 0.057
+
+
+@pytest.mark.parametrize(
+    "params, areas, shape",
+    [
+        (PARAMS, SIM_RABI_AREAS, "gaussian"),
+        (PARAMS, SIM_RABI_AREAS, "square"),
+        (cs.EmitterParams(t1=PARAMS.t1, t2=PARAMS.t2, detuning=2.0), SIM_RABI_AREAS[::3], "gaussian"),
+        (cs.EmitterParams(t1=PARAMS.t1, t2=0.6 * PARAMS.t1), SIM_RABI_AREAS[::3], "square"),
+        (PARAMS, [2.2 * math.pi], "gaussian"),
+        (PARAMS, [0.0], "square"),
+    ],
+    ids=["gaussian", "square", "detuned", "dephased", "one-area", "zero-only"],
+)
+def test_rabi_curve_matches_per_area_oracle(params, areas, shape):
+    # all areas share one integration; each must still match its own
+    batched = np.array(cs.rabi_curve(params, areas, SIM_RABI_FWHM, shape=shape))
+    oracle = np.array(rabi_curve_per_area(params, areas, SIM_RABI_FWHM, shape))
+    assert batched.shape == (len(areas), 2)
+    assert np.array_equal(batched[:, 0], oracle[:, 0])
+    assert np.max(np.abs(batched[:, 1] - oracle[:, 1])) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "areas, fwhm, shape",
+    [
+        ([math.pi, -0.1, 2.0 * math.pi], 0.057, "gaussian"),
+        ([math.pi, float("nan")], 0.057, "gaussian"),
+        ([math.pi], 0.0, "gaussian"),
+        ([0.0], 0.057, "sech"),
+    ],
+    ids=["negative-area", "nan-area", "zero-fwhm", "unknown-shape"],
+)
+def test_rabi_curve_checks_inputs_before_integrating(monkeypatch, areas, fwhm, shape):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated before the input checks")
+
+    monkeypatch.setattr(pulsed, "_evolve_array", fail)
+    with pytest.raises(ValueError):
+        cs.rabi_curve(PARAMS, areas, fwhm, shape=shape)
 
 
 def test_zero_area_gives_empty_stream():
@@ -143,6 +187,24 @@ def test_stream_matches_conditional_master_equation(params, area_pi, fwhm, oracl
     moment = pair_moment_oracle(params, train)
     assert moment == pytest.approx(oracle, rel=2e-5)
     assert abs(pairs.mean() - moment) < 4.0 * pairs.std() / math.sqrt(n)
+
+
+def test_closed_form_step_exponential_matches_expm(rng):
+    # no-jump step generators G dt over random drives, detunings and steps,
+    # plus the defective critical drive (rabi = 1/(2 t1) on resonance)
+    n = 400
+    t1 = rng.uniform(0.01, 2.0, n)
+    rabi = rng.uniform(0.0, 100.0, n)
+    detuning = rng.normal(0.0, 5.0, n) * (rng.random(n) < 0.7)
+    dt = 10.0 ** rng.uniform(-6.0, -1.0, n)
+    rabi[:3], detuning[:3], dt[:3] = 0.5 / t1[:3], 0.0, [1e-5, 1e-3, 0.1]
+    gens = np.zeros((n, 2, 2), dtype=complex)
+    gens[:, 0, 0] = -1j * detuning - 0.5 / t1
+    gens[:, 0, 1] = gens[:, 1, 0] = 0.5j * rabi
+    m = gens * dt[:, None, None]
+    got = pulsed._expm_2x2(m)
+    for k in range(n):
+        np.testing.assert_allclose(got[k], expm(m[k]), rtol=0, atol=1e-14)
 
 
 def test_window_tables_match_sequential_products():
