@@ -38,23 +38,21 @@ from .pulsed import (
 from .scenario import Scenario, SchemaError
 from .spectrum import GridError, FitConvergenceError, emission_spectrum, lorentzian
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+def _format_column(column) -> list[str]:
+    column = np.asarray(column)
+    if column.dtype.kind in "biu":
+        return [str(int(v)) for v in column.tolist()]
+    if column.dtype.kind == "U":
+        return column.tolist()
+    return list(map("{:.12g}".format, column.tolist()))
 
 
 def write_csv(path, header: str, columns) -> None:
-    columns = [np.asarray(c) for c in columns]
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    """Header plus one row per entry; integers and booleans as integers,
+    strings as given, everything else as floats to 12 significant digits."""
+    rows = zip(*(_format_column(c) for c in columns))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
 
 
 def write_manifest(outdir: Path, command: str, scenario: Scenario, results: dict) -> None:
@@ -76,6 +74,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -580,9 +592,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, default=25.0)
     p.add_argument("--points", type=_positive_int, default=4001)
     p = sim_parser("rabi")
-    p.add_argument("--max-area-pi", type=float, default=3.0)
+    p.add_argument("--max-area-pi", type=_nonnegative_float, default=3.0)
     p.add_argument("--points", type=_positive_int, default=61)
-    p.add_argument("--fwhm-ns", type=float, default=None)
+    p.add_argument("--fwhm-ns", type=_positive_float, default=None)
     for name in ("stream", "hbt", "hom-pulsed"):
         p = sim_parser(name)
         p.add_argument("--pairs", type=_positive_int, default=None)

@@ -1,10 +1,10 @@
 """First- and second-order correlation functions of the CW-driven emitter.
 
 g2 follows from evolving the Bloch equations out of the ground state after a
-detection event; g1 from the regression theorem applied to the one-emitter
-master equation. Both are evaluated through the (exact) eigen-decomposition
-of the corresponding linear generator, with an ODE fallback when the
-generator is defective.
+detection event; g1 from the regression theorem, which evolves the operator
+s- rho_ss under the same Bloch generator. Both propagate through the
+eigen-decomposition of the generator, or through exact matrix exponentials
+when the generator is (nearly) defective.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .emitter import EmitterParams, bloch_system, steady_state, _check_rabi
+from .emitter import EmitterParams, _check_rabi, _expm, _generator, bloch_system, steady_state
 
 _EVEN_TOL = 1e-9
 
@@ -92,33 +91,35 @@ class CorrelationTrace:
         return len(d) > 0 and np.allclose(d, d[0], rtol=1e-9, atol=1e-12)
 
 
+# Above this eigenvector condition number the eigen path loses more than
+# about 1e-12 (the error grows like cond * 1e-16); the generator is then
+# (nearly) defective, as at the critical drive, and exact exponentials
+# take over.
+_COND_MAX = 1e4
+
+
 def _propagate_modes(gen: np.ndarray, x0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(gen * tau) @ x0 for every tau >= 0, via eigen-decomposition."""
+    """exp(gen * tau) @ x0 for every tau >= 0, via eigen-decomposition, or
+    one matrix exponential per distinct tau when the eigenvectors are
+    ill-conditioned."""
     evals, vecs = np.linalg.eig(gen.astype(complex))
-    if np.linalg.cond(vecs) < 1e9:
+    if np.linalg.cond(vecs) < _COND_MAX:
         y0 = np.linalg.solve(vecs, x0.astype(complex))
         phases = np.exp(np.multiply.outer(taus, evals))
         return (phases * y0) @ vecs.T
-    # Defective generator (critically damped drive): integrate instead.
     uniq, inverse = np.unique(taus, return_inverse=True)
-    if uniq[-1] == 0.0:
-        return np.tile(x0.astype(complex), (len(taus), 1))
-    t_eval = uniq if uniq[0] > 0.0 else uniq[1:]
-    sol = solve_ivp(
-        lambda t, y: gen @ y,
-        (0.0, float(uniq[-1])),
-        x0.astype(complex),
-        method="DOP853",
-        t_eval=t_eval if len(t_eval) else None,
-        rtol=1e-12,
-        atol=1e-14,
-    )
-    if not sol.success:
-        raise RuntimeError(f"regression propagation failed: {sol.message}")
-    ys = sol.y.T if len(t_eval) else np.empty((0, len(x0)), dtype=complex)
-    if uniq[0] == 0.0:
-        ys = np.vstack([x0.astype(complex), ys])
-    return ys[inverse]
+    return (_expm(np.multiply.outer(uniq, gen)) @ x0.astype(complex))[inverse]
+
+
+# Density-matrix coordinates (rho_ee, rho_eg, rho_ge, rho_gg) of an
+# operator, from its complex Bloch coordinates (u, v, w, tr):
+# rho_eg = (u + iv)/2, rho_ge = (u - iv)/2, rho_ee/gg = (tr +- w)/2.
+_RHO_FROM_BLOCH = 0.5 * np.array(
+    [[0, 0, 1, 1], [1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, -1, 1]], dtype=complex
+)
+_BLOCH_FROM_RHO = np.array(
+    [[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1], [1, 0, 0, 1]], dtype=complex
+)
 
 
 def _require_cw(params: EmitterParams, rabi: float):
@@ -147,40 +148,26 @@ def g2(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     return CorrelationTrace(tau_grid=tau_grid, values=np.clip(vals, 0.0, None), kind="G2")
 
 
-def _liouvillian(params: EmitterParams, rabi: float) -> np.ndarray:
-    """Generator of the master equation on (rho_ee, rho_eg, rho_ge, rho_gg)."""
-    g_rad = 1.0 / params.t1
-    g_t2 = 1.0 / params.t2
-    d = params.detuning
-    hw = 0.5j * rabi
-    return np.array(
-        [
-            [-g_rad, -hw, hw, 0.0],
-            [-hw, -1j * d - g_t2, 0.0, hw],
-            [hw, 0.0, 1j * d - g_t2, -hw],
-            [g_rad, hw, -hw, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
 def g1(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     """First-order coherence g1(tau) = <s+(t+tau) s-(t)> / rho_ee.
 
-    The constant coherent part |<s->|^2 / rho_ee is stored as
-    coherent_offset and equals the coherently scattered fraction. Negative
-    taus are filled by conjugate symmetry.
+    By the regression theorem the operator s- rho_ss evolves under the
+    Bloch generator of ``bloch_system`` (its affine form on (u, v, w, tr),
+    tr the conserved trace) like a state, and <s+> of it is its rho_ge.
+    The generator is taken to density-matrix coordinates, an exact change
+    of basis, where s- rho_ss = (0, 0, rho_ee, <s->). The constant coherent
+    part |<s->|^2 / rho_ee is stored as coherent_offset and equals the
+    coherently scattered fraction. Negative taus are filled by conjugate
+    symmetry.
     """
     _require_cw(params, rabi)
     tau_grid = np.asarray(tau_grid, dtype=float)
     ss = steady_state(params, rabi)
     rho_ss = ss.rho_ee()
     c_ss = (ss.u + 1j * ss.v) / 2.0
-    lio = _liouvillian(params, rabi)
-    # sigma- rho_ss has rows (e,g): [[0, 0], [rho_ee, rho_eg]]
+    gen = _RHO_FROM_BLOCH @ _generator(params, rabi)[:4, :4] @ _BLOCH_FROM_RHO
     x0 = np.array([0.0, 0.0, rho_ss, c_ss], dtype=complex)
-    abs_tau = np.abs(tau_grid)
-    modes = _propagate_modes(lio, x0, abs_tau)
+    modes = _propagate_modes(gen, x0, np.abs(tau_grid))
     vals = modes[:, 2] / rho_ss
     vals = np.where(tau_grid < 0, np.conj(vals), vals)
     mag = np.abs(vals)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 # Reduced Planck constant in µeV·ns.
 HBAR_UEV_NS = 0.6582119
@@ -22,7 +21,8 @@ NS_PER_S = 1.0e9
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive ODE integration failed (e.g. step-size underflow)."""
+    """Propagation of the Bloch equations failed (left the Bloch ball, or
+    the step doubling did not converge)."""
 
 
 @dataclass(frozen=True)
@@ -125,14 +125,16 @@ class DriveField:
     def __post_init__(self):
         if not math.isfinite(self.rabi) or self.rabi < 0:
             raise ValueError(f"rabi must be finite and >= 0, got {self.rabi}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if self.shape == "cw":
             pass
         elif self.shape == "square":
-            if self.duration is None or self.duration <= 0:
-                raise ValueError("square drive requires duration > 0")
+            if self.duration is None or not (math.isfinite(self.duration) and self.duration > 0):
+                raise ValueError(f"square drive requires a finite duration > 0, got {self.duration}")
         elif self.shape == "gaussian":
-            if self.fwhm is None or self.fwhm <= 0:
-                raise ValueError("gaussian drive requires fwhm > 0")
+            if self.fwhm is None or not (math.isfinite(self.fwhm) and self.fwhm > 0):
+                raise ValueError(f"gaussian drive requires a finite fwhm > 0, got {self.fwhm}")
         else:
             raise ValueError(f"unknown drive shape {self.shape!r}")
 
@@ -254,10 +256,12 @@ def evolve(
     t_grid,
     tol: float = 1e-10,
 ) -> list[BlochState]:
-    """Integrate the Bloch equations along t_grid with the given drive.
+    """Propagate the Bloch equations along t_grid with the given drive.
 
-    Uses an adaptive 8th-order Runge-Kutta scheme; ``tol`` sets the local
-    error tolerance. The grid must be strictly increasing and the first
+    Where the drive is constant (CW, either side of a square edge) each grid
+    interval is one exact matrix exponential; across a gaussian pulse the
+    split steps of ``_propagate`` are refined until their estimated error
+    is below ``tol``. The grid must be strictly increasing and the first
     entry is the initial time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -265,90 +269,162 @@ def evolve(
         raise ValueError("t_grid must contain at least two times")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    xs = _evolve_array(params, drive, initial.as_array(), t_grid, tol)
-    return [BlochState(*_clip_to_ball(x)) for x in xs.T]
+    xs = _propagate(params, drive, np.append(initial.as_array(), [1.0, 0.0]), t_grid, tol)
+    return [BlochState(*_clip_to_ball(x[:3])) for x in xs.T]
 
 
 def _clip_to_ball(x, tol: float = 1e-6):
-    # Projects integrator overshoot (at most ~tol outside the unit ball)
+    # Projects propagation roundoff (at most ~tol outside the unit ball)
     # back onto the surface; anything larger is a genuine failure.
     norm2 = float(x @ x)
     if norm2 <= 1.0:
         return x
     if norm2 > 1.0 + tol:
-        raise IntegrationError(f"integration left the Bloch ball: |r|^2 = {norm2}")
+        raise IntegrationError(f"propagation left the Bloch ball: |r|^2 = {norm2}")
     return x / math.sqrt(norm2)
 
 
-def _breakpoints(drive: DriveField, t_start: float, t_end: float):
-    if drive.shape == "square":
-        edges = [drive.t0, drive.t0 + drive.duration]
-        return sorted(t for t in edges if t_start < t < t_end)
-    return []
+def _generator(params: EmitterParams, rabi: float) -> np.ndarray:
+    """``bloch_system`` as a linear generator on (u, v, w, tr, n):
+    [[A, b], [0, 0]] on (u, v, w, tr), tr the conserved trace of the density
+    operator, and a photon counter dn/dt = (tr + w) / (2 t1) = rho_ee / t1."""
+    a_mat, b_vec = bloch_system(params, rabi)
+    gen = np.zeros((5, 5))
+    gen[:3, :3] = a_mat
+    gen[:3, 3] = b_vec
+    gen[4, 2] = gen[4, 3] = 0.5 / params.t1
+    return gen
 
 
-def _bloch_rhs(params: EmitterParams, drive: DriveField, scale=1.0):
-    """Right-hand side f(t, x) of the Bloch equations of ``bloch_system``
-    under the drive envelope. x is (k,) or (k, n): n independent emitters,
-    column i driven by the envelope times scale[i] (a scalar scale drives
-    all alike). A fourth component, when present, counts emitted photons:
-    dn/dt = rho_ee / t1."""
-
-    def rhs(t, x):
-        w_drive = float(drive.omega(t)) * scale
-        dx = [
-            -x[0] / params.t2 + params.detuning * x[1],
-            -params.detuning * x[0] - x[1] / params.t2 - w_drive * x[2],
-            w_drive * x[1] - (x[2] + 1.0) / params.t1,
-        ]
-        if len(x) == 4:
-            dx.append((1.0 + x[2]) / (2.0 * params.t1))
-        return np.array(dx)
-
-    return rhs
+# Degree-13 Pade coefficients (b0 = 1, so exp(0) = I exactly) and the
+# 1-norm up to which they give double precision (Higham, SIAM J. Matrix
+# Anal. Appl. 26, 1179 (2005)).
+_PADE13 = [
+    math.factorial(26 - k) * math.factorial(13)
+    / (math.factorial(26) * math.factorial(k) * math.factorial(13 - k))
+    for k in range(14)
+]
+_THETA13 = 5.371920351148152
 
 
-def _evolve_array(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
+def _expm(m) -> np.ndarray:
+    """Matrix exponentials of a real or complex (..., k, k) stack, by
+    scaling and squaring: each matrix is halved s times until its 1-norm is
+    at most theta_13, exponentiated by the Pade approximant p(a) / p(-a)
+    and squared s times."""
+    m = np.asarray(m)
+    k = m.shape[-1]
+    a = m.reshape(-1, k, k)
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    s = np.zeros(len(a), dtype=int)
+    big = norms > _THETA13
+    s[big] = np.ceil(np.log2(norms[big] / _THETA13))
+    a = a / np.ldexp(1.0, s)[:, None, None]
+    power = np.broadcast_to(np.eye(k), a.shape)
+    even = odd = 0.0
+    for j, b in enumerate(_PADE13):
+        if j % 2:
+            odd = odd + b * power
+        else:
+            even = even + b * power
+        power = power @ a
+    r = np.linalg.solve(even - odd, even + odd)
+    for i in range(s.max(initial=0)):
+        r[s > i] = r[s > i] @ r[s > i]
+    return r.reshape(m.shape)
+
+
+# A gaussian is stepped within this many sigma of its center (5 sigma past
+# the pulse window of ``rabi_curve``); beyond, it is below e^-50 of its
+# peak and counts as off.
+_GAUSS_REACH_SIGMAS = 10.0
+_MIN_STEPS = 16  # split steps across a gaussian before the first doubling
+_MAX_DOUBLINGS = 13
+_ANGLE_BLOCK = 64  # steps whose rotation angles are computed together
+
+
+def _propagate(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
     """States on t_grid from x0 at t_grid[0], shape x0.shape + (len(t_grid),).
 
-    x0 holds (u, v, w) or (u, v, w, n), one column per emitter when 2-D;
-    ``scale`` multiplies the drive per column (see ``_bloch_rhs``). All
-    columns share one adaptive integration, its error norm taken over
-    every component.
+    x0 holds (u, v, w, tr, n) (see ``_generator``), one column per emitter
+    when 2-D; ``scale`` multiplies the drive per column. The grid, split at
+    square edges and at a gaussian's reach, falls into intervals. Where the drive is constant an interval is one exact
+    exponential of the generator. Across a gaussian, each of N steps of
+    length h applies exp(G0 h/2) R exp(G0 h/2), G0 the drive-free generator
+    and R the exact rotation of (v, w) by Omega(t + h/2) h. The step is
+    symmetric, so its error expands in even powers of h: the Richardson
+    value (4 x_2N - x_N) / 3 is fourth order, and N doubles until that
+    value's change over the last doubling, divided by 15 (its error
+    estimate), is below ``tol``.
     """
-    x0 = np.array(x0, dtype=float)
-    shape = x0.shape
-    rhs = _bloch_rhs(params, drive, scale)
+    x0 = np.asarray(x0, dtype=float)
+    cols = x0.reshape(len(x0), -1)  # (dim, columns)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), cols.shape[1:])
+    g0 = _generator(params, 0.0)
+    d_gen = _generator(params, 1.0) - g0  # per unit Rabi rate
+    if drive.shape == "gaussian":
+        reach = _GAUSS_REACH_SIGMAS * drive.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        edges = (drive.t0 - reach, drive.t0 + reach)
+    else:
+        edges = (drive.t0, drive.t0 + drive.duration) if drive.shape == "square" else ()
+    knots = np.union1d(t_grid, [t for t in edges if t_grid[0] < t < t_grid[-1]])
+    lo, hi = knots[:-1], knots[1:]
+    if drive.shape == "gaussian":
+        stepped = (lo >= edges[0]) & (hi <= edges[1])
+        rate = np.zeros(len(lo))
+    else:
+        stepped = np.zeros(len(lo), dtype=bool)
+        rate = drive.omega(0.5 * (lo + hi))
+    on_grid = np.isin(knots, t_grid)
+    # one generator per interval and column: G0 where stepped
+    gens = g0 + np.multiply.outer(np.multiply.outer(rate, scale), d_gen)
+    widths = np.where(stepped, hi - lo, 0.0)
+    base = np.ceil(_MIN_STEPS * widths / (widths.sum() or 1.0)).astype(int)
 
-    def fun(t, y):  # solve_ivp integrates a flat state
-        return rhs(t, y.reshape(shape)).ravel()
+    def march(doublings: int) -> np.ndarray:
+        steps = base << doublings
+        dt = np.where(stepped, widths / np.maximum(steps, 1) / 2.0, hi - lo)
+        exps = _expm(gens * dt[:, None, None, None])  # exp(G0 h/2) where stepped
+        x = cols
+        out = [x]
+        for j, n in enumerate(steps):
+            if n:
+                x = _split_steps(x, drive, scale, lo[j], 2.0 * dt[j], n, exps[j, 0])
+            else:
+                x = np.einsum("cij,jc->ic", exps[j], x)
+            if on_grid[j + 1]:
+                out.append(x)
+        return np.stack(out, axis=-1).reshape(x0.shape + (len(out),))
 
-    # Split at envelope discontinuities so the adaptive stepper never
-    # straddles a square edge.
-    pieces = [t_grid[0]] + _breakpoints(drive, t_grid[0], t_grid[-1]) + [t_grid[-1]]
-    x_cur = x0.ravel()
-    out = np.empty((x_cur.size, len(t_grid)))
-    out[:, 0] = x_cur
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        inside = (t_grid > a) & (t_grid <= b)
-        # The piece end is always evaluated: the next piece starts from it.
-        t_eval = np.union1d(t_grid[inside], b)
-        sol = solve_ivp(
-            fun,
-            (a, b),
-            x_cur,
-            method="DOP853",
-            t_eval=t_eval,
-            rtol=tol,
-            atol=tol * 1e-2,
-            dense_output=False,
-        )
-        if not sol.success:
-            t_fail = sol.t[-1] if len(sol.t) else a
-            raise IntegrationError(f"integration failed near t = {t_fail}: {sol.message}")
-        out[:, inside] = sol.y[:, : np.count_nonzero(inside)]
-        x_cur = sol.y[:, -1]
-    return out.reshape(shape + (len(t_grid),))
+    coarse = march(0)
+    if not stepped.any():
+        return coarse
+    richardson = None
+    for doublings in range(1, _MAX_DOUBLINGS + 1):
+        fine = march(doublings)
+        previous, richardson = richardson, (4.0 * fine - coarse) / 3.0
+        if previous is not None and np.max(np.abs(richardson - previous)) / 15.0 < tol:
+            return richardson
+        coarse = fine
+    raise IntegrationError(f"split steps did not reach tol = {tol} at {_MIN_STEPS << _MAX_DOUBLINGS} steps")
+
+
+def _split_steps(x, drive, scale, t_start, h, steps, half) -> np.ndarray:
+    """``steps`` split steps of length h from t_start on the (dim, columns)
+    state x; half = exp(G0 h/2)."""
+    full = half @ half
+    free = half  # the first step opens with half a free step
+    for first in range(0, steps, _ANGLE_BLOCK):
+        t_mid = t_start + (np.arange(first, min(first + _ANGLE_BLOCK, steps)) + 0.5) * h
+        theta = np.multiply.outer(drive.omega(t_mid) * h, scale)
+        for cos, sin in zip(np.cos(theta), np.sin(theta)):
+            x = free @ x
+            free = full
+            v, w = x[1], x[2]
+            v_rot = v * cos - w * sin
+            x[2] = v * sin + w * cos
+            x[1] = v_rot
+    return half @ x
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .emitter import DriveField, EmitterParams, _evolve_array
+from .emitter import DriveField, EmitterParams, _propagate
 
 _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
@@ -148,20 +148,22 @@ def rabi_curve(
 ) -> list[tuple[float, float]]:
     """Expected photons emitted per pulse versus pulse area.
 
-    Deterministic ensemble expectation: integrates the Bloch equations with
+    Deterministic ensemble expectation: propagates the Bloch equations with
     an auxiliary emission integral d n/dt = rho_ee / t1 through the pulse
-    and the subsequent decay, which equals the trajectory-averaged photon
-    number of the jump unraveling. Approaches sin^2(area/2) for
+    and 15 t1 of subsequent decay, which equals the trajectory-averaged
+    photon number of the jump unraveling. Approaches sin^2(area/2) for
     pulse_fwhm << t1.
 
     Every area shares the envelope shape, window and end time; only the
-    peak Rabi rate differs. So all nonzero areas integrate together as one
-    (4, n_areas) system under the unit-area pulse scaled per column, and
-    only the state at the end of each piece is kept.
+    peak Rabi rate differs. So all nonzero areas propagate together as the
+    columns of one (5, n_areas) state under the unit-area pulse scaled per
+    column (see ``emitter._propagate``): a square pulse and the decay tail
+    are one matrix exponential each, and a gaussian pulse takes split steps
+    whose count doubles until the estimated error is below ``tol``.
     """
     areas = np.asarray(areas, dtype=float)
-    if pulse_fwhm <= 0:
-        raise ValueError("pulse_fwhm must be > 0")
+    if not (math.isfinite(pulse_fwhm) and pulse_fwhm > 0):
+        raise ValueError(f"pulse_fwhm must be finite and > 0, got {pulse_fwhm}")
     if shape not in ("gaussian", "square"):
         raise ValueError(f"unknown pulse shape {shape!r}")
     if np.any(areas < 0):
@@ -180,9 +182,9 @@ def rabi_curve(
             t_pulse_end = pulse_fwhm
         unit = DriveField.from_area(1.0, shape, pulse_fwhm, t0=t0)
         t_end = t_pulse_end + 15.0 * params.t1
-        x0 = np.tile([[0.0], [0.0], [-1.0], [0.0]], np.count_nonzero(driven))
-        x = _evolve_array(params, unit, x0, np.array([0.0, t_end]), tol, scale=areas[driven])
-        photons[driven] = x[3, :, -1]
+        x0 = np.tile([[0.0], [0.0], [-1.0], [1.0], [0.0]], np.count_nonzero(driven))
+        x = _propagate(params, unit, x0, np.array([0.0, t_end]), tol, scale=areas[driven])
+        photons[driven] = x[4, :, -1]
     return [(float(a), float(n)) for a, n in zip(areas, photons)]
 
 

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from cohscat.emitter import DriveField, EmitterParams, IntegrationError
 from cohscat.fock import _MAX_PHOTONS, CircuitElement
 
 Config = tuple[tuple[int, int], ...]  # sorted ((mode, label), ...)
@@ -53,8 +55,6 @@ def rabi_curve_per_area(params, areas, pulse_fwhm, shape="gaussian", tol=1e-10):
     driven and free stretches separately, so no step straddles an edge.
     The window, end time and tolerances are those of ``rabi_curve``.
     """
-    from scipy.integrate import solve_ivp
-
     t1, t2, d = params.t1, params.t2, params.detuning
     root = math.sqrt(math.pi / (4.0 * math.log(2.0)))
     sigma = pulse_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -96,6 +96,83 @@ def rabi_curve_per_area(params, areas, pulse_fwhm, shape="gaussian", tol=1e-10):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Adaptive DOP853 Bloch integration: the propagation path of cohscat.emitter
+# before exact exponentials and split steps replaced it, kept as the oracle
+# for ``evolve`` and ``rabi_curve``.
+
+
+def _breakpoints(drive: DriveField, t_start: float, t_end: float):
+    if drive.shape == "square":
+        edges = [drive.t0, drive.t0 + drive.duration]
+        return sorted(t for t in edges if t_start < t < t_end)
+    return []
+
+
+def _bloch_rhs(params: EmitterParams, drive: DriveField, scale=1.0):
+    """Right-hand side f(t, x) of the Bloch equations of ``bloch_system``
+    under the drive envelope. x is (k,) or (k, n): n independent emitters,
+    column i driven by the envelope times scale[i] (a scalar scale drives
+    all alike). A fourth component, when present, counts emitted photons:
+    dn/dt = rho_ee / t1."""
+
+    def rhs(t, x):
+        w_drive = float(drive.omega(t)) * scale
+        dx = [
+            -x[0] / params.t2 + params.detuning * x[1],
+            -params.detuning * x[0] - x[1] / params.t2 - w_drive * x[2],
+            w_drive * x[1] - (x[2] + 1.0) / params.t1,
+        ]
+        if len(x) == 4:
+            dx.append((1.0 + x[2]) / (2.0 * params.t1))
+        return np.array(dx)
+
+    return rhs
+
+
+def _evolve_array(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
+    """States on t_grid from x0 at t_grid[0], shape x0.shape + (len(t_grid),).
+
+    x0 holds (u, v, w) or (u, v, w, n), one column per emitter when 2-D;
+    ``scale`` multiplies the drive per column (see ``_bloch_rhs``). All
+    columns share one adaptive integration, its error norm taken over
+    every component.
+    """
+    x0 = np.array(x0, dtype=float)
+    shape = x0.shape
+    rhs = _bloch_rhs(params, drive, scale)
+
+    def fun(t, y):  # solve_ivp integrates a flat state
+        return rhs(t, y.reshape(shape)).ravel()
+
+    # Split at envelope discontinuities so the adaptive stepper never
+    # straddles a square edge.
+    pieces = [t_grid[0]] + _breakpoints(drive, t_grid[0], t_grid[-1]) + [t_grid[-1]]
+    x_cur = x0.ravel()
+    out = np.empty((x_cur.size, len(t_grid)))
+    out[:, 0] = x_cur
+    for a, b in zip(pieces[:-1], pieces[1:]):
+        inside = (t_grid > a) & (t_grid <= b)
+        # The piece end is always evaluated: the next piece starts from it.
+        t_eval = np.union1d(t_grid[inside], b)
+        sol = solve_ivp(
+            fun,
+            (a, b),
+            x_cur,
+            method="DOP853",
+            t_eval=t_eval,
+            rtol=tol,
+            atol=tol * 1e-2,
+            dense_output=False,
+        )
+        if not sol.success:
+            t_fail = sol.t[-1] if len(sol.t) else a
+            raise IntegrationError(f"integration failed near t = {t_fail}: {sol.message}")
+        out[:, inside] = sol.y[:, : np.count_nonzero(inside)]
+        x_cur = sol.y[:, -1]
+    return out.reshape(shape + (len(t_grid),))
+
+
 def pair_moment_oracle(params, train, reset_points=51, tol=1e-10):
     """Expected same-pulse photon pairs E[N(N-1)/2] for one pulse from the
     ground state, from the conditional master equation (Fischer et al.,
@@ -109,8 +186,6 @@ def pair_moment_oracle(params, train, reset_points=51, tol=1e-10):
     vanishes smoothly at both window edges, so the trapezoid rule converges
     spectrally (51 and 401 reset points agree to 1e-11).
     """
-    from cohscat.emitter import _evolve_array
-
     half = train._half_window()
     drive = train.drive(center=half)
     t_end = 2.0 * half + 15.0 * params.t1

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,3 +202,68 @@ def test_nonpositive_points_flag_exit_code(tmp_path, capsys, sim, value):
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--fwhm-ns", "0"), ("--fwhm-ns", "-0.1"), ("--fwhm-ns", "inf"), ("--fwhm-ns", "nan"),
+     ("--max-area-pi", "-1"), ("--max-area-pi", "nan"), ("--max-area-pi", "inf")],
+)
+def test_rabi_float_flags_exit_code(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sim", "rabi", flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _rows_by_value(columns):
+    # Value-by-value formatting, the row path ``write_csv`` used before it
+    # formatted whole columns.
+    def fmt(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return str(int(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.12g}"
+
+    columns = [np.asarray(c) for c in columns]
+    return "".join(",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
+
+
+def test_write_csv_matches_value_by_value_formatting(tmp_path, rng):
+    floats = np.concatenate([
+        rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200),
+        [0.0, -0.0, 1.0, 0.1, 1e16, 123456789012345.0, np.nan, np.inf, -np.inf],
+    ])
+    n = len(floats)
+    columns = [
+        floats,
+        list(floats),  # Python floats
+        (rng.normal(size=n) * 1e3).astype(np.float32),
+        rng.integers(-10**12, 10**12, size=n),
+        [int(i) for i in range(n)],
+        rng.random(n) < 0.5,
+        [f"label{i}" for i in range(n)],
+    ]
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, "a,b,c,d,e,f,g", columns)
+    assert path.read_text() == "a,b,c,d,e,f,g\n" + _rows_by_value(columns)
+
+
+def test_no_scipy_integrate_on_the_rabi_path(tmp_path):
+    code = (
+        "import sys\n"
+        "import cohscat\n"
+        "assert 'scipy.integrate' not in sys.modules, 'import cohscat'\n"
+        "from cohscat import cli\n"
+        f"assert cli.main(['sim', 'rabi', '--threads', '1', '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'sim rabi'\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "rabi.csv").exists()

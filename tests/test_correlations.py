@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import cohscat as cs
 from conftest import g2_resonant_closed_form, liouvillian_reference
@@ -97,6 +98,38 @@ def test_g1_matches_independent_ode_regression():
     )
     reference = sol.y[2] / ss.rho_ee()
     assert np.max(np.abs(ours - reference)) < 1e-9
+
+
+def _critical(t1, t2):
+    return abs(1.0 / t2 - 1.0 / t1) / 2.0
+
+
+@pytest.mark.parametrize(
+    "t1, t2, rabi",
+    [
+        (1.0, 2.0, _critical(1.0, 2.0)),
+        (0.3, 0.5, _critical(0.3, 0.5)),
+        (0.107, 0.214, _critical(0.107, 0.214)),
+        (0.3, 0.5, _critical(0.3, 0.5) * (1.0 + 1e-6)),
+        (0.3, 0.5, 5.0),
+    ],
+    ids=["critical-1-2", "critical-0.3-0.5", "critical-0.107-0.214", "near-critical", "generic"],
+)
+def test_correlations_match_expm_oracle(t1, t2, rabi):
+    # At the critical drive the Bloch generator is defective: its
+    # eigenvectors are nearly parallel, and the eigen path loses ~1e-9.
+    params = cs.EmitterParams(t1=t1, t2=t2)
+    taus = np.linspace(-12.0 * t1, 12.0 * t1, 97)
+    lio = liouvillian_reference(t1, t2, 0.0, rabi)
+    props = np.array([expm(lio * abs(t)) for t in taus])
+    ss = cs.steady_state(params, rabi)
+    ground = np.array([0.0, 0.0, 0.0, 1.0])
+    g2_ref = (props @ ground)[:, 0].real / ss.rho_ee()
+    x0 = np.array([0.0, 0.0, ss.rho_ee(), (ss.u + 1j * ss.v) / 2.0])
+    g1_ref = (props @ x0)[:, 2] / ss.rho_ee()
+    g1_ref = np.where(taus < 0, np.conj(g1_ref), g1_ref)
+    assert np.max(np.abs(cs.g2(params, rabi, taus).values - g2_ref)) < 1e-10
+    assert np.max(np.abs(cs.g1(params, rabi, taus).values - g1_ref)) < 1e-10
 
 
 def test_g1_offset_matches_rrs_for_random_draws(rng):

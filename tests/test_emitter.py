@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 import cohscat as cs
-from cohscat.emitter import _bloch_rhs, bloch_system, leakage_for_contrast
+from cohscat import emitter
+from cohscat.emitter import _expm, _generator, bloch_system, leakage_for_contrast
+from conftest import _bloch_rhs, _evolve_array
 
 
 def test_params_validation():
@@ -151,6 +154,70 @@ def test_bloch_rhs_matches_bloch_system(rng):
         with_counter = rhs(t, np.append(x, rng.uniform()))
         assert np.allclose(with_counter[:3], a_mat @ x + b_vec, rtol=0.0, atol=1e-13)
         assert with_counter[3] == pytest.approx((1.0 + x[2]) / (2.0 * t1), rel=1e-15)
+        # the linear generator on (u, v, w, tr, n)
+        flow = _generator(params, rabi) @ np.append(x, [1.0, rng.uniform()])
+        assert np.allclose(flow[[0, 1, 2, 4]], with_counter, rtol=0.0, atol=1e-13)
+        assert flow[3] == 0.0
+
+
+GAUSSIAN = cs.DriveField.from_area(2.2 * math.pi, "gaussian", 0.3, t0=1.0)
+
+
+@pytest.mark.parametrize(
+    "params, drive, t_grid",
+    [
+        (cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, np.linspace(0.0, 4.0, 41)),
+        (cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, [0.0, 0.5, 3.0]),
+        (cs.EmitterParams(t1=1.0, t2=2.0), cs.DriveField(rabi=9.0, shape="square", duration=0.33, t0=0.41),
+         np.linspace(0.0, 4.0, 41)),
+        (cs.EmitterParams(t1=1.0, t2=2.0, detuning=3.0), GAUSSIAN, np.linspace(0.0, 4.0, 41)),
+        (cs.EmitterParams(t1=0.7, t2=0.5), cs.DriveField(rabi=9.0, shape="square", duration=0.33, t0=0.41),
+         np.linspace(0.0, 4.0, 41)),
+        (cs.EmitterParams(t1=0.7, t2=0.5, detuning=-1.5), cs.DriveField(rabi=4.0), np.linspace(0.0, 4.0, 41)),
+        (cs.default_cavity_params(), cs.DriveField.from_area(3.0 * math.pi, "gaussian", 0.057, t0=0.3),
+         np.linspace(0.0, 1.0, 101)),
+    ],
+    ids=["gaussian", "gaussian-coarse", "square", "detuned", "dephased", "cw", "sim-rabi-pulse"],
+)
+def test_evolve_matches_dop853_oracle(params, drive, t_grid):
+    ours = np.array([st.as_array() for st in cs.evolve(params, drive, cs.BlochState.ground(), t_grid)])
+    oracle = _evolve_array(params, drive, [0.0, 0.0, -1.0], np.asarray(t_grid), 1e-12).T
+    assert np.max(np.abs(ours - oracle)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(shape="gaussian", fwhm=float("nan")),
+        dict(shape="gaussian", fwhm=float("inf")),
+        dict(shape="square", duration=float("nan")),
+        dict(shape="gaussian", fwhm=0.1, t0=float("nan")),
+    ],
+)
+def test_drive_field_rejects_non_finite_shapes(kwargs):
+    # a NaN width or center would leave the propagator no interval to drive
+    with pytest.raises(ValueError):
+        cs.DriveField(rabi=5.0, **kwargs)
+
+
+def test_split_steps_give_up_loudly(monkeypatch):
+    monkeypatch.setattr(emitter, "_MAX_DOUBLINGS", 2)
+    with pytest.raises(cs.IntegrationError):
+        cs.evolve(cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, cs.BlochState.ground(), [0.0, 3.0], tol=1e-30)
+
+
+def test_expm_matches_scipy(rng):
+    stacks = [rng.normal(size=(40, 5, 5)) * scale for scale in (1e-3, 1.0, 3.0)]
+    stacks.append(rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3)))
+    # generators over long times: large norms, many squarings
+    params = cs.EmitterParams(t1=0.3, t2=0.5, detuning=2.0)
+    stacks.append(np.multiply.outer(np.geomspace(1e-4, 300.0, 40), _generator(params, 7.0)))
+    for stack in stacks:
+        ours = _expm(stack)
+        for m, e in zip(stack, ours):
+            ref = expm(m)
+            assert np.max(np.abs(e - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert np.array_equal(_expm(np.zeros((4, 4))), np.eye(4))
 
 
 def test_drive_field_areas_match_quadrature():

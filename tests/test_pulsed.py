@@ -79,15 +79,16 @@ def test_rabi_curve_matches_per_area_oracle(params, areas, shape):
         ([math.pi, -0.1, 2.0 * math.pi], 0.057, "gaussian"),
         ([math.pi, float("nan")], 0.057, "gaussian"),
         ([math.pi], 0.0, "gaussian"),
+        ([math.pi], float("inf"), "gaussian"),
         ([0.0], 0.057, "sech"),
     ],
-    ids=["negative-area", "nan-area", "zero-fwhm", "unknown-shape"],
+    ids=["negative-area", "nan-area", "zero-fwhm", "infinite-fwhm", "unknown-shape"],
 )
 def test_rabi_curve_checks_inputs_before_integrating(monkeypatch, areas, fwhm, shape):
     def fail(*args, **kwargs):
         raise AssertionError("integrated before the input checks")
 
-    monkeypatch.setattr(pulsed, "_evolve_array", fail)
+    monkeypatch.setattr(pulsed, "_propagate", fail)
     with pytest.raises(ValueError):
         cs.rabi_curve(PARAMS, areas, fwhm, shape=shape)
 
