@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import locale  # noqa: F401 -- argparse's gettext loads it lazily; load it with the module, not in a run
 import math
 import os
 import sys
@@ -577,19 +578,19 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = sim_parser("steady")
-    p.add_argument("--rabi-ghz", type=float, help="drive frequency in GHz")
+    p.add_argument("--rabi-ghz", type=_nonnegative_float, help="drive frequency in GHz")
     for name in ("g2", "g1"):
         p = sim_parser(name)
-        p.add_argument("--rabi-ghz", type=float)
-        p.add_argument("--tau-max", type=float, default=10.0)
+        p.add_argument("--rabi-ghz", type=_nonnegative_float)
+        p.add_argument("--tau-max", type=_positive_float, default=10.0)
         p.add_argument("--points", type=_positive_int, default=1001)
     p = sim_parser("spectrum")
-    p.add_argument("--rabi-ghz", type=float)
-    p.add_argument("--span-uev", type=float, default=80.0)
+    p.add_argument("--rabi-ghz", type=_nonnegative_float)
+    p.add_argument("--span-uev", type=_positive_float, default=80.0)
     p.add_argument("--points", type=_positive_int, default=4096)
     p = sim_parser("hom-cw")
-    p.add_argument("--rabi-ghz", type=float)
-    p.add_argument("--tau-max", type=float, default=25.0)
+    p.add_argument("--rabi-ghz", type=_nonnegative_float)
+    p.add_argument("--tau-max", type=_positive_float, default=25.0)
     p.add_argument("--points", type=_positive_int, default=4001)
     p = sim_parser("rabi")
     p.add_argument("--max-area-pi", type=_nonnegative_float, default=3.0)

@@ -367,7 +367,9 @@ def _propagate(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
         edges = (drive.t0 - reach, drive.t0 + reach)
     else:
         edges = (drive.t0, drive.t0 + drive.duration) if drive.shape == "square" else ()
-    knots = np.union1d(t_grid, [t for t in edges if t_grid[0] < t < t_grid[-1]])
+    # sorted union of grid and edges; np.union1d would import numpy.ma
+    knots = np.sort(np.concatenate([t_grid, [t for t in edges if t_grid[0] < t < t_grid[-1]]]))
+    knots = knots[np.concatenate([[True], knots[1:] != knots[:-1]])]
     lo, hi = knots[:-1], knots[1:]
     if drive.shape == "gaussian":
         stepped = (lo >= edges[0]) & (hi <= edges[1])

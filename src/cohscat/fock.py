@@ -8,20 +8,23 @@ with |U00 U11 + U01 U10|^2 when indistinguishable and with
 |U00|^2 |U11|^2 + |U01|^2 |U10|^2 when distinguishable. A matrix-permanent
 evaluator over a composed circuit unitary gives general few-photon
 transition amplitudes.
+
+Every such fringe is a trig polynomial of degree at most 2 in phi, so a
+fringe fit is one linear least-squares fit on the low harmonics of phi;
+it is exact and needs no starting point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 _MAX_PHOTONS = 3
 _UNITARY_TOL = 1e-12
+_FIT_HARMONICS = 3
 
 
 @dataclass(frozen=True)
@@ -217,8 +220,16 @@ class FringeFit:
 
 
 def fit_fringe(table: FringeTable, harmonic: int, column: str | None = None) -> FringeFit:
-    """Least-squares sinusoid fit y = c + a cos(f phi + theta) near the
-    requested harmonic; visibility is (max-min)/(max+min) of the fit."""
+    """Sinusoid y = c + a cos(f phi + theta) of the dominant harmonic.
+
+    One linear least-squares fit on the harmonics 0-3 (cosine and sine) is
+    exact for the noise-free fringes of ``mzi_fringes``, which are trig
+    polynomials of degree at most 2 in phi. The harmonic f of largest
+    amplitude is reported as the frequency, with its amplitude and phase;
+    ``harmonic`` picks the default column and sets the sampling check. The
+    residual norm is taken against the single sinusoid, so it measures the
+    power outside the dominant harmonic. The visibility is a / c.
+    """
     if harmonic not in (1, 2):
         raise ValueError("harmonic must be 1 or 2")
     if column is None:
@@ -230,35 +241,20 @@ def fit_fringe(table: FringeTable, harmonic: int, column: str | None = None) -> 
     if pts_per_period < 8:
         raise ValueError("need at least 8 samples per fringe period")
 
-    # Linear pre-fit at the fixed harmonic seeds the nonlinear fit.
-    design = np.column_stack([np.ones_like(phi), np.cos(harmonic * phi), np.sin(harmonic * phi)])
-    c0, cc, cs = np.linalg.lstsq(design, y, rcond=None)[0]
-    amp0 = math.hypot(cc, cs)
-    theta0 = math.atan2(-cs, cc)
-
-    def model(x, c, a, f, theta):
-        return c + a * np.cos(f * x + theta)
-
-    try:
-        with warnings.catch_warnings():
-            # Noise-free synthetic fringes fit exactly; the covariance is
-            # then singular, which is irrelevant here.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                model, phi, y, p0=[c0, max(amp0, 1e-6), float(harmonic), theta0], maxfev=20000
-            )
-    except RuntimeError as exc:
-        raise RuntimeError(f"fringe fit did not converge: {exc}") from exc
-    c, a, f, theta = popt
-    if a < 0:
-        a, theta = -a, theta + math.pi
-    if f < 0:
-        f, theta = -f, -theta
-    resid = float(np.linalg.norm(model(phi, *popt) - y))
+    k = np.arange(1, _FIT_HARMONICS + 1)
+    angles = np.outer(phi, k)
+    design = np.column_stack([np.ones_like(phi), np.cos(angles), np.sin(angles)])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    c, cos_c, sin_c = coef[0], coef[1 : 1 + len(k)], coef[1 + len(k) :]
+    best = int(np.argmax(np.hypot(cos_c, sin_c)))
+    f = float(k[best])
+    a = math.hypot(cos_c[best], sin_c[best])
+    theta = math.atan2(-sin_c[best], cos_c[best])
+    resid = float(np.linalg.norm(c + a * np.cos(f * phi + theta) - y))
     vis = a / c if c > 0 else math.inf
     return FringeFit(
         visibility=float(vis),
-        frequency=float(f),
+        frequency=f,
         phase=float(math.remainder(theta, 2.0 * math.pi)),
         offset=float(c),
         amplitude=float(a),
@@ -274,11 +270,13 @@ def single_photon_visibility(reflectivity: float) -> float:
 
 def solve_coupler_reflectivity(target_visibility: float) -> float:
     """Equal-coupler reflectivity whose direct-output fringe visibility
-    matches the target (the branch above 1/2 is returned by convention)."""
+    matches the target (the branch above 1/2 is returned by convention).
+
+    With d = (2r - 1)^2 the visibility is V = (1 - d)/(1 + d), so
+    r = (1 + sqrt((1 - V)/(1 + V)))/2.
+    """
     if not 0.0 < target_visibility <= 1.0:
         raise ValueError("target visibility must lie in (0, 1]")
     if target_visibility == 1.0:
         return 0.5
-    return float(
-        brentq(lambda r: single_photon_visibility(r) - target_visibility, 0.5, 1.0 - 1e-9)
-    )
+    return 0.5 * (1.0 + math.sqrt((1.0 - target_visibility) / (1.0 + target_visibility)))

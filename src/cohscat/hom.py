@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .correlations import CorrelationTrace, TimingResponse, convolve_timing, g1, g2
 from .emitter import EmitterParams
@@ -138,22 +137,48 @@ def solve_timing_for_visibility(
     """Detector-response FWHM (ns) at which the peak visibility equals target.
 
     Peak visibility falls monotonically from 1 as the IRF smears the
-    parallel dip, so a scalar bracket suffices.
+    parallel dip, so a scalar bracket suffices. The IRF only smooths the
+    two traces, so they are built once and each trial width convolves them.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target visibility must lie in (0, 1)")
     tau_grid = np.asarray(tau_grid, dtype=float)
+    lo = tau_grid[1] - tau_grid[0]
+    if not lo > 0:
+        raise ValueError("tau grid must be increasing")
+    par, perp = hom_pair(params, rabi, setup, tau_grid)
 
     def peak(fwhm: float) -> float:
-        irf = TimingResponse(fwhm=fwhm) if fwhm > 0 else None
-        return float(np.max(hom_visibility(params, rabi, setup, tau_grid, irf).values))
+        irf = TimingResponse(fwhm=fwhm)
+        return float(np.max(visibility(convolve_timing(par, irf), convolve_timing(perp, irf)).values))
 
-    lo = tau_grid[1] - tau_grid[0]
-    if peak(lo) < target:
+    hi, f_hi = lo, peak(lo) - target
+    if f_hi < 0:
         raise ValueError("grid spacing too coarse to reach the target visibility")
-    hi = lo
-    while peak(hi) > target:
+    while f_hi > 0:
+        f_lo = f_hi
         hi *= 2.0
         if hi > fwhm_max:
             raise ValueError(f"no IRF below {fwhm_max} ns yields visibility {target}")
-    return float(brentq(lambda f: peak(f) - target, hi / 2.0, hi, xtol=1e-6))
+        f_hi = peak(hi) - target
+    if f_hi == 0:
+        return float(hi)
+    return _illinois(lambda f: peak(f) - target, hi / 2.0, f_lo, hi, f_hi, xtol=1e-6)
+
+
+def _illinois(func, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
+    """Root of func in the bracket [a, b] (fa and fb of opposite signs) by
+    regula falsi with the Illinois halving of a retained end's value
+    (Dowell & Jarratt, BIT 11, 168 (1971)); stops when the bracket is
+    narrower than xtol."""
+    while abs(b - a) > xtol:
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = func(c)
+        if fc == 0:
+            return float(c)
+        if (fc > 0) == (fb > 0):
+            fa *= 0.5
+        else:
+            a, fa = b, fb
+        b, fb = c, fc
+    return float(b)

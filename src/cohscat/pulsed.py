@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
 from .emitter import DriveField, EmitterParams, _propagate
 

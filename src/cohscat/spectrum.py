@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .correlations import g1 as g1_trace
 from .emitter import HBAR_UEV_NS, EmitterParams, rrs_fraction
@@ -196,8 +195,11 @@ def fit_linewidth(trace: SpectrumTrace, response: SpectralResponse) -> Linewidth
     Lorentzian (x) Lorentzian widths add, so the model is a single
     Lorentzian of FWHM (intrinsic + instrument); the known instrument width
     is subtracted inside the fit. The peak must be resolvable above the
-    grid spacing.
+    grid spacing. No command calls this fit, so its optimizer is imported
+    here and stays off the command-line start-up path.
     """
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     grid = trace.energy_grid
     dens = trace.density
     de = _uniform_spacing(grid)

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from cohscat.emitter import DriveField, EmitterParams, IntegrationError
 from cohscat.fock import _MAX_PHOTONS, CircuitElement
@@ -363,6 +365,28 @@ def engine_fringes(source, coupler_r1, coupler_r2, phi_grid, input_kind="dual"):
             pc_mix = (pc_mix + g * (pc_c0 + pc_c1)) / weight
         p0[i], p1[i], pc[i] = p0_mix, 1.0 - p0_mix, pc_mix
     return p0, p1, pc
+
+
+def fit_fringe_curve_fit(table, harmonic: int, column: str):
+    """The nonlinear fringe fit ``fock.fit_fringe`` made before it became
+    one linear fit: a fixed-harmonic linear pre-fit seeds ``curve_fit`` of
+    y = c + a cos(f phi + theta) with f free. Returns (visibility,
+    frequency, offset, amplitude)."""
+    phi = table.phi
+    y = table.column(column)
+    design = np.column_stack([np.ones_like(phi), np.cos(harmonic * phi), np.sin(harmonic * phi)])
+    c0, cc, cs = np.linalg.lstsq(design, y, rcond=None)[0]
+    amp0 = math.hypot(cc, cs)
+    theta0 = math.atan2(-cs, cc)
+
+    def model(x, c, a, f, theta):
+        return c + a * np.cos(f * x + theta)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, _ = curve_fit(model, phi, y, p0=[c0, max(amp0, 1e-6), float(harmonic), theta0], maxfev=20000)
+    c, a, f, _ = popt
+    return (a / c if c > 0 else math.inf), abs(f), c, abs(a)
 
 
 @pytest.fixture

@@ -217,6 +217,19 @@ def test_rabi_float_flags_exit_code(tmp_path, capsys, flag, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "sim, flag, value",
+    [("g2", "--tau-max", "-1"), ("g1", "--tau-max", "0"), ("g2", "--tau-max", "nan"),
+     ("spectrum", "--span-uev", "0"), ("hom-cw", "--tau-max", "inf"), ("steady", "--rabi-ghz", "-1")],
+)
+def test_float_flags_exit_code(tmp_path, capsys, sim, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sim", sim, flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def _rows_by_value(columns):
     # Value-by-value formatting, the row path ``write_csv`` used before it
     # formatted whole columns.
@@ -267,3 +280,24 @@ def test_no_scipy_integrate_on_the_rabi_path(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "rabi.csv").exists()
+
+
+def test_no_scipy_on_any_command_path(tmp_path):
+    code = (
+        "import sys\n"
+        "from cohscat import cli\n"
+        "def run(args):\n"
+        f"    out = {str(tmp_path)!r} + '/' + '_'.join(args)\n"
+        "    assert cli.main([*args, '--threads', '1', '--out', out]) == 0, args\n"
+        "for fig in cli.FIGURE_IDS:\n"
+        "    run(['fig', fig])\n"
+        "for sim in cli._SIMS:\n"
+        "    run(['sim', sim] + (['--pairs', '2000'] if sim in ('stream', 'hbt', 'hom-pulsed') else []))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fig_fig3e" / "fig3e.csv").exists()

@@ -12,7 +12,7 @@ from cohscat.fock import (
     permanent_amplitude,
     single_photon_visibility,
 )
-from conftest import FockState, apply_circuit, apply_element, engine_fringes
+from conftest import FockState, apply_circuit, apply_element, engine_fringes, fit_fringe_curve_fit
 
 
 def random_elements(rng, n_modes, n_el=6):
@@ -232,3 +232,41 @@ def test_fringe_fit_guards():
         cs.fit_fringe(table, harmonic=3)
     with pytest.raises(ValueError):
         cs.mzi_fringes(cs.SourceModel(overlap=1.0), 0.5, 0.5, np.linspace(0, 1.0, 9))
+
+
+@pytest.mark.parametrize("input_kind, harmonic, column",
+                         [("single", 1, "p_out0"), ("dual", 2, "p_coincidence")])
+def test_linear_fringe_fit_matches_curve_fit_oracle(rng, input_kind, harmonic, column):
+    phi = np.linspace(0.0, 2.0 * math.pi, 161)
+    for _ in range(20):
+        src = cs.SourceModel(overlap=rng.uniform(0.0, 1.0), multiphoton_g=rng.uniform(0.0, 0.5))
+        table = cs.mzi_fringes(src, 0.5, 0.5, phi, input_kind=input_kind)
+        fit = cs.fit_fringe(table, harmonic=harmonic, column=column)
+        got = (fit.visibility, fit.frequency, fit.offset, fit.amplitude)
+        assert got == pytest.approx(fit_fringe_curve_fit(table, harmonic, column), abs=1e-12)
+        assert fit.frequency == harmonic
+        assert fit.residual_norm < 1e-12
+
+
+def test_fringe_fit_reports_the_dominant_harmonic():
+    phi = np.linspace(0.0, 2.0 * math.pi, 161)
+    y = 0.5 + 0.1 * np.cos(phi + 0.3) + 0.3 * np.cos(2.0 * phi - 1.1)
+    table = FringeTable(phi=phi, p_out0=y, p_out1=1.0 - y, p_coincidence=y)
+    fit = cs.fit_fringe(table, harmonic=1)
+    assert fit.frequency == 2.0
+    assert fit.offset == pytest.approx(0.5, abs=1e-14)
+    assert fit.amplitude == pytest.approx(0.3, abs=1e-14)
+    assert fit.phase == pytest.approx(-1.1, abs=1e-13)
+    assert fit.visibility == pytest.approx(0.6, abs=1e-13)
+    # the power left outside the dominant harmonic
+    assert fit.residual_norm == pytest.approx(np.linalg.norm(0.1 * np.cos(phi + 0.3)), abs=1e-13)
+
+
+def test_coupler_reflectivity_round_trips_through_visibility():
+    for v in np.concatenate([np.linspace(0.001, 1.0, 1000), [1e-6, 1e-3, 0.5, 0.98, 1.0]]):
+        r = cs.solve_coupler_reflectivity(float(v))
+        assert 0.5 <= r < 1.0
+        assert single_photon_visibility(r) == pytest.approx(v, abs=1e-12)
+    for bad in (0.0, -0.1, 1.0 + 1e-12):
+        with pytest.raises(ValueError):
+            cs.solve_coupler_reflectivity(bad)

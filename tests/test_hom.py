@@ -132,3 +132,56 @@ def test_irf_solution_reproduces_peak_visibility():
     fwhm = cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89)
     vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm=fwhm))
     assert float(np.max(vis.values)) == pytest.approx(0.89, abs=0.005)
+
+
+def _peak_minus_target(fwhm, target=0.89):
+    vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm=fwhm))
+    return float(np.max(vis.values)) - target
+
+
+def test_irf_root_matches_brentq_oracle():
+    from scipy.optimize import brentq
+
+    fwhm = cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89)
+    lo = TAUS[1] - TAUS[0]
+    hi = lo
+    while _peak_minus_target(hi) > 0:
+        hi *= 2.0
+    oracle = brentq(_peak_minus_target, hi / 2.0, hi, xtol=1e-12)
+    assert fwhm == pytest.approx(oracle, abs=1e-6)
+
+
+def test_fig2e_irf_solve_evaluates_each_point_once(monkeypatch):
+    from cohscat import cli, hom
+    from cohscat.scenario import Scenario
+
+    pairs, widths = [], []
+    real_pair, real_convolve = hom.hom_pair, hom.convolve_timing
+
+    def counted_pair(*args, **kwargs):
+        pairs.append(args[4] if len(args) > 4 else kwargs.get("irf"))
+        return real_pair(*args, **kwargs)
+
+    def counted_convolve(trace, irf):
+        widths.append(irf.fwhm)
+        return real_convolve(trace, irf)
+
+    monkeypatch.setattr(hom, "hom_pair", counted_pair)
+    monkeypatch.setattr(hom, "convolve_timing", counted_convolve)
+    sc = Scenario()
+    params = sc.emitter.resolve().with_coherence_ratio(1.0)
+    cs.solve_timing_for_visibility(params, sc.drive.resolve(), sc.hom.resolve(), cli._HOM_TAUS, 0.89)
+    assert pairs == [None]  # the IRF-free traces are built once
+    evaluated = widths[::2]
+    assert widths[1::2] == evaluated  # both traces at each trial width
+    assert 0 < len(evaluated) <= 15
+    assert len(set(evaluated)) == len(evaluated)
+
+
+def test_irf_solve_failures_raise():
+    with pytest.raises(ValueError, match="too coarse"):
+        cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, np.linspace(-25.0, 25.0, 51), target=0.89)
+    with pytest.raises(ValueError, match="no IRF below"):
+        cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89, fwhm_max=0.05)
+    with pytest.raises(ValueError, match="increasing"):
+        cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS[::-1], target=0.89)
