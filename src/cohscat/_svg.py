@@ -1,7 +1,9 @@
 """Tiny dependency-free SVG line/scatter renderer for the CLI outputs.
 
 These plots are convenience artifacts: the CSV files carry the data of
-record. Axes are linear with simple min/max framing.
+record. Axes are linear with simple min/max framing. Pixel coordinates are
+written with one decimal place, points with a non-finite x or y are
+dropped, and series take their colours in the order given.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ def _ticks(lo: float, hi: float, n: int = 6):
 
 
 def render_lines(path, series, title="", xlabel="", ylabel="", scatter=False):
-    """Write an SVG plot of {label: (x, y)} series."""
+    """Write an SVG plot of {label: (x, y)} series.
+
+    Each series becomes one polyline (or, with scatter, one circle per
+    point) in the i-th colour of a fixed palette, plus a legend entry.
+    Coordinates are pixels to one decimal place; points whose x or y is
+    not finite are left out, and the axis ranges come from the finite
+    values alone.
+    """
     xs = np.concatenate([np.asarray(x, float) for x, _ in series.values()])
     ys = np.concatenate([np.asarray(y, float) for _, y in series.values()])
     xs = xs[np.isfinite(xs)]
@@ -87,11 +96,13 @@ def render_lines(path, series, title="", xlabel="", ylabel="", scatter=False):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         ok = np.isfinite(x) & np.isfinite(y)
+        cx, cy = px(x[ok]).tolist(), py(y[ok]).tolist()
         if scatter:
-            for xi, yi in zip(x[ok], y[ok]):
-                parts.append(f'<circle cx="{px(xi):.1f}" cy="{py(yi):.1f}" r="2" fill="{color}"/>')
+            parts.extend(
+                f'<circle cx="{a:.1f}" cy="{b:.1f}" r="2" fill="{color}"/>' for a, b in zip(cx, cy)
+            )
         else:
-            pts = " ".join(f"{px(xi):.1f},{py(yi):.1f}" for xi, yi in zip(x[ok], y[ok]))
+            pts = " ".join(map("{:.1f},{:.1f}".format, cx, cy))
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_W - 170}" y1="{ly - 4}" x2="{_W - 146}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

@@ -26,8 +26,8 @@ from . import emitter as em
 from ._svg import render_lines
 from .correlations import apply_blinking, convolve_timing, g1, g2
 from .emitter import IntegrationError
-from .fock import fit_fringe, mzi_fringes, solve_coupler_reflectivity
-from .hom import hom_pair, hom_visibility, solve_timing_for_visibility, visibility_family
+from .fock import fit_fringe, mzi_fringes
+from .hom import hom_pair, solve_timing_for_visibility, visibility, visibility_family
 from .pulsed import (
     coincidence_histogram,
     export_stream,
@@ -316,10 +316,7 @@ def _circuit_fringes(scenario: Scenario, outdir: Path, csv_name: str, input_kind
     """Fringe tables of the scenario's interferometer, one per input kind;
     the last one is written to csv_name. Returns (r1, r2, tables)."""
     blk = scenario.circuit
-    if blk.single_visibility is not None:
-        r1 = r2 = solve_coupler_reflectivity(blk.single_visibility)
-    else:
-        r1, r2 = blk.r1, blk.r2
+    r1, r2 = blk.couplers()
     phi = np.linspace(0.0, blk.phi_span_rad, blk.n_phi)
     source = scenario.source_model.resolve()
     tables = [mzi_fringes(source, r1, r2, phi, input_kind=kind) for kind in input_kinds]
@@ -446,7 +443,7 @@ def _sim_hom_cw(scenario, outdir, args, threads) -> dict:
     taus = np.linspace(-args.tau_max, args.tau_max, args.points)
     irf = scenario.timing.resolve()
     par, orth = hom_pair(params, rabi, setup, taus, irf)
-    vis = hom_visibility(params, rabi, setup, taus, irf)
+    vis = visibility(par, orth)
     write_csv(
         outdir / "hom_cw.csv",
         "tau_ns,g2_parallel,g2_orthogonal,visibility",

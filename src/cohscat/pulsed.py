@@ -569,8 +569,10 @@ def hbt_analyze(stream: PhotonStream, max_side_lag: int = 20) -> PeakReport:
     n = counts.shape[0]
     if n < 3:
         raise ValueError("need at least 3 pulse pairs for side clusters")
-    c0 = counts[:, 0].astype(float)
-    c1 = counts[:, 1].astype(float)
+    # Lag sums stay on the int64 counts: numpy's integer dot is exact and
+    # never enters BLAS, whose threaded float dot can stall for milliseconds
+    # per call waking a second thread on a busy core.
+    c0, c1 = counts[:, 0], counts[:, 1]
 
     same_pulse = float(np.sum(counts * (counts - 1) / 2.0))
     within_cross = float(c0 @ c1)
@@ -683,7 +685,7 @@ def pulsed_hom(
     slot_ort, det_ort = _route_config(stream, _rng(seed, 1), splitter_ratio, False, 0.0)
     areas_ort = _cluster_areas(stream, slot_ort, det_ort)
 
-    counts = stream.counts_per_pulse().astype(float)
+    counts = stream.counts_per_pulse()  # int64: the dot below stays out of BLAS
     n = counts.shape[0]
     r = splitter_ratio
     p_meet_a = 1.0 - float(np.mean((1.0 - r) ** counts[:, 0]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import emitter as em
 from .correlations import BlinkingParams, TimingResponse
-from .fock import SourceModel
+from .fock import SourceModel, solve_coupler_reflectivity
 from .hom import HomSetup
 from .pulsed import PulseTrain
 from .spectrum import SpectralResponse
@@ -214,6 +214,9 @@ class SourceModelBlock:
     overlap: float = 0.90
     multiphoton_g: float = 0.167
 
+    def __post_init__(self):
+        self.resolve()  # SourceModel's range checks, at load time
+
     def resolve(self) -> SourceModel:
         return SourceModel(overlap=self.overlap, multiphoton_g=self.multiphoton_g)
 
@@ -225,6 +228,18 @@ class CircuitBlock:
     n_phi: int = 161
     phi_span_rad: float = TWO_PI
     single_visibility: float | None = None  # if set, r1 = r2 solved from it
+
+    def __post_init__(self):
+        for r in self.couplers():
+            if not 0.0 < r < 1.0:
+                raise ValueError(f"coupler reflectivity must lie in (0, 1), got {r!r}")
+
+    def couplers(self) -> tuple[float, float]:
+        """(r1, r2), solved from single_visibility when that is set."""
+        if self.single_visibility is not None:
+            r = solve_coupler_reflectivity(self.single_visibility)
+            return r, r
+        return self.r1, self.r2
 
 
 _BLOCKS = {

@@ -13,6 +13,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from cohscat.emitter import DriveField, EmitterParams, IntegrationError
 from cohscat.fock import _MAX_PHOTONS, CircuitElement
+from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
 
 Config = tuple[tuple[int, int], ...]  # sorted ((mode, label), ...)
 
@@ -387,6 +388,79 @@ def fit_fringe_curve_fit(table, harmonic: int, column: str):
         popt, _ = curve_fit(model, phi, y, p0=[c0, max(amp0, 1e-6), float(harmonic), theta0], maxfev=20000)
     c, a, f, _ = popt
     return (a / c if c > 0 else math.inf), abs(f), c, abs(a)
+
+
+def render_lines_per_point(path, series, title="", xlabel="", ylabel="", scatter=False):
+    """The SVG writer ``_svg.render_lines`` was before it mapped whole
+    columns to pixels: every point goes through px/py as a numpy scalar and
+    gets its own f-string."""
+    xs = np.concatenate([np.asarray(x, float) for x, _ in series.values()])
+    ys = np.concatenate([np.asarray(y, float) for _, y in series.values()])
+    xs = xs[np.isfinite(xs)]
+    ys = ys[np.isfinite(ys)]
+    x_lo, x_hi = (float(xs.min()), float(xs.max())) if len(xs) else (0.0, 1.0)
+    y_lo, y_hi = (float(ys.min()), float(ys.max())) if len(ys) else (0.0, 1.0)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def px(x):
+        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+
+    def py(y):
+        return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+    ]
+    for t in _ticks(x_lo, x_hi):
+        parts.append(
+            f'<line x1="{px(t):.1f}" y1="{_H - _MB}" x2="{px(t):.1f}" y2="{_H - _MB + 5}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{px(t):.1f}" y="{_H - _MB + 18}" text-anchor="middle">{t:g}</text>'
+        )
+    for t in _ticks(y_lo, y_hi):
+        parts.append(
+            f'<line x1="{_ML - 5}" y1="{py(t):.1f}" x2="{_ML}" y2="{py(t):.1f}" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{_ML - 8}" y="{py(t) + 4:.1f}" text-anchor="end">{t:g}</text>'
+        )
+    parts.append(
+        f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
+        f'fill="none" stroke="black"/>'
+    )
+    parts.append(
+        f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 14}" text-anchor="middle">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.1f})">{ylabel}</text>'
+    )
+    for i, (label, (x, y)) in enumerate(series.items()):
+        color = _COLORS[i % len(_COLORS)]
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        ok = np.isfinite(x) & np.isfinite(y)
+        if scatter:
+            for xi, yi in zip(x[ok], y[ok]):
+                parts.append(f'<circle cx="{px(xi):.1f}" cy="{py(yi):.1f}" r="2" fill="{color}"/>')
+        else:
+            pts = " ".join(f"{px(xi):.1f},{py(yi):.1f}" for xi, yi in zip(x[ok], y[ok]))
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        ly = _MT + 16 + 16 * i
+        parts.append(f'<line x1="{_W - 170}" y1="{ly - 4}" x2="{_W - 146}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{_W - 140}" y="{ly}">{label}</text>')
+    parts.append("</svg>")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 @pytest.fixture

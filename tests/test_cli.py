@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cohscat import cli
+from cohscat import cli, hom
 from cohscat.scenario import Scenario, SchemaError
 
 
@@ -112,6 +113,22 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fig, config, message",
+    [("fig3d", {"circuit": {"single_visibility": 0}}, "target visibility must lie in (0, 1]"),
+     ("fig3d", {"circuit": {"single_visibility": 1e-20}}, "coupler reflectivity must lie in (0, 1)"),
+     ("fig3e", {"source_model": {"overlap": 2}}, "overlap must lie in [0, 1]")],
+)
+def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, capsys, fig, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(["fig", fig, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and message in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sim", "g2", "--no-such-flag"])
@@ -146,6 +163,32 @@ def test_noon_export_and_circuit_solver(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["visibility"] == pytest.approx(0.98, abs=0.005)
     assert manifest["results"]["r1"] == manifest["results"]["r2"]
+
+
+def test_sim_hom_cw_builds_the_traces_once(tmp_path, monkeypatch):
+    calls = []
+    real = hom.hom_pair
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hom, "hom_pair", counting)
+    monkeypatch.setattr(cli, "hom_pair", counting)
+    assert run_cli(["sim", "hom-cw", "--points", "101", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def test_every_figure_svg_parses(tmp_path):
+    for fig in cli.FIGURE_IDS:
+        out = tmp_path / fig
+        assert run_cli(["fig", fig, "--threads", "1", "--out", str(out)]) == 0
+        root = ET.parse(out / f"{fig}.svg").getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg", fig
+        marks = root.findall("{http://www.w3.org/2000/svg}polyline") + root.findall(
+            "{http://www.w3.org/2000/svg}circle"
+        )
+        assert marks, fig
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

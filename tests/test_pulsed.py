@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -279,6 +280,19 @@ def test_hbt_single_photon_stream():
     assert report.g2_zero == 0.0
     sides = [report.peak_areas[d] / (train.n_pairs - d) for d in range(2, 11)]
     assert np.std(sides) / np.mean(sides) < 0.01  # flat side clusters
+
+
+def test_hbt_peak_areas_equal_a_pair_count():
+    # Peak area at lag d counts the unordered photon pairs d pair periods
+    # apart (d = 0: both in one pair, same pulse or not).
+    train = make_train(0.71, PARAMS.t1 / 1000.0, 300)
+    stream = cs.synthetic_stream(PARAMS, train, mean_per_pulse=0.8, g_target=0.167, seed=3)
+    counts = [0] * 21
+    for a, b in itertools.combinations(stream.pair_index.tolist(), 2):
+        if abs(a - b) <= 20:
+            counts[abs(a - b)] += 1
+    report = cs.hbt_analyze(stream)
+    assert [report.peak_areas[d] for d in range(21)] == counts
 
 
 def test_hbt_rejects_empty_and_reports_errors():
