@@ -317,7 +317,7 @@ def _circuit_fringes(scenario: Scenario, outdir: Path, csv_name: str, input_kind
     the last one is written to csv_name. Returns (r1, r2, tables)."""
     blk = scenario.circuit
     r1, r2 = blk.couplers()
-    phi = np.linspace(0.0, blk.phi_span_rad, blk.n_phi)
+    phi = blk.phi_grid()
     source = scenario.source_model.resolve()
     tables = [mzi_fringes(source, r1, r2, phi, input_kind=kind) for kind in input_kinds]
     with open(outdir / csv_name, "w", newline="\n") as fh:

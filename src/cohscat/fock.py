@@ -166,6 +166,20 @@ def _mzi_unitary(r1: float, r2: float, phi: np.ndarray) -> np.ndarray:
     return phase * np.outer(b2[:, 0], b1[0, :]) + np.outer(b2[:, 1], b1[1, :])
 
 
+def check_phi_grid(phi_grid) -> np.ndarray:
+    """The phase grid as a float array, if it holds at least two points
+    and covers a full period."""
+    phi_grid = np.asarray(phi_grid, dtype=float)
+    if phi_grid.ndim != 1 or len(phi_grid) < 2:
+        raise ValueError("phi grid must hold at least two points")
+    span = phi_grid[-1] - phi_grid[0]
+    step = span / (len(phi_grid) - 1)
+    # a half-open [0, 2*pi) sampling counts as full coverage
+    if span + step < 2.0 * math.pi - 1e-9:
+        raise ValueError("phi grid must cover at least 2*pi")
+    return phi_grid
+
+
 def mzi_fringes(
     source: SourceModel,
     coupler_r1: float,
@@ -180,14 +194,7 @@ def mzi_fringes(
     events of relative weight multiphoton_g per input port; the two
     contaminating photons never interfere.
     """
-    phi_grid = np.asarray(phi_grid, dtype=float)
-    if phi_grid.ndim != 1 or len(phi_grid) < 2:
-        raise ValueError("phi grid must hold at least two points")
-    span = phi_grid[-1] - phi_grid[0]
-    step = span / (len(phi_grid) - 1)
-    # a half-open [0, 2*pi) sampling counts as full coverage
-    if span + step < 2.0 * math.pi - 1e-9:
-        raise ValueError("phi grid must cover at least 2*pi")
+    phi_grid = check_phi_grid(phi_grid)
     if input_kind not in ("single", "dual"):
         raise ValueError(f"input_kind must be single or dual, got {input_kind!r}")
     u = _mzi_unitary(coupler_r1, coupler_r2, phi_grid)

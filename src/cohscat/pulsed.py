@@ -2,28 +2,32 @@
 coincidence-peak analysis and the click-level two-photon interference
 estimator.
 
-The Monte Carlo engine unravels the emitter master equation into
-trajectories over two-pulse excitation cycles, in the waiting-time form of
-the quantum-jump method (Dalibard, Castin & Moelmer, PRL 68, 580 (1992)).
-Pulse cycles are statistically independent (the emitter starts each cycle
-in the ground state; residual excitation at the end of a cycle is
+The Monte Carlo engine unravels only the emission channel of the emitter
+master equation, in the waiting-time form of the quantum-jump method
+(Dalibard, Castin & Moelmer, PRL 68, 580 (1992)), over two-pulse excitation
+cycles. Pulse cycles are statistically independent (the emitter starts each
+cycle in the ground state; residual excitation at the end of a cycle is
 negligible for any sensible cycle period).
-Within a pulse window the two amplitude components evolve under per-step
-matrix exponentials of the non-Hermitian generator, and a radiative jump
-happens at the first step boundary where the squared norm falls below a
-uniform deviate; a jump resets the emitter to the ground state, records a
-time tag and draws a new deviate. Pure dephasing (t2 < 2 t1) enters as
-coherence sign flips, Bernoulli at every boundary. The drive-free
-stretches between windows are solved analytically.
+Between clicks a trajectory carries the unnormalized conditional density
+matrix x = (u, v, w, tr) under the no-jump generator L0 = L - J, whose trace
+is the probability of no click since the last one (Srinivas & Davies, Opt.
+Acta 28, 981 (1981)). Pure dephasing is part of L0, so it draws no random
+numbers: the click statistics are exact without unravelling it. Within a
+pulse window x evolves under per-step matrix exponentials of L0, and a
+click happens at the first step boundary where tr(x) falls below a uniform
+deviate; a click resets the emitter to the ground state, records a time tag
+and draws a new deviate. The drive-free stretches between windows take one
+exact exponential each, and their click times are solved in closed form.
 
 Rather than marching every trajectory through every step, the engine
-tabulates the cumulative step products once per stream and jumps each
-trajectory from event to event (jump, flip, table segment end, window end),
-locating jumps by bisection on the non-increasing no-jump norm.
+tabulates the cumulative step products once per stream and moves each
+trajectory from event to event (click, table segment end, window end),
+locating clicks by binary search on the non-increasing trace.
 
 Randomness comes from the counter-based Philox generator. Pairs fall into
 fixed chunks of 2^16; chunk i uses the key (seed, i), so a stream depends
-on the seed and the model alone, never on the thread count.
+on the seed and the model alone, never on the thread count. Each
+trajectory draws one deviate at the start and one per click.
 """
 
 from __future__ import annotations
@@ -37,11 +41,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
-from .emitter import DriveField, EmitterParams, _propagate
+from .emitter import DriveField, EmitterParams, _expm, _generator, _propagate
 
 _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
-_SEGMENT_T1 = 18.0  # propagator-table segment length, in t1
+_SEGMENT_T = 9.0  # propagator-table segment length, in min(t1, t2)
+_GROUND = np.array([0.0, 0.0, -1.0, 1.0])  # (u, v, w, tr)
 
 
 def _rng(seed: int, substream: int) -> np.random.Generator:
@@ -189,46 +194,40 @@ def rabi_curve(
     return [(float(a), float(n)) for a, n in zip(areas, photons)]
 
 
-def _expm_2x2(m: np.ndarray) -> np.ndarray:
-    """Matrix exponentials of a complex (..., 2, 2) stack in closed form.
-
-    With c = tr(M)/2 and H = M - c I, H^2 = s^2 I where
-    s^2 = ((M00 - M11)/2)^2 + M01 M10, so
-    expm(M) = e^c (cosh(s) I + sinh(s)/s H). Both functions of s are even,
-    so the branch of the square root does not matter; near s = 0 (a
-    defective M, e.g. the critical drive) sinh(s)/s comes from its series.
-    """
-    c = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    s2 = (0.5 * (m[..., 0, 0] - m[..., 1, 1])) ** 2 + m[..., 0, 1] * m[..., 1, 0]
-    s = np.sqrt(s2)
-    small = np.abs(s) < 1e-3
-    s_safe = np.where(small, 1.0, s)
-    sinhc = np.where(small, 1.0 + s2 / 6.0 + s2 * s2 / 120.0, np.sinh(s_safe) / s_safe)
-    ec = np.exp(c)
-    out = (ec * sinhc)[..., None, None] * m
-    diag = ec * (np.cosh(s) - c * sinhc)
-    out[..., 0, 0] += diag
-    out[..., 1, 1] += diag
-    return out
+def _no_jump_generator(params: EmitterParams, rabi: float) -> np.ndarray:
+    """Generator L0 = L - J on x = (u, v, w, tr) (see ``emitter._generator``):
+    the master equation without the emission jump J, so tr(x) leaks at
+    rho_ee / t1 and no jump refills the ground state."""
+    g = _generator(params, rabi)
+    l0 = g[:4, :4].copy()
+    l0[3] -= g[4, :4]
+    l0[2] += g[4, :4]
+    return l0
 
 
 class _WindowTables:
-    """Read-only propagator tables of one pulse window, shared by all chunks.
+    """Read-only propagator tables of one excitation cycle, shared by all chunks.
 
-    Step j (0 <= j < steps) applies m_j = expm(G dt) (`_expm_2x2`), G the
-    non-Hermitian no-jump generator at the step's midpoint Rabi rate;
-    boundary j lies after j steps. The window splits into segments of `seg` steps (about
-    18 t1, so |det| >= e^-9 and the inverses stay well conditioned):
+    Step j (0 <= j < steps) of a pulse window applies m_j = expm(L0 dt)
+    (``_no_jump_generator``) at the step's midpoint Rabi rate; boundary j
+    lies after j steps. The window splits into segments of `seg` steps, at
+    most 9 min(t1, t2): the symmetric part of L0 has eigenvalues 0, -1/t1
+    and -1/t2 (twice), so a product over time T has condition number at
+    most e^(T / min(t1, t2)) <= e^9 and the reset columns stay accurate.
 
-    - c[j]: the product of the steps from the start of the segment holding
-      step j-1 through step j-1 (c[0] = I);
-    - inv[k]: the inverse of the product that continues from boundary k,
-      the identity at a segment start;
-    - g00, g11, g01: the entries of c[j]^H c[j].
+    - c[i][l][j]: entry (i, l) of C_j, the product of the steps from the
+      start of the segment holding step j-1 through step j-1 (C_0 = I);
+      its row 3 maps a state to its trace;
+    - reset[:, k]: the ground state (0, 0, -1, 1) mapped by the inverse of
+      the product that continues from boundary k, which is the identity at
+      a segment start;
+    - seg_end[k]: the boundary where that product ends;
+    - decay[i]: expm(L0 gaps[i]) at zero drive, over the drive-free gaps
+      after pulse i (the ground state is its fixed point).
 
-    A trajectory anchored at boundary k with state x carries y = inv[k] x;
-    for k < j <= seg_end[k] its state is c[j] y and its squared norm the
-    quadratic form of y under the Gram entries at j.
+    A trajectory anchored at boundary k with state x carries y, with
+    x = C_k y (y = x at a segment start, y = reset[:, k] after a click at
+    k); for k < j <= seg_end[k] its state is C_j y.
     """
 
     def __init__(self, params: EmitterParams, train: PulseTrain, steps: int):
@@ -237,49 +236,44 @@ class _WindowTables:
         self.steps = steps
         self.dt = dt = 2.0 * half / steps
         omegas = drive.omega((np.arange(steps) + 0.5) * dt)
-        g_rad = 1.0 / params.t1
-        gens = np.zeros((steps, 2, 2), dtype=complex)
-        gens[:, 0, 0] = -1j * params.detuning - g_rad / 2.0
-        gens[:, 0, 1] = gens[:, 1, 0] = 0.5j * omegas
-        mats = _expm_2x2(gens * dt)
+        free = _no_jump_generator(params, 0.0)
+        per_rabi = _no_jump_generator(params, 1.0) - free
+        mats = _expm((free + np.multiply.outer(omegas, per_rabi)) * dt)
 
-        seg = max(1, min(steps, int(_SEGMENT_T1 * params.t1 / dt)))
+        seg = max(1, min(steps, int(_SEGMENT_T * min(params.t1, params.t2) / dt)))
         n_seg = -(-steps // seg)
-        prod = np.tile(np.eye(2, dtype=complex), (n_seg * seg, 1, 1))
+        prod = np.tile(np.eye(4), (n_seg * seg, 1, 1))
         prod[:steps] = mats
-        prod = prod.reshape(n_seg, seg, 2, 2)
+        prod = prod.reshape(n_seg, seg, 4, 4)
         # Hillis-Steele scan within each segment, later steps on the left.
         shift = 1
         while shift < seg:
             prod[:, shift:] = prod[:, shift:] @ prod[:, :-shift]
             shift *= 2
-        c = np.empty((steps + 1, 2, 2), dtype=complex)
-        c[0] = np.eye(2)
-        c[1:] = prod.reshape(-1, 2, 2)[:steps]
-        c00, c01, c10, c11 = c[:, 0, 0], c[:, 0, 1], c[:, 1, 0], c[:, 1, 1]
-        det = c00 * c11 - c01 * c10
-        inv = [c11 / det, -c01 / det, -c10 / det, c00 / det]
-        for q, one in zip(inv, (1.0, 0.0, 0.0, 1.0)):
-            q[::seg] = one
-        self.c = (c00, c01, c10, c11)
-        self.inv = tuple(inv)
-        self.g00 = np.abs(c00) ** 2 + np.abs(c10) ** 2
-        self.g11 = np.abs(c01) ** 2 + np.abs(c11) ** 2
-        self.g01 = c00.conj() * c01 + c10.conj() * c11
+        c = np.concatenate([np.eye(4)[None], prod.reshape(-1, 4, 4)[:steps]])
+        reset = np.linalg.solve(c, np.broadcast_to(_GROUND[:, None], (steps + 1, 4, 1)))[..., 0]
+        reset[::seg] = _GROUND
+        # One contiguous array per matrix entry: per-trajectory gathers from
+        # 1-D tables are several times faster than from stacked ones.
+        self.c = [[np.ascontiguousarray(c[:, i, j]) for j in range(4)] for i in range(4)]
+        self.reset = np.ascontiguousarray(reset.T)
         self.seg_end = np.minimum((np.arange(steps + 1) // seg + 1) * seg, steps)
-        gamma_phi = params.gamma_phi
-        self.flip_p = -math.expm1(-0.5 * gamma_phi * dt) if gamma_phi > 0 else 0.0
+        self.gaps = (train.separation - 2.0 * half, train.pair_period - train.separation - 2.0 * half)
+        self.decay = _expm(np.multiply.outer(self.gaps, free))
 
-    def norm(self, j, p0, p1, q):
-        """Squared norm c[j] y for |y0|^2 = p0, |y1|^2 = p1, conj(y0) y1 = q."""
-        return self.g00[j] * p0 + self.g11[j] * p1 + 2.0 * (self.g01[j] * q).real
+    def trace_at(self, j, y) -> np.ndarray:
+        """tr(C_j y) for the (4, n) anchored states y."""
+        return self._row(3, j, y)
 
-    def flip_gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Boundaries to each trajectory's next dephasing flip (Bernoulli at
-        every boundary, so geometric gaps); past the window end if none."""
-        if self.flip_p == 0.0:
-            return np.full(n, self.steps + 1, dtype=np.int64)
-        return rng.geometric(self.flip_p, n)
+    def propagate(self, j, y) -> np.ndarray:
+        """C_j y for the (4, n) anchored states y."""
+        return np.stack([self._row(i, j, y) for i in range(4)])
+
+    def _row(self, i, j, y) -> np.ndarray:
+        # Elementwise sums: a matrix product would hand these
+        # per-trajectory arrays to multithreaded BLAS.
+        row = self.c[i]
+        return row[0].take(j) * y[0] + row[1].take(j) * y[1] + row[2].take(j) * y[2] + row[3].take(j) * y[3]
 
 
 class _ChunkState:
@@ -288,8 +282,7 @@ class _ChunkState:
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
-        self.ce = np.zeros(n, dtype=complex)
-        self.cg = np.ones(n, dtype=complex)
+        self.x = np.repeat(_GROUND[:, None], n, axis=1)
         self.thresh = rng.random(n)
         self.tag_time: list[np.ndarray] = []
         self.tag_idx: list[np.ndarray] = []
@@ -301,124 +294,97 @@ class _ChunkState:
         self.tag_pulse.append(np.full(len(idx), pulse, dtype=np.int64))
 
     def reset_ground(self, idx):
-        self.ce[idx] = 0.0
-        self.cg[idx] = 1.0
+        self.x[:, idx] = _GROUND[:, None]
         self.thresh[idx] = self.rng.random(len(idx))
 
 
 def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx):
-    """Carry all trajectories through one pulse window, recording jumps.
+    """Carry all trajectories through one pulse window, recording clicks.
 
-    The law is that of marching step by step: after each step the squared
-    norm is tested against the threshold (a jump resets to the ground state
-    at that boundary; its time interpolates log-linearly within the step),
-    then the coherence sign flips with probability flip_p. Each pass moves
-    every unfinished trajectory to its next event: the first boundary
-    below its threshold (bisection; the norm does not increase between
-    events), else its next flip, segment end or the window end.
+    The law is that of marching step by step: after each step tr(x) is
+    tested against the threshold; below it, the emitter clicks at that
+    boundary (the tag time interpolates log-linearly within the step) and
+    resets to the ground state. Each pass moves every unfinished trajectory
+    to its next event: the first boundary below its threshold (binary
+    search; tr(x) does not increase between clicks), else its segment end or the
+    window end. The unfinished trajectories are kept as compacted arrays in
+    ascending order, so the thresholds of one pass are drawn in that order.
     """
-    rng, steps, dt = state.rng, tab.steps, tab.dt
+    steps, dt = tab.steps, tab.dt
+    idx = np.arange(state.n)
     k = np.zeros(state.n, dtype=np.int64)
-    y0, y1 = state.ce.copy(), state.cg.copy()
-    s_anchor = np.abs(y0) ** 2 + np.abs(y1) ** 2
-    flip = tab.flip_gaps(rng, state.n)
-    act = np.arange(state.n)
-    while len(act):
-        ka = k[act]
-        stop = np.minimum(np.minimum(flip[act], tab.seg_end[ka]), steps)
-        ya0, ya1 = y0[act], y1[act]
-        quad = (np.abs(ya0) ** 2, np.abs(ya1) ** 2, ya0.conj() * ya1)
-        u = state.thresh[act]
-        fell = tab.norm(stop, *quad) < u
-        finished = []
+    y = state.x.copy()  # boundary 0 starts a segment
+    s_anchor = y[3].copy()
+    u = state.thresh.copy()
+    while len(idx):
+        stop = tab.seg_end.take(k)
+        fell = tab.trace_at(stop, y) < u
+        jp = np.flatnonzero(fell)
+        mp = np.flatnonzero(~fell)
 
-        jmp = act[fell]
-        if len(jmp):
-            # Invariant: norm(lo) >= u > norm(hi); mid > lo keeps every
-            # evaluation inside the anchor's segment.
-            lo, hi = ka[fell], stop[fell]
-            qj = tuple(q[fell] for q in quad)
-            uj = u[fell]
-            for _ in range(int((hi - lo).max() - 1).bit_length()):
-                mid = (lo + hi + 1) // 2
-                below = tab.norm(mid, *qj) < uj
-                hi = np.where(below, mid, hi)
-                lo = np.where(below, lo, mid)
-            s0 = np.where(hi - 1 == ka[fell], s_anchor[jmp], tab.norm(hi - 1, *qj))
-            s1 = tab.norm(hi, *qj)
+        if len(jp):
+            # The last boundary lo in [k, stop) with tr(C_lo y) >= u, in
+            # binary steps of falling size; a candidate past stop is clamped
+            # to stop, where the trace is below u, so it is never taken.
+            ka, yj, uj = k.take(jp), y.take(jp, axis=1), u.take(jp)
+            lo, stop_j = ka, stop.take(jp)
+            for shift in reversed(range(int((stop_j - ka).max() - 1).bit_length())):
+                cand = np.minimum(lo + (1 << shift), stop_j)
+                lo = lo + (cand - lo) * (tab.trace_at(cand, yj) >= uj)
+            hi = lo + 1
+            s0 = np.where(lo == ka, s_anchor.take(jp), tab.trace_at(lo, yj))
+            # a trace below a tiny threshold can round to <= 0
+            s1 = np.maximum(tab.trace_at(hi, yj), np.finfo(float).tiny)
             frac = np.log(s0 / uj) / np.log(s0 / s1)
+            jmp = idx.take(jp)
             state.record(jmp, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * dt, pulse_idx)
             state.reset_ground(jmp)
-            k[jmp] = hi
-            y0[jmp] = tab.inv[1][hi]
-            y1[jmp] = tab.inv[3][hi]
-            s_anchor[jmp] = 1.0
-            # A flip at the jump boundary acts on the ground state, where a
-            # sign is a global phase: consume it.
-            hit = jmp[flip[jmp] == hi]
-            flip[hit] += tab.flip_gaps(rng, len(hit))
-            finished.append(jmp[hi == steps])
+            k[jp] = hi
+            y[:, jp] = tab.reset[:, hi]
+            s_anchor[jp] = 1.0
+            u[jp] = state.thresh.take(jmp)
 
-        mov = act[~fell]
-        if len(mov):
-            st = stop[~fell]
-            c00, c01, c10, c11 = (m[st] for m in tab.c)
-            ya0, ya1 = ya0[~fell], ya1[~fell]
-            x0 = c00 * ya0 + c01 * ya1
-            x1 = c10 * ya0 + c11 * ya1
-            flipped = flip[mov] == st
-            x1[flipped] = -x1[flipped]
-            hit = mov[flipped]
-            flip[hit] += tab.flip_gaps(rng, len(hit))
-            state.ce[mov] = x0
-            state.cg[mov] = x1
-            i00, i01, i10, i11 = (m[st] for m in tab.inv)
-            k[mov] = st
-            y0[mov] = i00 * x0 + i01 * x1
-            y1[mov] = i10 * x0 + i11 * x1
-            s_anchor[mov] = np.abs(x0) ** 2 + np.abs(x1) ** 2
-            finished.append(mov[st == steps])
+        if len(mp):
+            st = stop.take(mp)
+            x = tab.propagate(st, y.take(mp, axis=1))
+            end = st == steps
+            state.x[:, idx.take(mp[end])] = x[:, end]
+            # a segment end starts the next segment, where y = x
+            k[mp] = st
+            y[:, mp] = x
+            s_anchor[mp] = x[3]
 
-        act = np.setdiff1d(act, np.concatenate(finished), assume_unique=True)
+        go = np.flatnonzero(k < steps)
+        idx, k, y, s_anchor, u = idx.take(go), k.take(go), y.take(go, axis=1), s_anchor.take(go), u.take(go)
 
 
-def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params):
-    """Analytic drive-free stretch: at most one radiative jump per trajectory."""
+def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, decay):
+    """Drive-free stretch: at most one click per trajectory, at the time
+    where rho_gg + rho_ee e^(-t/t1) meets the threshold, then the exact
+    propagator ``decay``."""
     if length <= 0:
         return
     gamma = 1.0 / params.t1
-    pe = np.abs(state.ce) ** 2
-    pg = np.abs(state.cg) ** 2
-    s_end = pg + pe * math.exp(-gamma * length)
-    jumped = np.flatnonzero(s_end < state.thresh)
+    x = state.x
+    pe = 0.5 * (x[3] + x[2])
+    pg = x[3] - pe
+    jumped = np.flatnonzero(pg + pe * math.exp(-gamma * length) < state.thresh)
     if len(jumped):
         arg = (state.thresh[jumped] - pg[jumped]) / pe[jumped]
-        t_jump = t_start - np.log(arg) / gamma
-        state.record(jumped, t_jump, pulse_idx)
+        state.record(jumped, t_start - np.log(arg) / gamma, pulse_idx)
         state.reset_ground(jumped)
-    # Jumped trajectories sit in the ground state (ce = 0), so a blanket
-    # decay factor is a no-op for them.
-    state.ce *= np.exp(-(1j * params.detuning + gamma / 2.0) * length)
-    if params.gamma_phi > 0:
-        p_odd = 0.5 * (1.0 - math.exp(-params.gamma_phi * length))
-        flips = state.rng.random(state.n) < p_odd
-        state.cg[flips] = -state.cg[flips]
+    state.x = np.einsum("ij,jn->in", decay, state.x)  # no BLAS threads
 
 
 def _simulate_chunk(params, train, tables, rng, n_chunk):
     state = _ChunkState(n_chunk, rng)
-    half = train._half_window()
-
     # Local timeline: pulse 0 spans [-half, half] around 0, pulse 1 around
     # `separation`; the cycle ends where the next cycle's window begins.
-    if tables is not None:
-        _run_pulse_window(state, tables, -half, 0)
-    _run_free_decay(state, half, train.separation - 2.0 * half, 0, params)
-    if tables is not None:
-        _run_pulse_window(state, tables, train.separation - half, 1)
-    _run_free_decay(
-        state, train.separation + half, train.pair_period - train.separation - 2.0 * half, 1, params
-    )
+    if tables is not None:  # zero-area pulses excite nothing
+        half = train._half_window()
+        for pulse, center in enumerate((0.0, train.separation)):
+            _run_pulse_window(state, tables, center - half, pulse)
+            _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, tables.decay[pulse])
 
     if state.tag_idx:
         idx = np.concatenate(state.tag_idx)
@@ -746,8 +712,6 @@ def export_stream(stream: PhotonStream, csv_path) -> str:
 
     Returns the sidecar path.
     """
-    import os
-
     lines = ["pair_index,pulse_index,time_ns"]
     for pair, pulse, t in zip(stream.pair_index, stream.pulse_index, stream.times):
         lines.append(f"{pair},{pulse},{t:.12g}")

@@ -15,9 +15,11 @@ import types
 import typing
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import emitter as em
 from .correlations import BlinkingParams, TimingResponse
-from .fock import SourceModel, solve_coupler_reflectivity
+from .fock import SourceModel, check_phi_grid, solve_coupler_reflectivity
 from .hom import HomSetup
 from .pulsed import PulseTrain
 from .spectrum import SpectralResponse
@@ -159,6 +161,9 @@ class BlinkingBlock:
 class TimingBlock:
     fwhm_ns: float = 0.1
 
+    def __post_init__(self):
+        self.resolve()  # range checks at load time
+
     def resolve(self) -> TimingResponse:
         return TimingResponse(fwhm=self.fwhm_ns)
 
@@ -167,6 +172,9 @@ class TimingBlock:
 class SpectralBlock:
     instrument_fwhm_uev: float = 0.78
     laser_fwhm_uev: float = 0.37
+
+    def __post_init__(self):
+        self.resolve()  # range checks at load time
 
     def resolve(self) -> SpectralResponse:
         return SpectralResponse(
@@ -178,6 +186,9 @@ class SpectralBlock:
 class HomBlock:
     delay_ns: float = 10.4
     splitter_ratio: float = 0.5
+
+    def __post_init__(self):
+        self.resolve()  # range checks at load time
 
     def resolve(self, polarization: str = "parallel") -> HomSetup:
         return HomSetup(
@@ -195,8 +206,7 @@ class PulseTrainBlock:
     shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
+        self.resolve()  # PulseTrain's range checks, at load time
 
     def resolve(self, n_pairs: int | None = None) -> PulseTrain:
         return PulseTrain(
@@ -233,6 +243,11 @@ class CircuitBlock:
         for r in self.couplers():
             if not 0.0 < r < 1.0:
                 raise ValueError(f"coupler reflectivity must lie in (0, 1), got {r!r}")
+        check_phi_grid(self.phi_grid())
+
+    def phi_grid(self) -> np.ndarray:
+        """The fringe phases (rad) the circuit figures sample."""
+        return np.linspace(0.0, self.phi_span_rad, self.n_phi)
 
     def couplers(self) -> tuple[float, float]:
         """(r1, r2), solved from single_visibility when that is set."""

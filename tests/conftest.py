@@ -13,6 +13,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from cohscat.emitter import DriveField, EmitterParams, IntegrationError
 from cohscat.fock import _MAX_PHOTONS, CircuitElement
+from cohscat.pulsed import _CHUNK_PAIRS, PhotonStream, PulseTrain, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
 
 Config = tuple[tuple[int, int], ...]  # sorted ((mode, label), ...)
@@ -199,6 +200,280 @@ def pair_moment_oracle(params, train, reset_points=51, tol=1e-10):
         _evolve_array(params, drive, ground, np.array([t, t_end]), tol)[3, -1] for t in grid
     ]
     return float(np.trapezoid(rate * np.array(n_after), grid))
+
+
+# ---------------------------------------------------------------------------
+# Flip-based quantum-jump engine: two complex amplitudes per trajectory under
+# closed-form 2x2 step exponentials, with pure dephasing as Bernoulli sign
+# flips of the coherence at every step boundary. cohscat.pulsed ran this
+# engine before it unravelled only the emission channel. With t2 = 2 t1 there
+# are no flips, and both engines follow the same step-by-step law and draw
+# the same random numbers in the same order, provided their tables re-anchor
+# at the same boundaries (segment_t1 = 9 matches cohscat.pulsed at t2 = 2 t1).
+
+
+def _expm_2x2(m: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a complex (..., 2, 2) stack in closed form.
+
+    With c = tr(M)/2 and H = M - c I, H^2 = s^2 I where
+    s^2 = ((M00 - M11)/2)^2 + M01 M10, so
+    expm(M) = e^c (cosh(s) I + sinh(s)/s H). Both functions of s are even,
+    so the branch of the square root does not matter; near s = 0 (a
+    defective M, e.g. the critical drive) sinh(s)/s comes from its series.
+    """
+    c = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    s2 = (0.5 * (m[..., 0, 0] - m[..., 1, 1])) ** 2 + m[..., 0, 1] * m[..., 1, 0]
+    s = np.sqrt(s2)
+    small = np.abs(s) < 1e-3
+    s_safe = np.where(small, 1.0, s)
+    sinhc = np.where(small, 1.0 + s2 / 6.0 + s2 * s2 / 120.0, np.sinh(s_safe) / s_safe)
+    ec = np.exp(c)
+    out = (ec * sinhc)[..., None, None] * m
+    diag = ec * (np.cosh(s) - c * sinhc)
+    out[..., 0, 0] += diag
+    out[..., 1, 1] += diag
+    return out
+
+
+class _WindowTables:
+    """Read-only propagator tables of one pulse window, shared by all chunks.
+
+    Step j (0 <= j < steps) applies m_j = expm(G dt) (`_expm_2x2`), G the
+    non-Hermitian no-jump generator at the step's midpoint Rabi rate;
+    boundary j lies after j steps. The window splits into segments of `seg` steps (about
+    18 t1, so |det| >= e^-9 and the inverses stay well conditioned):
+
+    - c[j]: the product of the steps from the start of the segment holding
+      step j-1 through step j-1 (c[0] = I);
+    - inv[k]: the inverse of the product that continues from boundary k,
+      the identity at a segment start;
+    - g00, g11, g01: the entries of c[j]^H c[j].
+
+    A trajectory anchored at boundary k with state x carries y = inv[k] x;
+    for k < j <= seg_end[k] its state is c[j] y and its squared norm the
+    quadratic form of y under the Gram entries at j.
+    """
+
+    def __init__(self, params: EmitterParams, train: PulseTrain, steps: int, segment_t1: float):
+        half = train._half_window()
+        drive = train.drive(center=half)
+        self.steps = steps
+        self.dt = dt = 2.0 * half / steps
+        omegas = drive.omega((np.arange(steps) + 0.5) * dt)
+        g_rad = 1.0 / params.t1
+        gens = np.zeros((steps, 2, 2), dtype=complex)
+        gens[:, 0, 0] = -1j * params.detuning - g_rad / 2.0
+        gens[:, 0, 1] = gens[:, 1, 0] = 0.5j * omegas
+        mats = _expm_2x2(gens * dt)
+
+        seg = max(1, min(steps, int(segment_t1 * params.t1 / dt)))
+        n_seg = -(-steps // seg)
+        prod = np.tile(np.eye(2, dtype=complex), (n_seg * seg, 1, 1))
+        prod[:steps] = mats
+        prod = prod.reshape(n_seg, seg, 2, 2)
+        # Hillis-Steele scan within each segment, later steps on the left.
+        shift = 1
+        while shift < seg:
+            prod[:, shift:] = prod[:, shift:] @ prod[:, :-shift]
+            shift *= 2
+        c = np.empty((steps + 1, 2, 2), dtype=complex)
+        c[0] = np.eye(2)
+        c[1:] = prod.reshape(-1, 2, 2)[:steps]
+        c00, c01, c10, c11 = c[:, 0, 0], c[:, 0, 1], c[:, 1, 0], c[:, 1, 1]
+        det = c00 * c11 - c01 * c10
+        inv = [c11 / det, -c01 / det, -c10 / det, c00 / det]
+        for q, one in zip(inv, (1.0, 0.0, 0.0, 1.0)):
+            q[::seg] = one
+        self.c = (c00, c01, c10, c11)
+        self.inv = tuple(inv)
+        self.g00 = np.abs(c00) ** 2 + np.abs(c10) ** 2
+        self.g11 = np.abs(c01) ** 2 + np.abs(c11) ** 2
+        self.g01 = c00.conj() * c01 + c10.conj() * c11
+        self.seg_end = np.minimum((np.arange(steps + 1) // seg + 1) * seg, steps)
+        gamma_phi = params.gamma_phi
+        self.flip_p = -math.expm1(-0.5 * gamma_phi * dt) if gamma_phi > 0 else 0.0
+
+    def norm(self, j, p0, p1, q):
+        """Squared norm c[j] y for |y0|^2 = p0, |y1|^2 = p1, conj(y0) y1 = q."""
+        return self.g00[j] * p0 + self.g11[j] * p1 + 2.0 * (self.g01[j] * q).real
+
+    def flip_gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Boundaries to each trajectory's next dephasing flip (Bernoulli at
+        every boundary, so geometric gaps); past the window end if none."""
+        if self.flip_p == 0.0:
+            return np.full(n, self.steps + 1, dtype=np.int64)
+        return rng.geometric(self.flip_p, n)
+
+
+class _ChunkState:
+    """Mutable per-chunk trajectory arrays (one trajectory per pulse pair)."""
+
+    def __init__(self, n: int, rng: np.random.Generator):
+        self.n = n
+        self.rng = rng
+        self.ce = np.zeros(n, dtype=complex)
+        self.cg = np.ones(n, dtype=complex)
+        self.thresh = rng.random(n)
+        self.tag_time: list[np.ndarray] = []
+        self.tag_idx: list[np.ndarray] = []
+        self.tag_pulse: list[np.ndarray] = []
+
+    def record(self, idx, times, pulse):
+        self.tag_idx.append(np.asarray(idx, dtype=np.int64))
+        self.tag_time.append(np.asarray(times, dtype=float))
+        self.tag_pulse.append(np.full(len(idx), pulse, dtype=np.int64))
+
+    def reset_ground(self, idx):
+        self.ce[idx] = 0.0
+        self.cg[idx] = 1.0
+        self.thresh[idx] = self.rng.random(len(idx))
+
+
+def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx):
+    """Carry all trajectories through one pulse window, recording jumps.
+
+    The law is that of marching step by step: after each step the squared
+    norm is tested against the threshold (a jump resets to the ground state
+    at that boundary; its time interpolates log-linearly within the step),
+    then the coherence sign flips with probability flip_p. Each pass moves
+    every unfinished trajectory to its next event: the first boundary
+    below its threshold (bisection; the norm does not increase between
+    events), else its next flip, segment end or the window end.
+    """
+    rng, steps, dt = state.rng, tab.steps, tab.dt
+    k = np.zeros(state.n, dtype=np.int64)
+    y0, y1 = state.ce.copy(), state.cg.copy()
+    s_anchor = np.abs(y0) ** 2 + np.abs(y1) ** 2
+    flip = tab.flip_gaps(rng, state.n)
+    act = np.arange(state.n)
+    while len(act):
+        ka = k[act]
+        stop = np.minimum(np.minimum(flip[act], tab.seg_end[ka]), steps)
+        ya0, ya1 = y0[act], y1[act]
+        quad = (np.abs(ya0) ** 2, np.abs(ya1) ** 2, ya0.conj() * ya1)
+        u = state.thresh[act]
+        fell = tab.norm(stop, *quad) < u
+        finished = []
+
+        jmp = act[fell]
+        if len(jmp):
+            # Invariant: norm(lo) >= u > norm(hi); mid > lo keeps every
+            # evaluation inside the anchor's segment.
+            lo, hi = ka[fell], stop[fell]
+            qj = tuple(q[fell] for q in quad)
+            uj = u[fell]
+            for _ in range(int((hi - lo).max() - 1).bit_length()):
+                mid = (lo + hi + 1) // 2
+                below = tab.norm(mid, *qj) < uj
+                hi = np.where(below, mid, hi)
+                lo = np.where(below, lo, mid)
+            s0 = np.where(hi - 1 == ka[fell], s_anchor[jmp], tab.norm(hi - 1, *qj))
+            s1 = tab.norm(hi, *qj)
+            frac = np.log(s0 / uj) / np.log(s0 / s1)
+            state.record(jmp, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * dt, pulse_idx)
+            state.reset_ground(jmp)
+            k[jmp] = hi
+            y0[jmp] = tab.inv[1][hi]
+            y1[jmp] = tab.inv[3][hi]
+            s_anchor[jmp] = 1.0
+            # A flip at the jump boundary acts on the ground state, where a
+            # sign is a global phase: consume it.
+            hit = jmp[flip[jmp] == hi]
+            flip[hit] += tab.flip_gaps(rng, len(hit))
+            finished.append(jmp[hi == steps])
+
+        mov = act[~fell]
+        if len(mov):
+            st = stop[~fell]
+            c00, c01, c10, c11 = (m[st] for m in tab.c)
+            ya0, ya1 = ya0[~fell], ya1[~fell]
+            x0 = c00 * ya0 + c01 * ya1
+            x1 = c10 * ya0 + c11 * ya1
+            flipped = flip[mov] == st
+            x1[flipped] = -x1[flipped]
+            hit = mov[flipped]
+            flip[hit] += tab.flip_gaps(rng, len(hit))
+            state.ce[mov] = x0
+            state.cg[mov] = x1
+            i00, i01, i10, i11 = (m[st] for m in tab.inv)
+            k[mov] = st
+            y0[mov] = i00 * x0 + i01 * x1
+            y1[mov] = i10 * x0 + i11 * x1
+            s_anchor[mov] = np.abs(x0) ** 2 + np.abs(x1) ** 2
+            finished.append(mov[st == steps])
+
+        act = np.setdiff1d(act, np.concatenate(finished), assume_unique=True)
+
+
+def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params):
+    """Analytic drive-free stretch: at most one radiative jump per trajectory."""
+    if length <= 0:
+        return
+    gamma = 1.0 / params.t1
+    pe = np.abs(state.ce) ** 2
+    pg = np.abs(state.cg) ** 2
+    s_end = pg + pe * math.exp(-gamma * length)
+    jumped = np.flatnonzero(s_end < state.thresh)
+    if len(jumped):
+        arg = (state.thresh[jumped] - pg[jumped]) / pe[jumped]
+        t_jump = t_start - np.log(arg) / gamma
+        state.record(jumped, t_jump, pulse_idx)
+        state.reset_ground(jumped)
+    # Jumped trajectories sit in the ground state (ce = 0), so a blanket
+    # decay factor is a no-op for them.
+    state.ce *= np.exp(-(1j * params.detuning + gamma / 2.0) * length)
+    if params.gamma_phi > 0:
+        p_odd = 0.5 * (1.0 - math.exp(-params.gamma_phi * length))
+        flips = state.rng.random(state.n) < p_odd
+        state.cg[flips] = -state.cg[flips]
+
+
+def _simulate_chunk(params, train, tables, rng, n_chunk):
+    state = _ChunkState(n_chunk, rng)
+    half = train._half_window()
+
+    # Local timeline: pulse 0 spans [-half, half] around 0, pulse 1 around
+    # `separation`; the cycle ends where the next cycle's window begins.
+    if tables is not None:
+        _run_pulse_window(state, tables, -half, 0)
+    _run_free_decay(state, half, train.separation - 2.0 * half, 0, params)
+    if tables is not None:
+        _run_pulse_window(state, tables, train.separation - half, 1)
+    _run_free_decay(
+        state, train.separation + half, train.pair_period - train.separation - 2.0 * half, 1, params
+    )
+
+    if state.tag_idx:
+        idx = np.concatenate(state.tag_idx)
+        t_local = np.concatenate(state.tag_time)
+        pulse = np.concatenate(state.tag_pulse)
+    else:
+        idx = np.empty(0, dtype=np.int64)
+        t_local = np.empty(0, dtype=float)
+        pulse = np.empty(0, dtype=np.int64)
+    return idx, t_local, pulse
+
+
+def simulate_stream_flips(params, train, seed, steps_per_pulse=4096, segment_t1=18.0):
+    """``cohscat.simulate_stream`` with the flip-based engine, one chunk
+    after another; segment_t1 is the table segment length in t1."""
+    tables = _WindowTables(params, train, steps_per_pulse, segment_t1) if train.pulse_area > 0 else None
+    n = train.n_pairs
+    parts = []
+    for chunk in range(-(-n // _CHUNK_PAIRS)):
+        lo = chunk * _CHUNK_PAIRS
+        size = min(_CHUNK_PAIRS, n - lo)
+        idx, t_local, pulse = _simulate_chunk(params, train, tables, _rng(seed, chunk), size)
+        parts.append((idx + lo, t_local, pulse))
+    pair_idx = np.concatenate([p[0] for p in parts])
+    t_local = np.concatenate([p[1] for p in parts])
+    pulse = np.concatenate([p[2] for p in parts])
+    times = pair_idx * train.pair_period + t_local
+    order = np.argsort(times, kind="stable")
+    return PhotonStream(
+        times=times[order], pair_index=pair_idx[order], pulse_index=pulse[order],
+        seed=seed, params=params, train=train,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,30 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [(["sim", "stream"], {"pulse_train": {"pulse_area_pi": -1}}, "pulse_area must be >= 0"),
+     (["sim", "stream"], {"pulse_train": {"pulse_fwhm_ns": 3}}, "pulse_fwhm must be smaller than separation"),
+     (["sim", "stream"], {"pulse_train": {"shape": "triangle"}}, "unknown pulse shape"),
+     (["fig", "fig2d"], {"hom": {"splitter_ratio": 2}}, "splitter_ratio must lie in (0, 1)"),
+     (["fig", "fig2d"], {"hom": {"delay_ns": -1}}, "delay must be > 0"),
+     (["fig", "fig2d"], {"timing": {"fwhm_ns": -0.1}}, "timing fwhm must be >= 0"),
+     (["fig", "fig2b"], {"spectral": {"instrument_fwhm_uev": -1}}, "spectral widths must be >= 0"),
+     (["fig", "fig3e"], {"circuit": {"n_phi": 0}}, "phi grid must hold at least two points"),
+     (["fig", "fig3e"], {"circuit": {"phi_span_rad": 0}}, "phi grid must cover at least 2*pi")],
+    ids=["pulse-area", "pulse-fwhm", "pulse-shape", "splitter-ratio", "hom-delay", "timing-fwhm",
+         "instrument-fwhm", "n-phi", "phi-span"],
+)
+def test_out_of_range_block_values_are_schema_errors(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and message in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sim", "g2", "--no-such-flag"])

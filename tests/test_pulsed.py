@@ -2,13 +2,15 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import cohscat as cs
 from cohscat import pulsed
-from conftest import pair_moment_oracle, rabi_curve_per_area
+from cohscat.emitter import _expm
+from conftest import liouvillian_reference, pair_moment_oracle, rabi_curve_per_area, simulate_stream_flips
 
 PARAMS = cs.default_cavity_params()  # t1 = 0.1072 ns, t2 = 2*t1
 
@@ -191,54 +193,115 @@ def test_stream_matches_conditional_master_equation(params, area_pi, fwhm, oracl
     assert abs(pairs.mean() - moment) < 4.0 * pairs.std() / math.sqrt(n)
 
 
-def test_closed_form_step_exponential_matches_expm(rng):
-    # no-jump step generators G dt over random drives, detunings and steps,
-    # plus the defective critical drive (rabi = 1/(2 t1) on resonance)
+def test_step_exponentials_match_expm(rng):
+    # no-jump step generators L0 dt over random drives, detunings, coherence
+    # times and steps, plus the critical drive rabi = 1/(2 t1) on resonance
     n = 400
     t1 = rng.uniform(0.01, 2.0, n)
+    t2 = 2.0 * t1 * rng.uniform(0.01, 1.0, n) ** (rng.random(n) < 0.6)
     rabi = rng.uniform(0.0, 100.0, n)
     detuning = rng.normal(0.0, 5.0, n) * (rng.random(n) < 0.7)
     dt = 10.0 ** rng.uniform(-6.0, -1.0, n)
     rabi[:3], detuning[:3], dt[:3] = 0.5 / t1[:3], 0.0, [1e-5, 1e-3, 0.1]
-    gens = np.zeros((n, 2, 2), dtype=complex)
-    gens[:, 0, 0] = -1j * detuning - 0.5 / t1
-    gens[:, 0, 1] = gens[:, 1, 0] = 0.5j * rabi
-    m = gens * dt[:, None, None]
-    got = pulsed._expm_2x2(m)
+    # (u, v, w, tr) from (rho_ee, rho_eg, rho_ge, rho_gg): u + iv = 2 rho_eg
+    basis = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1], [1, 0, 0, 1]])
+    gens = []
     for k in range(n):
-        np.testing.assert_allclose(got[k], expm(m[k]), rtol=0, atol=1e-14)
+        params = cs.EmitterParams(t1=t1[k], t2=t2[k], detuning=detuning[k])
+        gen = pulsed._no_jump_generator(params, rabi[k])
+        reference = liouvillian_reference(t1[k], t2[k], detuning[k], rabi[k])
+        reference[3, 0] = 0.0  # the emission jump refills rho_gg
+        np.testing.assert_allclose(gen, basis @ reference @ np.linalg.inv(basis), rtol=0, atol=1e-12)
+        gens.append(gen * dt[k])
+    # scipy's expm strays by up to 4e-14 on these; 30 digits settle it
+    got = _expm(np.array(gens))
+    with mpmath.workdps(30):
+        for k in range(n):
+            exact = np.array(mpmath.expm(mpmath.matrix(gens[k].tolist())).tolist(), dtype=float)
+            np.testing.assert_allclose(got[k], exact, rtol=0, atol=1e-14)
+
+
+WINDOW_CASES = [
+    # several re-anchoring segments, so segment starts and ends are covered
+    (cs.EmitterParams(t1=0.01, t2=0.02, detuning=3.0),
+     cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=0.4, n_pairs=1)),
+    # dephased, t2 << t1: the segments follow t2
+    (cs.EmitterParams(t1=0.01, t2=0.002),
+     cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=1, shape="square")),
+]
 
 
 def test_window_tables_match_sequential_products():
-    # several re-anchoring segments, so segment starts and ends are covered
-    params = cs.EmitterParams(t1=0.01, t2=0.02, detuning=3.0)
-    train = cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=0.4, n_pairs=1)
     steps = 500
-    tab = pulsed._WindowTables(params, train, steps)
-    dt = 2.0 * train._half_window() / steps
-    drive = train.drive(center=train._half_window())
-    c = np.array(tab.c).T.reshape(-1, 2, 2)
-    inv = np.array(tab.inv).T.reshape(-1, 2, 2)
-    starts = set(range(0, steps, int(pulsed._SEGMENT_T1 * params.t1 / dt)))
-    assert len(starts) > 2
-    # |det C| = exp(-t / (2 t1)) over at most 18 t1 keeps the inverses tame
-    assert np.abs(np.linalg.det(c)).min() > math.exp(-9.0) * (1.0 - 1e-9)
-    prod = np.eye(2, dtype=complex)
-    for j in range(1, steps + 1):
-        if j - 1 in starts:
-            prod = np.eye(2, dtype=complex)
-        w = drive.omega((j - 0.5) * dt)
-        gen = np.array([[-1j * params.detuning - 0.5 / params.t1, 0.5j * w], [0.5j * w, 0.0]])
-        prod = expm(gen * dt) @ prod
-        np.testing.assert_allclose(c[j], prod, rtol=0, atol=1e-12)
-        gram = c[j].conj().T @ c[j]
-        assert tab.g00[j] == pytest.approx(gram[0, 0].real, abs=1e-12)
-        assert tab.g11[j] == pytest.approx(gram[1, 1].real, abs=1e-12)
-        assert tab.g01[j] == pytest.approx(gram[0, 1], abs=1e-12)
-    for k in range(steps):
-        expected = np.eye(2) if k in starts else np.linalg.inv(c[k])
-        np.testing.assert_allclose(inv[k], expected, rtol=1e-9, atol=1e-9)
-        assert tab.seg_end[k] == min(b for b in starts | {steps} if b > k)
+    ground = np.array([0.0, 0.0, -1.0, 1.0])
+    for params, train in WINDOW_CASES:
+        tab = pulsed._WindowTables(params, train, steps)
+        dt = 2.0 * train._half_window() / steps
+        drive = train.drive(center=train._half_window())
+        c = np.array(tab.c).transpose(2, 0, 1)
+        seg = int(pulsed._SEGMENT_T * min(params.t1, params.t2) / dt)
+        starts = set(range(0, steps, seg))
+        assert len(starts) > 2
+        # the no-jump products over at most 9 min(t1, t2) stay well conditioned
+        assert np.linalg.cond(c).max() <= math.exp(9.0)
+        prod = np.eye(4)
+        for j in range(1, steps + 1):
+            if j - 1 in starts:
+                prod = np.eye(4)
+            prod = expm(pulsed._no_jump_generator(params, drive.omega((j - 0.5) * dt)) * dt) @ prod
+            np.testing.assert_allclose(c[j], prod, rtol=0, atol=1e-12)
+        for k in range(steps + 1):
+            expected = ground if k in starts else np.linalg.solve(c[k], ground)
+            np.testing.assert_allclose(tab.reset[:, k], expected, rtol=1e-9, atol=1e-9)
+            assert tab.seg_end[k] == min([b for b in starts if b > k] + [steps])
+
+
+@pytest.mark.parametrize(
+    "params, train",
+    [
+        (PARAMS, make_train(0.71, 0.057, 100000)),
+        (cs.EmitterParams(t1=0.01, t2=0.02),
+         cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")),
+    ],
+    ids=["default", "segmented-square"],
+)
+def test_stream_matches_flip_engine_without_dephasing(params, train):
+    # At t2 = 2 t1 the flip engine draws no flips: both engines march by the
+    # same law and draw the same deviates, once they re-anchor alike.
+    new = cs.simulate_stream(params, train, seed=41)
+    old = simulate_stream_flips(params, train, 41, segment_t1=pulsed._SEGMENT_T)
+    assert np.array_equal(new.pair_index, old.pair_index)
+    assert np.array_equal(new.pulse_index, old.pulse_index)
+    # A click in a drive-free stretch solves rho_gg + rho_ee e^(-t/t1) = u.
+    # Where u sits just above rho_gg its time is ill-conditioned (a click
+    # 17 t1 after the pulse moved 1.2e-7 ns), but the survival factor
+    # e^(-t/t1) is not, so such a click may match by that instead.
+    free_start = train._half_window() + new.pulse_index * train.separation
+    local = [s.times - s.pair_index * train.pair_period for s in (new, old)]
+    survival = [np.exp(-(t - free_start) / params.t1) for t in local]
+    close = np.abs(new.times - old.times) <= 1e-9
+    close |= (local[0] > free_start) & (np.abs(survival[0] - survival[1]) <= 1e-12)
+    assert close.all()
+
+
+def test_stream_draws_one_deviate_per_trajectory_and_click(monkeypatch):
+    # Dephasing is inside the step propagator, so it draws nothing.
+    draws = []
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, n):
+            draws.append(n)
+            return self.gen.random(n)
+
+    keyed = pulsed._rng
+    monkeypatch.setattr(pulsed, "_rng", lambda seed, chunk: Counting(keyed(seed, chunk)))
+    train = make_train(3.0, 0.4, 5000)
+    stream = cs.simulate_stream(DENSE, train, seed=5)
+    assert DENSE.gamma_phi > 0 and stream.n_tags > train.n_pairs
+    assert sum(draws) == train.n_pairs + stream.n_tags
 
 
 def test_long_window_stays_finite_and_unbiased():
