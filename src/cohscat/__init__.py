@@ -44,10 +44,8 @@ from .fock import (
     CircuitElement,
     FringeTable,
     SourceModel,
-    circuit_unitary,
     fit_fringe,
     mzi_fringes,
-    permanent_amplitude,
     solve_coupler_reflectivity,
 )
 from .hom import (
@@ -69,7 +67,6 @@ from .pulsed import (
     pulsed_hom,
     rabi_curve,
     simulate_stream,
-    synthetic_stream,
 )
 from .scenario import Scenario, SchemaError
 from .spectrum import (

@@ -5,9 +5,7 @@ the two modes through one 2x2 mode matrix U(phi). Detection probabilities
 follow in closed form from its entries: a single photon entering mode 0
 leaves mode 0 with |U00|^2; a photon pair entering one per mode coincides
 with |U00 U11 + U01 U10|^2 when indistinguishable and with
-|U00|^2 |U11|^2 + |U01|^2 |U10|^2 when distinguishable. A matrix-permanent
-evaluator over a composed circuit unitary gives general few-photon
-transition amplitudes.
+|U00|^2 |U11|^2 + |U01|^2 |U10|^2 when distinguishable.
 
 Every such fringe is a trig polynomial of degree at most 2 in phi, so a
 fringe fit is one linear least-squares fit on the low harmonics of phi;
@@ -16,13 +14,11 @@ it is exact and needs no starting point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-_MAX_PHOTONS = 3
 _UNITARY_TOL = 1e-12
 _FIT_HARMONICS = 3
 
@@ -72,54 +68,6 @@ class CircuitElement:
         return u
 
 
-def circuit_unitary(elements, n_modes: int) -> np.ndarray:
-    """Composed mode matrix of a sequence of elements (applied in order)."""
-    u = np.eye(n_modes, dtype=complex)
-    for el in elements:
-        u = el.matrix(n_modes) @ u
-    return u
-
-
-def _permanent(mat: np.ndarray) -> complex:
-    n = mat.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        term = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            term *= mat[i, j]
-        total += term
-    return total
-
-
-def permanent_amplitude(unitary: np.ndarray, input_occ, output_occ) -> complex:
-    """Transition amplitude <output|U|input> for identical bosons.
-
-    Occupations are per-mode photon counts; the amplitude is the permanent
-    of the row/column-repeated submatrix with the usual 1/sqrt(n!)
-    normalization.
-    """
-    unitary = np.asarray(unitary, dtype=complex)
-    input_occ = list(input_occ)
-    output_occ = list(output_occ)
-    if len(input_occ) != unitary.shape[1] or len(output_occ) != unitary.shape[0]:
-        raise ValueError("occupation lists must match the unitary dimension")
-    if sum(input_occ) != sum(output_occ):
-        raise ValueError("photon number must be conserved")
-    if sum(input_occ) > _MAX_PHOTONS:
-        raise ValueError(f"at most {_MAX_PHOTONS} photons supported")
-    cols = [m for m, n in enumerate(input_occ) for _ in range(n)]
-    rows = [m for m, n in enumerate(output_occ) for _ in range(n)]
-    sub = unitary[np.ix_(rows, cols)]
-    norm = 1.0
-    for n in input_occ:
-        norm *= math.factorial(n)
-    for n in output_occ:
-        norm *= math.factorial(n)
-    return _permanent(sub) / math.sqrt(norm)
-
-
 @dataclass(frozen=True)
 class SourceModel:
     """Pairwise photon indistinguishability and two-photon contamination.
@@ -151,11 +99,6 @@ class FringeTable:
         return {"p_out0": self.p_out0, "p_out1": self.p_out1, "p_coincidence": self.p_coincidence}[
             name
         ]
-
-    def csv_rows(self):
-        yield "phi_rad,p_out0,p_out1,p_coincidence"
-        for row in zip(self.phi, self.p_out0, self.p_out1, self.p_coincidence):
-            yield ",".join(f"{x:.12g}" for x in row)
 
 
 def _mzi_unitary(r1: float, r2: float, phi: np.ndarray) -> np.ndarray:
@@ -226,23 +169,22 @@ class FringeFit:
     residual_norm: float
 
 
-def fit_fringe(table: FringeTable, harmonic: int, column: str | None = None) -> FringeFit:
+def fit_fringe(table: FringeTable, harmonic: int) -> FringeFit:
     """Sinusoid y = c + a cos(f phi + theta) of the dominant harmonic.
 
     One linear least-squares fit on the harmonics 0-3 (cosine and sine) is
     exact for the noise-free fringes of ``mzi_fringes``, which are trig
     polynomials of degree at most 2 in phi. The harmonic f of largest
     amplitude is reported as the frequency, with its amplitude and phase;
-    ``harmonic`` picks the default column and sets the sampling check. The
-    residual norm is taken against the single sinusoid, so it measures the
-    power outside the dominant harmonic. The visibility is a / c.
+    ``harmonic`` picks the column (p_out0 for 1, p_coincidence for 2) and
+    sets the sampling check. The residual norm is taken against the single
+    sinusoid, so it measures the power outside the dominant harmonic. The
+    visibility is a / c.
     """
     if harmonic not in (1, 2):
         raise ValueError("harmonic must be 1 or 2")
-    if column is None:
-        column = "p_coincidence" if harmonic == 2 else "p_out0"
     phi = table.phi
-    y = table.column(column)
+    y = table.column("p_coincidence" if harmonic == 2 else "p_out0")
     span = phi[-1] - phi[0]
     pts_per_period = len(phi) / (span / (2.0 * math.pi / harmonic))
     if pts_per_period < 8:

@@ -448,49 +448,6 @@ def simulate_stream(
     )
 
 
-def synthetic_stream(
-    params: EmitterParams,
-    train: PulseTrain,
-    mean_per_pulse: float,
-    g_target: float,
-    seed: int,
-) -> PhotonStream:
-    """Stream with a prescribed mean and two-photon ratio g = p2 / mean^2.
-
-    Per pulse the photon count is 0, 1 or 2 with p2 = g * mean^2; emission
-    times decay exponentially from the pulse. Intended for validating the
-    coincidence estimators against known inputs.
-    """
-    p2 = g_target * mean_per_pulse ** 2
-    p1 = mean_per_pulse - 2.0 * p2
-    if p1 < 0 or p1 + p2 > 1:
-        raise ValueError("mean/g combination is not a valid count distribution")
-    rng = _rng(seed, 0)
-    n = train.n_pairs
-    counts = rng.choice(3, size=(n, 2), p=[1.0 - p1 - p2, p1, p2])
-    flat = counts.reshape(-1)
-    pair_idx = np.repeat(np.repeat(np.arange(n), 2), flat)
-    pulse_idx = np.repeat(np.tile(np.array([0, 1]), n), flat)
-    # First photon an exponential decay after its pulse; a second photon
-    # (re-excitation) follows one more exponential later.
-    waits = rng.exponential(params.t1, size=len(pair_idx))
-    offsets = np.zeros(len(pair_idx))
-    starts = np.cumsum(flat) - flat
-    two_start = starts[flat == 2]
-    offsets[two_start + 1] = waits[two_start]
-    t_local = pulse_idx * train.separation + waits + offsets
-    times = pair_idx * train.pair_period + t_local
-    order = np.argsort(times, kind="stable")
-    return PhotonStream(
-        times=times[order],
-        pair_index=pair_idx[order],
-        pulse_index=np.asarray(pulse_idx)[order],
-        seed=seed,
-        params=params,
-        train=train,
-    )
-
-
 @dataclass(frozen=True)
 class PeakReport:
     """Coincidence-cluster analysis of a pulsed stream.

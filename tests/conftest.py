@@ -12,11 +12,12 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from cohscat.emitter import DriveField, EmitterParams, IntegrationError
-from cohscat.fock import _MAX_PHOTONS, CircuitElement
+from cohscat.fock import CircuitElement
 from cohscat.pulsed import _CHUNK_PAIRS, PhotonStream, PulseTrain, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
 
 Config = tuple[tuple[int, int], ...]  # sorted ((mode, label), ...)
+_MAX_PHOTONS = 3  # largest photon number the Fock engine and the permanent take
 
 
 def g2_resonant_closed_form(t1, rabi, taus):
@@ -477,6 +478,54 @@ def simulate_stream_flips(params, train, seed, steps_per_pulse=4096, segment_t1=
 
 
 # ---------------------------------------------------------------------------
+# Streams with a prescribed count distribution, for the coincidence
+# estimators.
+
+
+def synthetic_stream(
+    params: EmitterParams,
+    train: PulseTrain,
+    mean_per_pulse: float,
+    g_target: float,
+    seed: int,
+) -> PhotonStream:
+    """Stream with a prescribed mean and two-photon ratio g = p2 / mean^2.
+
+    Per pulse the photon count is 0, 1 or 2 with p2 = g * mean^2; emission
+    times decay exponentially from the pulse. Intended for validating the
+    coincidence estimators against known inputs.
+    """
+    p2 = g_target * mean_per_pulse ** 2
+    p1 = mean_per_pulse - 2.0 * p2
+    if p1 < 0 or p1 + p2 > 1:
+        raise ValueError("mean/g combination is not a valid count distribution")
+    rng = _rng(seed, 0)
+    n = train.n_pairs
+    counts = rng.choice(3, size=(n, 2), p=[1.0 - p1 - p2, p1, p2])
+    flat = counts.reshape(-1)
+    pair_idx = np.repeat(np.repeat(np.arange(n), 2), flat)
+    pulse_idx = np.repeat(np.tile(np.array([0, 1]), n), flat)
+    # First photon an exponential decay after its pulse; a second photon
+    # (re-excitation) follows one more exponential later.
+    waits = rng.exponential(params.t1, size=len(pair_idx))
+    offsets = np.zeros(len(pair_idx))
+    starts = np.cumsum(flat) - flat
+    two_start = starts[flat == 2]
+    offsets[two_start + 1] = waits[two_start]
+    t_local = pulse_idx * train.separation + waits + offsets
+    times = pair_idx * train.pair_period + t_local
+    order = np.argsort(times, kind="stable")
+    return PhotonStream(
+        times=times[order],
+        pair_index=pair_idx[order],
+        pulse_index=np.asarray(pulse_idx)[order],
+        seed=seed,
+        params=params,
+        train=train,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Few-photon Fock engine: states over (mode, internal label) occupation
 # configurations, evolved element by element by creation-operator monomial
 # expansion. Photons with different labels never interfere. It shares no
@@ -641,6 +690,59 @@ def engine_fringes(source, coupler_r1, coupler_r2, phi_grid, input_kind="dual"):
             pc_mix = (pc_mix + g * (pc_c0 + pc_c1)) / weight
         p0[i], p1[i], pc[i] = p0_mix, 1.0 - p0_mix, pc_mix
     return p0, p1, pc
+
+
+# ---------------------------------------------------------------------------
+# General few-photon transition amplitudes: matrix permanents over a composed
+# circuit unitary.
+
+
+def circuit_unitary(elements, n_modes: int) -> np.ndarray:
+    """Composed mode matrix of a sequence of elements (applied in order)."""
+    u = np.eye(n_modes, dtype=complex)
+    for el in elements:
+        u = el.matrix(n_modes) @ u
+    return u
+
+
+def _permanent(mat: np.ndarray) -> complex:
+    n = mat.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    total = 0.0 + 0.0j
+    for perm in itertools.permutations(range(n)):
+        term = 1.0 + 0.0j
+        for i, j in enumerate(perm):
+            term *= mat[i, j]
+        total += term
+    return total
+
+
+def permanent_amplitude(unitary: np.ndarray, input_occ, output_occ) -> complex:
+    """Transition amplitude <output|U|input> for identical bosons.
+
+    Occupations are per-mode photon counts; the amplitude is the permanent
+    of the row/column-repeated submatrix with the usual 1/sqrt(n!)
+    normalization.
+    """
+    unitary = np.asarray(unitary, dtype=complex)
+    input_occ = list(input_occ)
+    output_occ = list(output_occ)
+    if len(input_occ) != unitary.shape[1] or len(output_occ) != unitary.shape[0]:
+        raise ValueError("occupation lists must match the unitary dimension")
+    if sum(input_occ) != sum(output_occ):
+        raise ValueError("photon number must be conserved")
+    if sum(input_occ) > _MAX_PHOTONS:
+        raise ValueError(f"at most {_MAX_PHOTONS} photons supported")
+    cols = [m for m, n in enumerate(input_occ) for _ in range(n)]
+    rows = [m for m, n in enumerate(output_occ) for _ in range(n)]
+    sub = unitary[np.ix_(rows, cols)]
+    norm = 1.0
+    for n in input_occ:
+        norm *= math.factorial(n)
+    for n in output_occ:
+        norm *= math.factorial(n)
+    return _permanent(sub) / math.sqrt(norm)
 
 
 def fit_fringe_curve_fit(table, harmonic: int, column: str):

@@ -109,8 +109,23 @@ def test_schema_error_exit_code(tmp_path, capsys):
 def test_numerical_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "zero.json"
     cfg.write_text('{"drive": {"rabi_ghz": 0.0}}')
-    assert run_cli(["sim", "g2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert run_cli(["sim", "g2", "--config", str(cfg), "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fig", "fig3d"], ["fig", "fig3e"], ["sim", "noon"]],
+                         ids=["fig3d", "fig3e", "noon"])
+def test_failed_fringe_fit_leaves_no_output(tmp_path, capsys, command):
+    # Three phase samples pass the load-time grid checks but not the fit's
+    # sampling check, which runs after the fringes are computed.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"circuit": {"n_phi": 3}}))
+    out = tmp_path / "o"
+    assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 3
+    assert "need at least 8 samples per fringe period" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -201,6 +216,36 @@ def test_sim_hom_cw_builds_the_traces_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "hom_pair", counting)
     assert run_cli(["sim", "hom-cw", "--points", "101", "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+def test_pulsed_commands_call_the_library_through_module_globals(tmp_path, monkeypatch):
+    # Wrappers bound over cli.simulate_stream and cli.pulsed_hom (as the
+    # benchmark's probe binds them) must see every call the runners make.
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "simulate_stream", counting("stream", cli.simulate_stream))
+    monkeypatch.setattr(cli, "pulsed_hom", counting("hom", cli.pulsed_hom))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulse_train": {"n_pairs": 2000}}))
+    cases = [
+        (["fig", "fig3b", "--config", str(cfg)], ["stream"], {"fig3b.csv", "fig3b.svg"}),
+        (["fig", "fig3c", "--config", str(cfg)], ["stream", "hom"], {"fig3c.csv", "fig3c.svg"}),
+        (["sim", "hbt", "--pairs", "2000"], ["stream"], {"hbt.csv"}),
+        (["sim", "hom-pulsed", "--pairs", "2000"], ["stream", "hom"], {"hom_pulsed.csv"}),
+        (["sim", "stream", "--pairs", "2000"], ["stream"], {"stream.csv", "stream.csv.json"}),
+    ]
+    for command, expected_calls, files in cases:
+        calls.clear()
+        out = tmp_path / "_".join(command[:2])
+        assert run_cli(command + ["--threads", "1", "--out", str(out)]) == 0, command
+        assert calls == expected_calls, command
+        assert {p.name for p in out.iterdir()} == files | {"manifest.json"}, command
 
 
 def test_every_figure_svg_parses(tmp_path):

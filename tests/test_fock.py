@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import cohscat as cs
-from cohscat.fock import (
-    CircuitElement,
-    FringeTable,
+from cohscat.fock import CircuitElement, FringeTable, single_photon_visibility
+from conftest import (
+    FockState,
+    apply_circuit,
+    apply_element,
     circuit_unitary,
+    engine_fringes,
+    fit_fringe_curve_fit,
     permanent_amplitude,
-    single_photon_visibility,
 )
-from conftest import FockState, apply_circuit, apply_element, engine_fringes, fit_fringe_curve_fit
 
 
 def random_elements(rng, n_modes, n_el=6):
@@ -136,7 +138,7 @@ def test_mzi_single_photon_swap_and_fringe():
     table = cs.mzi_fringes(src, 0.5, 0.5, phi, input_kind="single")
     assert table.p_out0[0] == pytest.approx(0.0, abs=1e-12)
     assert table.p_out1[0] == pytest.approx(1.0, abs=1e-12)
-    fit = cs.fit_fringe(table, harmonic=1, column="p_out0")
+    fit = cs.fit_fringe(table, harmonic=1)
     assert fit.visibility == pytest.approx(1.0, abs=1e-9)
     assert fit.frequency == pytest.approx(1.0, abs=1e-9)
 
@@ -147,9 +149,9 @@ def test_mzi_ideal_dual_input():
     table = cs.mzi_fringes(src, 0.5, 0.5, phi, input_kind="dual")
     assert table.p_coincidence[0] == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(table.p_coincidence, np.cos(phi) ** 2, atol=1e-9)
-    fit_d = cs.fit_fringe(table, harmonic=2, column="p_coincidence")
+    fit_d = cs.fit_fringe(table, harmonic=2)
     single = cs.mzi_fringes(src, 0.5, 0.5, phi, input_kind="single")
-    fit_s = cs.fit_fringe(single, harmonic=1, column="p_out0")
+    fit_s = cs.fit_fringe(single, harmonic=1)
     assert fit_d.frequency / fit_s.frequency == pytest.approx(2.0, abs=0.02)
 
 
@@ -207,7 +209,7 @@ def test_solve_coupler_reflectivity_for_target_visibility():
     assert single_photon_visibility(r) == pytest.approx(0.98, abs=1e-12)
     phi = np.linspace(0.0, 2.0 * math.pi, 161)
     table = cs.mzi_fringes(cs.SourceModel(overlap=1.0), r, r, phi, input_kind="single")
-    fit = cs.fit_fringe(table, harmonic=1, column="p_out0")
+    fit = cs.fit_fringe(table, harmonic=1)
     assert fit.visibility == pytest.approx(0.98, abs=0.005)
     assert cs.solve_coupler_reflectivity(1.0) == 0.5
 
@@ -218,8 +220,8 @@ def test_detuned_couplers_keep_frequency_doubling():
     phi = np.linspace(0.0, 2.0 * math.pi, 161)
     dual = cs.mzi_fringes(src, r, r, phi, input_kind="dual")
     single = cs.mzi_fringes(src, r, r, phi, input_kind="single")
-    fit_d = cs.fit_fringe(dual, harmonic=2, column="p_coincidence")
-    fit_s = cs.fit_fringe(single, harmonic=1, column="p_out0")
+    fit_d = cs.fit_fringe(dual, harmonic=2)
+    fit_s = cs.fit_fringe(single, harmonic=1)
     assert fit_d.frequency / fit_s.frequency == pytest.approx(2.0, abs=0.02)
     assert dual.p_coincidence.min() > 0.0
 
@@ -241,7 +243,7 @@ def test_linear_fringe_fit_matches_curve_fit_oracle(rng, input_kind, harmonic, c
     for _ in range(20):
         src = cs.SourceModel(overlap=rng.uniform(0.0, 1.0), multiphoton_g=rng.uniform(0.0, 0.5))
         table = cs.mzi_fringes(src, 0.5, 0.5, phi, input_kind=input_kind)
-        fit = cs.fit_fringe(table, harmonic=harmonic, column=column)
+        fit = cs.fit_fringe(table, harmonic=harmonic)
         got = (fit.visibility, fit.frequency, fit.offset, fit.amplitude)
         assert got == pytest.approx(fit_fringe_curve_fit(table, harmonic, column), abs=1e-12)
         assert fit.frequency == harmonic

@@ -10,7 +10,13 @@ from scipy.linalg import expm
 import cohscat as cs
 from cohscat import pulsed
 from cohscat.emitter import _expm
-from conftest import liouvillian_reference, pair_moment_oracle, rabi_curve_per_area, simulate_stream_flips
+from conftest import (
+    liouvillian_reference,
+    pair_moment_oracle,
+    rabi_curve_per_area,
+    simulate_stream_flips,
+    synthetic_stream,
+)
 
 PARAMS = cs.default_cavity_params()  # t1 = 0.1072 ns, t2 = 2*t1
 
@@ -327,17 +333,17 @@ def test_dephasing_channel_keeps_emission_statistics():
 def test_synthetic_stream_matches_targets():
     train = make_train(0.71, PARAMS.t1 / 1000.0, 100000)
     mu = 0.8
-    stream = cs.synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=21)
+    stream = synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=21)
     assert stream.mean_per_pulse == pytest.approx(mu, abs=0.01)
     report = cs.hbt_analyze(stream)
     assert report.g_metric == pytest.approx(0.167, abs=3.0 * report.g_metric_err + 0.005)
     with pytest.raises(ValueError):
-        cs.synthetic_stream(PARAMS, train, mean_per_pulse=0.1, g_target=300.0, seed=1)
+        synthetic_stream(PARAMS, train, mean_per_pulse=0.1, g_target=300.0, seed=1)
 
 
 def test_hbt_single_photon_stream():
     train = make_train(0.71, PARAMS.t1 / 1000.0, 20000)
-    stream = cs.synthetic_stream(PARAMS, train, mean_per_pulse=1.0, g_target=0.0, seed=2)
+    stream = synthetic_stream(PARAMS, train, mean_per_pulse=1.0, g_target=0.0, seed=2)
     report = cs.hbt_analyze(stream)
     assert report.g_metric == 0.0
     assert report.g2_zero == 0.0
@@ -349,7 +355,7 @@ def test_hbt_peak_areas_equal_a_pair_count():
     # Peak area at lag d counts the unordered photon pairs d pair periods
     # apart (d = 0: both in one pair, same pulse or not).
     train = make_train(0.71, PARAMS.t1 / 1000.0, 300)
-    stream = cs.synthetic_stream(PARAMS, train, mean_per_pulse=0.8, g_target=0.167, seed=3)
+    stream = synthetic_stream(PARAMS, train, mean_per_pulse=0.8, g_target=0.167, seed=3)
     counts = [0] * 21
     for a, b in itertools.combinations(stream.pair_index.tolist(), 2):
         if abs(a - b) <= 20:
@@ -376,7 +382,7 @@ def test_hbt_rejects_empty_and_reports_errors():
 def test_pulsed_hom_trivial_overlaps(overlap_true, g, tol):
     train = make_train(0.71, PARAMS.t1 / 1000.0, 2000000)
     mu = math.sin(0.71 * math.pi / 2.0) ** 2
-    stream = cs.synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=g, seed=17)
+    stream = synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=g, seed=17)
     report = cs.pulsed_hom(stream, overlap_true, seed=23)
     assert report.aux["overlap_raw"] == pytest.approx(overlap_true, abs=tol)
     assert report.overlap == pytest.approx(overlap_true, abs=tol)
@@ -385,7 +391,7 @@ def test_pulsed_hom_trivial_overlaps(overlap_true, g, tol):
 def test_pulsed_hom_recovers_contaminated_overlap():
     train = make_train(0.71, PARAMS.t1 / 1000.0, 400000)
     mu = math.sin(0.71 * math.pi / 2.0) ** 2
-    stream = cs.synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=29)
+    stream = synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=29)
     report = cs.pulsed_hom(stream, 0.90, seed=31)
     assert report.overlap == pytest.approx(0.90, abs=0.02)
     assert report.g_metric == pytest.approx(0.167, abs=0.01)
@@ -398,14 +404,14 @@ def test_pulsed_hom_estimator_bias_is_small():
     mu = math.sin(0.71 * math.pi / 2.0) ** 2
     estimates = []
     for seed in range(5):
-        stream = cs.synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=seed)
+        stream = synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=seed)
         estimates.append(cs.pulsed_hom(stream, 0.90, seed=seed + 100).aux["overlap_raw"])
     assert abs(float(np.mean(estimates)) - 0.90) < 0.01
 
 
 def test_pulsed_hom_delay_mismatch_rejected():
     train = make_train(0.71, PARAMS.t1 / 1000.0, 1000)
-    stream = cs.synthetic_stream(PARAMS, train, mean_per_pulse=0.8, g_target=0.0, seed=1)
+    stream = synthetic_stream(PARAMS, train, mean_per_pulse=0.8, g_target=0.0, seed=1)
     with pytest.raises(ValueError):
         cs.pulsed_hom(stream, 0.9, seed=2, delay=1.0)
 
