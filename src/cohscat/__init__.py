@@ -6,7 +6,7 @@ Library layout:
                 saturation/gating intensity model
 - correlations  g1/g2 via the regression theorem, blinking envelope,
                 detector timing response
-- spectrum      coherent + incoherent emission spectrum, linewidth fitting
+- spectrum      coherent + incoherent emission spectrum
 - hom           CW two-photon interference in a delay interferometer
 - pulsed        Rabi curves, quantum-jump photon streams, coincidence-peak
                 analysis, click-level pulsed interference
@@ -70,11 +70,9 @@ from .pulsed import (
 )
 from .scenario import Scenario, SchemaError
 from .spectrum import (
-    FitConvergenceError,
     GridError,
     SpectralResponse,
     SpectrumTrace,
     emission_spectrum,
-    fit_linewidth,
     incoherent_spectrum,
 )

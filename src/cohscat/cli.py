@@ -41,7 +41,7 @@ from .pulsed import (
     simulate_stream,
 )
 from .scenario import Scenario, SchemaError
-from .spectrum import GridError, FitConvergenceError, emission_spectrum, lorentzian
+from .spectrum import GridError, emission_spectrum, lorentzian
 
 def _format_column(column) -> list[str]:
     column = np.asarray(column)
@@ -70,12 +70,6 @@ def _manifest_text(command: str, scenario: Scenario, results: dict) -> str:
     }
     # A NaN or infinity raises ValueError here, before any file opens.
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def write_manifest(outdir: Path, command: str, scenario: Scenario, results: dict) -> None:
-    text = _manifest_text(command, scenario, results)
-    with open(outdir / "manifest.json", "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def _positive_int(text: str) -> int:
@@ -376,10 +370,11 @@ def _sim_steady(scenario: Scenario, args, threads: int) -> _Output:
 
 
 def _sim_g2(scenario: Scenario, args, threads: int) -> _Output:
+    params, rabi = scenario.emitter.resolve(), scenario.drive.resolve()
     taus = np.linspace(-args.tau_max, args.tau_max, args.points)
-    trace = g2(scenario.emitter.resolve(), scenario.drive.resolve(), taus)
+    trace = g2(params, rabi, taus)
     return _Output("g2.csv", "tau_ns,g2", [taus, trace.values],
-                   {"g2_zero": float(trace.values[args.points // 2])})
+                   {"g2_zero": float(g2(params, rabi, [0.0]).values[0])})
 
 
 def _sim_g1(scenario: Scenario, args, threads: int) -> _Output:
@@ -560,8 +555,7 @@ def main(argv=None) -> int:
     except (SchemaError, FileNotFoundError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, IntegrationError, GridError, FitConvergenceError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, IntegrationError, GridError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -4,7 +4,9 @@ g2 follows from evolving the Bloch equations out of the ground state after a
 detection event; g1 from the regression theorem, which evolves the operator
 s- rho_ss under the same Bloch generator. Both propagate through the
 eigen-decomposition of the generator, or through exact matrix exponentials
-when the generator is (nearly) defective.
+when the generator is (nearly) defective. `_regression_start` sets up g1's
+generator and start state once; the emission spectrum solves the resolvent
+of the same generator.
 """
 
 from __future__ import annotations
@@ -148,31 +150,41 @@ def g2(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     return CorrelationTrace(tau_grid=tau_grid, values=np.clip(vals, 0.0, None), kind="G2")
 
 
+def _regression_start(params: EmitterParams, rabi: float):
+    """g1's generator and vectors in density-matrix coordinates
+    (rho_ee, rho_eg, rho_ge, rho_gg): the Bloch generator of
+    ``bloch_system`` (its affine form on (u, v, w, tr), tr the conserved
+    trace) under an exact change of basis, the regression-theorem start
+    state s- rho_ss = (0, 0, rho_ee, <s->), and the stationary state rho_ss.
+    """
+    _require_cw(params, rabi)
+    ss = steady_state(params, rabi)
+    rho_ee = ss.rho_ee()
+    c_ss = (ss.u + 1j * ss.v) / 2.0
+    gen = _RHO_FROM_BLOCH @ _generator(params, rabi)[:4, :4] @ _BLOCH_FROM_RHO
+    x0 = np.array([0.0, 0.0, rho_ee, c_ss], dtype=complex)
+    rho = np.array([rho_ee, c_ss, np.conj(c_ss), 1.0 - rho_ee], dtype=complex)
+    return gen, x0, rho
+
+
 def g1(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     """First-order coherence g1(tau) = <s+(t+tau) s-(t)> / rho_ee.
 
     By the regression theorem the operator s- rho_ss evolves under the
-    Bloch generator of ``bloch_system`` (its affine form on (u, v, w, tr),
-    tr the conserved trace) like a state, and <s+> of it is its rho_ge.
-    The generator is taken to density-matrix coordinates, an exact change
-    of basis, where s- rho_ss = (0, 0, rho_ee, <s->). The constant coherent
-    part |<s->|^2 / rho_ee is stored as coherent_offset and equals the
-    coherently scattered fraction. Negative taus are filled by conjugate
-    symmetry.
+    Bloch generator like a state, and <s+> of it is its rho_ge (see
+    ``_regression_start``). The constant coherent part |<s->|^2 / rho_ee
+    is stored as coherent_offset and equals the coherently scattered
+    fraction. Negative taus are filled by conjugate symmetry.
     """
-    _require_cw(params, rabi)
+    gen, x0, _ = _regression_start(params, rabi)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    ss = steady_state(params, rabi)
-    rho_ss = ss.rho_ee()
-    c_ss = (ss.u + 1j * ss.v) / 2.0
-    gen = _RHO_FROM_BLOCH @ _generator(params, rabi)[:4, :4] @ _BLOCH_FROM_RHO
-    x0 = np.array([0.0, 0.0, rho_ss, c_ss], dtype=complex)
+    rho_ee = float(x0[2].real)
     modes = _propagate_modes(gen, x0, np.abs(tau_grid))
-    vals = modes[:, 2] / rho_ss
+    vals = modes[:, 2] / rho_ee
     vals = np.where(tau_grid < 0, np.conj(vals), vals)
     mag = np.abs(vals)
     vals = np.where(mag > 1.0, vals / np.maximum(mag, 1.0), vals)  # trim roundoff
-    offset = abs(c_ss) ** 2 / rho_ss
+    offset = float(abs(x0[3])) ** 2 / rho_ee
     return CorrelationTrace(tau_grid=tau_grid, values=vals, kind="G1", coherent_offset=offset)
 
 

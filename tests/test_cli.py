@@ -78,6 +78,21 @@ def test_g2_csv_columns(tmp_path):
     assert lines[0] == "tau_ns,g2"
 
 
+def test_g2_zero_is_taken_at_zero_delay(tmp_path):
+    # an even grid holds no tau = 0 point; the antibunched source still reads 0
+    out = tmp_path / "o"
+    assert run_cli(["sim", "g2", "--points", "4", "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert abs(results["g2_zero"]) < 1e-12
+
+
+def test_unresolved_spectrum_grid_exit_code(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(["sim", "spectrum", "--points", "3", "--out", str(out)]) == 3
+    assert "does not resolve" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stream_byte_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -280,10 +295,15 @@ def test_nonpositive_count_flags_exit_code(tmp_path, capsys, flag, value):
     assert not (tmp_path / "o").exists()
 
 
-def test_manifest_rejects_non_finite_results(tmp_path):
+def test_manifest_rejects_non_finite_results(tmp_path, monkeypatch):
+    def runner(scenario, args, threads):
+        return cli._Output("nan.csv", "x", [[1.0]], {"mean_per_pulse": float("nan")})
+
+    monkeypatch.setitem(cli._FIGURES, "nan", runner)
+    out = tmp_path / "o"
     with pytest.raises(ValueError):
-        cli.write_manifest(tmp_path, "sim stream", Scenario(), {"mean_per_pulse": float("nan")})
-    assert not (tmp_path / "manifest.json").exists()
+        cli.run("fig", "nan", Scenario(output_dir=str(out)), None, 1)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -407,9 +427,18 @@ def test_no_scipy_on_any_command_path(tmp_path):
         "    run(['sim', sim] + (['--pairs', '2000'] if sim in ('stream', 'hbt', 'hom-pulsed') else []))\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded[:5]\n"
+        "assert 'numpy.fft' not in sys.modules, 'numpy.fft'\n"
     )
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fig_fig3e" / "fig3e.csv").exists()
+
+
+def test_runtime_dependencies_name_no_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert not [d for d in project["dependencies"] if d.lower().startswith("scipy")]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])

@@ -3,7 +3,11 @@ import pytest
 from scipy.signal import find_peaks
 
 import cohscat as cs
-from cohscat.spectrum import FitConvergenceError, GridError, lorentzian
+from cohscat.scenario import Scenario
+from cohscat.spectrum import GridError, lorentzian
+from conftest import fit_linewidth, incoherent_spectrum_quadrature
+
+_FIG2B_RABI = Scenario().drive.resolve()
 
 
 def test_mollow_triplet_peak_positions():
@@ -19,13 +23,48 @@ def test_mollow_triplet_peak_positions():
 
 
 def test_incoherent_integral_matches_weight():
+    # The whole line, through E = L tan(theta) on the midpoints of an even
+    # theta grid over (-pi/2, pi/2): dE = L sec^2(theta) dtheta.
     params = cs.EmitterParams(t1=1.0, t2=2.0)
-    grid = np.linspace(-40.0, 40.0, 4096)
+    n, scale = 4096, 40.0
+    theta = (np.arange(n) + 0.5) * (np.pi / n) - np.pi / 2.0
+    grid = scale * np.tan(theta)
     for rabi in (0.5, 3.0, 20.0):
         inc = cs.incoherent_spectrum(params, rabi, grid)
-        assert np.trapezoid(inc, grid) == pytest.approx(
-            1.0 - cs.rrs_fraction(params, rabi), abs=1e-4
-        )
+        total = np.sum(inc * scale / np.cos(theta) ** 2) * (np.pi / n)
+        assert total == pytest.approx(1.0 - cs.rrs_fraction(params, rabi), abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "params, rabi, instrument_fwhm, span",
+    [
+        (cs.EmitterParams(t1=1.0, t2=2.0), 30.0, 0.0, 40.0),
+        (cs.EmitterParams(t1=1.0, t2=2.0), 0.25, 0.0, 10.0),  # critical drive 1 / (4 t1)
+        (cs.EmitterParams(t1=1.0, t2=0.6), 3.0, 0.78, 20.0),
+        (cs.default_cavity_params(), _FIG2B_RABI, 0.78, 40.0),
+        (cs.default_cavity_params(), _FIG2B_RABI, 0.0, 40.0),
+    ],
+    ids=["mollow", "critical", "dephased-instrument", "cavity-fig2b", "cavity-no-instrument"],
+)
+def test_incoherent_density_matches_g1_quadrature(params, rabi, instrument_fwhm, span):
+    # 41 points: E = 0 is on every grid, regular there with no instrument line
+    energies = np.linspace(-span, span, 41)
+    assert energies[20] == 0.0
+    got = cs.incoherent_spectrum(params, rabi, energies, instrument_fwhm)
+    want = incoherent_spectrum_quadrature(params, rabi, energies, instrument_fwhm)
+    assert np.max(np.abs(got - want)) < 1e-7 * np.max(want)
+
+
+@pytest.mark.parametrize("points", [3, 41])
+@pytest.mark.parametrize("widths", [(0.78, 0.37), (0.0, 0.0)], ids=["lines", "zero-width"])
+def test_unresolved_grid_raises(points, widths):
+    params = cs.default_cavity_params()
+    response = cs.SpectralResponse(*widths)
+    grid = np.linspace(-40.0, 40.0, points)
+    # the zero-width line is one bin and exempt, so there the incoherent part trips
+    part = "coherent line" if widths[0] else "incoherent spectrum"
+    with pytest.raises(GridError, match=part):
+        cs.emission_spectrum(params, _FIG2B_RABI, response, grid)
 
 
 def test_weak_drive_zero_width_collapses_to_single_bin():
@@ -65,7 +104,7 @@ def test_measured_line_is_instrument_dominated():
     assert observed_fwhm == pytest.approx(0.37 + 0.78, abs=0.05)
     assert observed_fwhm < params.linewidth_uev() / 4.0
 
-    fit = cs.fit_linewidth(trace, response)
+    fit = fit_linewidth(trace, response)
     assert fit.intrinsic_fwhm == pytest.approx(0.37, abs=0.03)
     assert params.linewidth_uev() / fit.intrinsic_fwhm >= 16.0
 
@@ -76,7 +115,7 @@ def test_fit_linewidth_synthetic_self_consistency():
     density = lorentzian(grid, 0.0, 0.37 + 0.78)
     density = density / np.trapezoid(density, grid)
     trace = cs.SpectrumTrace(energy_grid=grid, density=density, coherent_weight=1.0)
-    fit = cs.fit_linewidth(trace, response)
+    fit = fit_linewidth(trace, response)
     assert fit.intrinsic_fwhm == pytest.approx(0.37, abs=0.02)
     assert fit.total_fwhm == pytest.approx(0.37 + 0.78, rel=0.01)
     assert fit.residual_norm < 1e-6
@@ -88,7 +127,7 @@ def test_fit_linewidth_zero_intrinsic():
     density = lorentzian(grid, 0.0, 0.78)
     density = density / np.trapezoid(density, grid)
     trace = cs.SpectrumTrace(energy_grid=grid, density=density, coherent_weight=1.0)
-    fit = cs.fit_linewidth(trace, response)
+    fit = fit_linewidth(trace, response)
     assert fit.intrinsic_fwhm == pytest.approx(0.0, abs=grid[1] - grid[0])
 
 
