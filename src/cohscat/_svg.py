@@ -4,6 +4,11 @@ These plots are convenience artifacts: the CSV files carry the data of
 record. Axes are linear with simple min/max framing. Pixel coordinates are
 written with one decimal place, points with a non-finite x or y are
 dropped, and series take their colours in the order given.
+
+Point coordinates go through `_text.pixels`: the text is
+``format(v, ".1f")`` of each pixel value, byte for byte. Non-finite pixels,
+|v| >= 1e5 and values within 1e-9 of an inexact .x5 tie take Python's
+formatter itself.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from . import _text
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _W, _H = 720, 480
@@ -96,13 +103,13 @@ def render_lines(path, series, title="", xlabel="", ylabel="", scatter=False):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         ok = np.isfinite(x) & np.isfinite(y)
-        cx, cy = px(x[ok]).tolist(), py(y[ok]).tolist()
+        cx, cy = _text.pixels(px(x[ok])), _text.pixels(py(y[ok]))
         if scatter:
-            parts.extend(
-                f'<circle cx="{a:.1f}" cy="{b:.1f}" r="2" fill="{color}"/>' for a, b in zip(cx, cy)
-            )
+            if ok.any():
+                circle = f'" r="2" fill="{color}"/>\n'.encode()
+                parts.append(_text.rows([b'<circle cx="', cx, b'" cy="', cy, circle])[:-1])
         else:
-            pts = " ".join(map("{:.1f},{:.1f}".format, cx, cy))
+            pts = _text.rows([cx, b",", cy, b" "])[:-1]
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_W - 170}" y1="{ly - 4}" x2="{_W - 146}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

@@ -19,12 +19,13 @@ import json
 import locale  # noqa: F401 -- argparse's gettext loads it lazily; load it with the module, not in a run
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _text
 from . import emitter as em
 from ._svg import render_lines
 from .correlations import TimingResponse, apply_blinking, convolve_timing, g1, g2
@@ -43,21 +44,17 @@ from .pulsed import (
 from .scenario import Scenario, SchemaError
 from .spectrum import GridError, emission_spectrum, lorentzian
 
-def _format_column(column) -> list[str]:
-    column = np.asarray(column)
-    if column.dtype.kind in "biu":
-        return [str(int(v)) for v in column.tolist()]
-    if column.dtype.kind == "U":
-        return column.tolist()
-    return list(map("{:.12g}".format, column.tolist()))
-
-
 def write_csv(path, header: str, columns) -> None:
-    """Header plus one row per entry; integers and booleans as integers,
-    strings as given, everything else as floats to 12 significant digits."""
-    rows = zip(*(_format_column(c) for c in columns))
+    """Header plus one row per entry of the equal-length columns.
+
+    Cells follow `_text.cells`: integers and booleans as ``str(int(v))``,
+    strings as given, floats as ``format(v, ".12g")``, byte for byte; the
+    values that the column-wise path cannot decide exactly (non-finite,
+    +-0, scientific notation, near rounding ties) take Python's formatter.
+    """
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(_text.csv_lines(columns))
 
 
 def _manifest_text(command: str, scenario: Scenario, results: dict) -> str:
@@ -510,16 +507,27 @@ def run(mode: str, name: str, scenario: Scenario, args, threads: int) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse builds a HelpFormatter, which measures the terminal, on every
+    # add_argument call; measure it once per build instead, the same way.
+    width = shutil.get_terminal_size().columns - 2
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=width)
+
     parser = argparse.ArgumentParser(
         prog="cohscat",
         description="Coherent-scattering simulator for a cavity-enhanced two-level emitter",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"cohscat {__version__}")
     sub = parser.add_subparsers(dest="mode", required=True)
-    p_fig = sub.add_parser("fig", help="reproduce a bundled figure scenario")
+    p_fig = sub.add_parser("fig", help="reproduce a bundled figure scenario", formatter_class=formatter)
     p_fig.add_argument("id", choices=FIGURE_IDS)
-    sims = sub.add_parser("sim", help="run one simulation").add_subparsers(dest="sim", required=True)
-    commands = [(p_fig, [])] + [(sims.add_parser(name), flags) for name, (_, flags) in _SIMS.items()]
+    sims = sub.add_parser("sim", help="run one simulation", formatter_class=formatter)
+    sims = sims.add_subparsers(dest="sim", required=True)
+    commands = [(p_fig, [])] + [
+        (sims.add_parser(name, formatter_class=formatter), flags) for name, (_, flags) in _SIMS.items()
+    ]
     for p, flags in commands:
         p.add_argument("--config", help="JSON scenario (a manifest.json also works)")
         p.add_argument("--out", help="output directory (overrides the scenario)")

@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
+from . import _text
 from .emitter import DriveField, EmitterParams, _expm, _generator, _propagate
 
 _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
@@ -667,13 +668,14 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
 def export_stream(stream: PhotonStream, csv_path) -> str:
     """Write tags as CSV plus a JSON sidecar with the parameter snapshot.
 
+    One row per tag: pair and pulse index as integers, the time as
+    ``format(t, ".12g")``, byte for byte (see `_text`; values the
+    column-wise path cannot decide exactly take Python's formatter).
     Returns the sidecar path.
     """
-    lines = ["pair_index,pulse_index,time_ns"]
-    for pair, pulse, t in zip(stream.pair_index, stream.pulse_index, stream.times):
-        lines.append(f"{pair},{pulse},{t:.12g}")
     with open(csv_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("pair_index,pulse_index,time_ns\n")
+        fh.writelines(_text.csv_lines([stream.pair_index, stream.pulse_index, stream.times]))
     sidecar = os.fspath(csv_path) + ".json"
     payload = {
         "seed": int(stream.seed),

@@ -951,6 +951,27 @@ def render_lines_per_point(path, series, title="", xlabel="", ylabel="", scatter
         fh.write("\n".join(parts) + "\n")
 
 
+def assert_same_text(got: str, expected: str) -> None:
+    """Equal texts. A mismatch names the first line that differs, since
+    pytest's own diff of megabyte strings takes minutes."""
+    if got == expected:
+        return
+    a, b = got.split("\n"), expected.split("\n")
+    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    shown = [repr(lines[first : first + 1])[:300] for lines in (a, b)]
+    pytest.fail(f"line {first} differs: {shown[0]} != {shown[1]} ({len(a)} lines against {len(b)})")
+
+
+def export_stream_rows_per_tag(stream: PhotonStream, csv_path) -> None:
+    """The CSV half of ``pulsed.export_stream`` as it was before it wrote
+    whole columns: one f-string per tag."""
+    lines = ["pair_index,pulse_index,time_ns"]
+    for pair, pulse, t in zip(stream.pair_index, stream.pulse_index, stream.times):
+        lines.append(f"{pair},{pulse},{t:.12g}")
+    with open(csv_path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -1,6 +1,9 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohscat import cli, hom
+from cohscat import _text, cli, hom
+from cohscat._svg import render_lines
 from cohscat.scenario import Scenario, SchemaError
+from conftest import assert_same_text, render_lines_per_point
 
 
 def run_cli(args):
@@ -378,24 +383,119 @@ def _rows_by_value(columns):
     return "".join(",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
 
 
+def _float_edges():
+    """Values where the 12-digit text is decided by the last bits: decade
+    edges, 12th-digit rounding ties and their neighbours, signed zeros,
+    subnormals and non-finite values."""
+    powers = 10.0 ** np.arange(-6, 14)
+    edges = np.array([9.99999999999995e-5, 99999999999.95, 999999999999.5, 2.5e-5, 5e-5])
+    mantissas = np.random.default_rng(7).integers(10**11, 10**12, 500) + 0.5
+    ties = np.concatenate([mantissas * 10.0**k for k in range(-16, 1)])
+    near = np.concatenate([powers, powers * (1 - 5e-13), powers * (1 - 4.9e-13), edges, ties])
+    near = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, np.inf, -np.inf, np.nan]
+    return np.concatenate([near, -near, special])
+
+
 def test_write_csv_matches_value_by_value_formatting(tmp_path, rng):
+    edges = _float_edges()
     floats = np.concatenate([
         rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200),
         [0.0, -0.0, 1.0, 0.1, 1e16, 123456789012345.0, np.nan, np.inf, -np.inf],
+        edges,
     ])
     n = len(floats)
+    info = np.iinfo(np.int64)
+    with np.errstate(over="ignore"):
+        narrowed = floats.astype(np.float32)  # overflows to inf and underflows to 0 at the edges
     columns = [
         floats,
         list(floats),  # Python floats
         (rng.normal(size=n) * 1e3).astype(np.float32),
+        narrowed,
         rng.integers(-10**12, 10**12, size=n),
+        np.resize([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max], n),
+        np.resize(np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64), n),
         [int(i) for i in range(n)],
         rng.random(n) < 0.5,
         [f"label{i}" for i in range(n)],
     ]
     path = tmp_path / "t.csv"
-    cli.write_csv(path, "a,b,c,d,e,f,g", columns)
-    assert path.read_text() == "a,b,c,d,e,f,g\n" + _rows_by_value(columns)
+    cli.write_csv(path, "a,b,c,d,e,f,g,h,i,j", columns)
+    assert_same_text(path.read_text(), "a,b,c,d,e,f,g,h,i,j\n" + _rows_by_value(columns))
+
+
+def test_csv_floats_match_python_formatting_per_decade(rng):
+    # 1e5 values in each decade whose text the column-wise path writes, and
+    # 1e3 in every other decade from 1e-300 to 1e300, where each value is
+    # written by Python's formatter.
+    window = range(-5, 13)
+    for exponent in range(-300, 301):
+        count = 10**5 if exponent in window else 10**3
+        values = rng.uniform(1.0, 10.0, count) * 10.0**exponent
+        values[::2] *= -1.0
+        expected = "\n".join(map("{:.12g}".format, values.tolist())) + "\n"
+        assert_same_text("".join(_text.csv_lines([values])), expected)
+
+
+def test_csv_empty_columns_write_the_header_alone(tmp_path):
+    cli.write_csv(tmp_path / "e.csv", "a,b", [np.array([]), []])
+    assert (tmp_path / "e.csv").read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("fig", sorted(cli._FIGURES))
+def test_figure_outputs_match_value_by_value_oracles(tmp_path, fig):
+    # The real columns of every figure, written by the column-wise CSV and
+    # SVG paths and by the per-value oracles. The pulsed figures run a
+    # shorter train.
+    scenario = Scenario()
+    scenario = dataclasses.replace(
+        scenario, pulse_train=dataclasses.replace(scenario.pulse_train, n_pairs=5000)
+    )
+    out = cli._FIGURES[fig](scenario, None, 1)
+    cli.write_csv(tmp_path / "new.csv", out.header, out.columns)
+    assert_same_text((tmp_path / "new.csv").read_text(), out.header + "\n" + _rows_by_value(out.columns))
+    render_lines(tmp_path / "new.svg", *out.plot)
+    render_lines_per_point(tmp_path / "oracle.svg", *out.plot)
+    assert_same_text((tmp_path / "new.svg").read_text(), (tmp_path / "oracle.svg").read_text())
+
+
+def _help_with_default_formatter(argv):
+    """argv's --help text from a parser whose help formatter is argparse's
+    own, sized to the terminal when it is made."""
+    parser = cli._build_parser()
+    for name in argv[:-1]:
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[name]
+    parser.formatter_class = argparse.HelpFormatter
+    return parser.format_help()
+
+
+@pytest.mark.parametrize("argv", [["fig", "--help"], ["sim", "g2", "--help"]], ids=["fig", "sim-g2"])
+def test_help_text_matches_argparse_default(monkeypatch, capsys, argv):
+    lines = []
+    for columns in ("50", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text == _help_with_default_formatter(argv)
+        lines.append(text.count("\n"))
+    assert lines[0] > lines[1]  # the width reached the formatter
+
+
+def test_parser_measures_the_terminal_once(monkeypatch):
+    calls = []
+    measure = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli._build_parser()
+    assert len(calls) == 1
 
 
 def test_no_scipy_integrate_on_the_rabi_path(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import cohscat as cs
 from cohscat import pulsed
 from cohscat.emitter import _expm
 from conftest import (
+    export_stream_rows_per_tag,
     liouvillian_reference,
     pair_moment_oracle,
     rabi_curve_per_area,
@@ -436,3 +438,20 @@ def test_export_stream_roundtrip(tmp_path):
     assert meta["train"]["n_pairs"] == 500
     assert meta["params"]["t1"] == pytest.approx(PARAMS.t1)
     assert sidecar.endswith("stream.csv.json")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e9], ids=["ns", "sub-ps", "seconds"])
+def test_export_stream_matches_per_tag_oracle(tmp_path, scale):
+    # Rescaled times put the tags in the 12-digit window's corners and past
+    # it (scientific notation); one extra tag carries an infinite time and
+    # the int64 extremes.
+    stream = cs.simulate_stream(PARAMS, make_train(0.71, 0.057, 3000), seed=5)
+    stream = dataclasses.replace(
+        stream,
+        times=np.append(stream.times * scale, np.inf),
+        pair_index=np.append(stream.pair_index, np.iinfo(np.int64).max),
+        pulse_index=np.append(stream.pulse_index, np.iinfo(np.int64).min),
+    )
+    cs.export_stream(stream, tmp_path / "new.csv")
+    export_stream_rows_per_tag(stream, tmp_path / "oracle.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

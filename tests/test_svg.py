@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from cohscat import _text
 from cohscat._svg import render_lines
-from conftest import render_lines_per_point
+from conftest import assert_same_text, render_lines_per_point
 
 NAN, INF = math.nan, math.inf
 _WIDE = np.logspace(-9, 12, 400)
+_INT64 = np.iinfo(np.int64)
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 9.99999999999995e-5, 99999999999.95, 999999999999.5, INF, NAN, -INF]
 
 CASES = {
     "non_finite": {
@@ -21,6 +24,11 @@ CASES = {
     "wide_range": {"w": (_WIDE, _WIDE[::-1] * np.cos(np.arange(400)))},
     # Pixels land on the .x5 rounding ties, where the last bit decides the text.
     "half_pixel_steps": {"h": (np.arange(12601) * 0.05, np.arange(12601) * 0.03 - 7.0)},
+    "edges_and_signed_zeros": {"e": (_EDGES, _EDGES[::-1])},
+    "subnormals": {"s": (np.append(np.arange(8) * 5e-324, 1.0), np.append(np.linspace(-1e-310, 1e-310, 8), 2.0))},
+    "float32": {"f": (np.linspace(-3, 3, 301, dtype=np.float32), np.sin(np.arange(301, dtype=np.float32)))},
+    "int64_extremes": {"i": (np.array([_INT64.min, -1, 0, 1, _INT64.max]), np.array([0, _INT64.max, 5, -7, 1]))},
+    "bool": {"b": (np.array([True, False, True, True]), np.array([False, True, True, False]))},
     "seven_series": {f"s{k}": (np.arange(5.0), k * np.arange(5.0) ** 0.5) for k in range(7)},
 }
 
@@ -42,3 +50,33 @@ def test_svg_matches_per_point_oracle_on_random_data(tmp_path, rng):
     render_lines(tmp_path / "new.svg", series)
     render_lines_per_point(tmp_path / "oracle.svg", series)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+
+
+def _pixel_edges():
+    """Pixel values around the .x5 rounding ties (k/10 + 0.05, the exact
+    ties odd/4, and their neighbours), signed zeros, the 1e5 edge of the
+    column-wise path, subnormals and non-finite values."""
+    ties = np.concatenate([np.arange(-20000, 20000) / 10.0 + 0.05, np.arange(-4001, 4001, 2) / 4.0])
+    near = np.concatenate([ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)])
+    edges = [0.0, -0.0, -0.04, -0.05, 0.05, 0.25, 99999.94, 99999.95, 99999.96, 1e5, -1e5, 5e-324, -5e-324]
+    return np.concatenate([near, edges, [INF, -INF, NAN]])
+
+
+def test_pixel_text_matches_python_formatting():
+    values = _pixel_edges()
+    for column in (values, values.astype(np.float32)):
+        expected = "\n".join(map("{:.1f}".format, column.tolist())) + "\n"
+        assert_same_text(_text.rows([_text.pixels(column), b"\n"]), expected)
+
+
+def test_pixel_text_matches_python_formatting_per_decade(rng):
+    # 1e5 values in each decade that reaches the column-wise path, 1e2 in
+    # every other decade from 1e-300 to 1e300 (Python's formatter writes
+    # those, at up to 30 us a value for the longest).
+    window = range(-3, 6)
+    for exponent in range(-300, 301):
+        count = 10**5 if exponent in window else 10**2
+        values = rng.uniform(1.0, 10.0, count) * 10.0**exponent
+        values[::2] *= -1.0
+        expected = "\n".join(map("{:.1f}".format, values.tolist())) + "\n"
+        assert_same_text(_text.rows([_text.pixels(values), b"\n"]), expected)
