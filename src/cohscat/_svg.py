@@ -29,12 +29,15 @@ def _ticks(lo: float, hi: float, n: int = 6):
         hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
-    step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
+    # on a subnormal span mag can underflow to 0; raw itself is then the step
+    step = min((s * mag for s in (1, 2, 5, 10) if s * mag >= raw), default=raw)
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # a step below half an ulp of t never gets to hi
+            break
         t += step
     return ticks
 

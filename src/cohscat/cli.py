@@ -142,7 +142,7 @@ def _hbt(scenario: Scenario, threads: int):
 
 def _hom_pulsed(scenario: Scenario, threads: int):
     stream = _stream(scenario, threads)
-    return stream.train, pulsed_hom(stream, scenario.source_model.overlap, scenario.seed + 1)
+    return stream.train, pulsed_hom(stream, scenario.source_model.overlap, scenario.seed)
 
 
 def _hom_cw(scenario: Scenario, taus):

@@ -20,14 +20,20 @@ and draws a new deviate. The drive-free stretches between windows take one
 exact exponential each, and their click times are solved in closed form.
 
 Rather than marching every trajectory through every step, the engine
-tabulates the cumulative step products once per stream and moves each
-trajectory from event to event (click, table segment end, window end),
-locating clicks by binary search on the non-increasing trace.
+tabulates the cumulative step products once per stream and runs a window one
+table segment [a, b) at a time. Every trajectory then aims at the same
+boundary b: a pass moves all of them to b with one 4x4 product and tests the
+trace there. Those that stay above their threshold are done with the
+segment; the others locate their click by binary search on the
+non-increasing trace, re-anchor there and go round again.
 
-Randomness comes from the counter-based Philox generator. Pairs fall into
-fixed chunks of 2^16; chunk i uses the key (seed, i), so a stream depends
-on the seed and the model alone, never on the thread count. Each
-trajectory draws one deviate at the start and one per click.
+Randomness comes from the counter-based Philox generator, keyed by
+`_rng(seed, purpose, index)` (Salmon et al., SC'11 (2011)). Pairs fall into
+fixed chunks of 2^16; chunk i draws from purpose 0, index i, so a stream
+depends on the seed and the model alone, never on the thread count. Each
+trajectory draws one deviate at the start and one per click; within a
+segment, passes run in order and the clicks of one pass draw in ascending
+trajectory order.
 """
 
 from __future__ import annotations
@@ -46,12 +52,15 @@ from .emitter import DriveField, EmitterParams, _expm, _generator, _propagate
 
 _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
+_STREAM, _ROUTE_PARALLEL, _ROUTE_ORTHOGONAL = range(3)  # Philox key purposes
 _SEGMENT_T = 9.0  # propagator-table segment length, in min(t1, t2)
 _GROUND = np.array([0.0, 0.0, -1.0, 1.0])  # (u, v, w, tr)
 
 
-def _rng(seed: int, substream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64(substream)], dtype=np.uint64)
+def _rng(seed: int, purpose: int, index: int) -> np.random.Generator:
+    """Philox generator keyed (seed, purpose * 2^56 + index): for
+    index < 2^56, distinct (seed, purpose, index) triples share no key."""
+    key = np.array([seed, (purpose << 56) + index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -211,30 +220,31 @@ class _WindowTables:
 
     Step j (0 <= j < steps) of a pulse window applies m_j = expm(L0 dt)
     (``_no_jump_generator``) at the step's midpoint Rabi rate; boundary j
-    lies after j steps. The window splits into segments of `seg` steps, at
-    most 9 min(t1, t2): the symmetric part of L0 has eigenvalues 0, -1/t1
+    lies after j steps. The window splits into segments [a, b) between
+    consecutive entries of `bounds`, of `seg` steps except perhaps the last,
+    at most 9 min(t1, t2): the symmetric part of L0 has eigenvalues 0, -1/t1
     and -1/t2 (twice), so a product over time T has condition number at
     most e^(T / min(t1, t2)) <= e^9 and the reset columns stay accurate.
 
-    - c[i][l][j]: entry (i, l) of C_j, the product of the steps from the
-      start of the segment holding step j-1 through step j-1 (C_0 = I);
-      its row 3 maps a state to its trace;
+    - C_j is the product of the steps from the start of the segment holding
+      step j-1 through step j-1 (C_0 = I);
+    - trace_row[l][j]: entry (3, l) of C_j, the row that maps a state to its
+      trace;
+    - ends[s]: C_b at the end b = bounds[s + 1] of segment s, the whole
+      product over that segment;
     - reset[:, k]: the ground state (0, 0, -1, 1) mapped by the inverse of
-      the product that continues from boundary k, which is the identity at
-      a segment start;
-    - seg_end[k]: the boundary where that product ends;
+      C_k, which is the identity at a segment start;
     - decay[i]: expm(L0 gaps[i]) at zero drive, over the drive-free gaps
       after pulse i (the ground state is its fixed point).
 
-    A trajectory anchored at boundary k with state x carries y, with
-    x = C_k y (y = x at a segment start, y = reset[:, k] after a click at
-    k); for k < j <= seg_end[k] its state is C_j y.
+    A trajectory anchored at boundary k of segment [a, b) with state x
+    carries y, with x = C_k y (y = x at a, y = reset[:, k] after a click at
+    k); for k < j <= b its state is C_j y.
     """
 
     def __init__(self, params: EmitterParams, train: PulseTrain, steps: int):
         half = train._half_window()
         drive = train.drive(center=half)
-        self.steps = steps
         self.dt = dt = 2.0 * half / steps
         omegas = drive.omega((np.arange(steps) + 0.5) * dt)
         free = _no_jump_generator(params, 0.0)
@@ -254,26 +264,20 @@ class _WindowTables:
         c = np.concatenate([np.eye(4)[None], prod.reshape(-1, 4, 4)[:steps]])
         reset = np.linalg.solve(c, np.broadcast_to(_GROUND[:, None], (steps + 1, 4, 1)))[..., 0]
         reset[::seg] = _GROUND
-        # One contiguous array per matrix entry: per-trajectory gathers from
-        # 1-D tables are several times faster than from stacked ones.
-        self.c = [[np.ascontiguousarray(c[:, i, j]) for j in range(4)] for i in range(4)]
+        self.bounds = list(range(0, steps, seg)) + [steps]
+        self.ends = c[self.bounds[1:]]
+        # One contiguous array per entry: per-trajectory gathers from 1-D
+        # tables are several times faster than from stacked ones.
+        self.trace_row = [np.ascontiguousarray(c[:, 3, l]) for l in range(4)]
         self.reset = np.ascontiguousarray(reset.T)
-        self.seg_end = np.minimum((np.arange(steps + 1) // seg + 1) * seg, steps)
         self.gaps = (train.separation - 2.0 * half, train.pair_period - train.separation - 2.0 * half)
         self.decay = _expm(np.multiply.outer(self.gaps, free))
 
     def trace_at(self, j, y) -> np.ndarray:
         """tr(C_j y) for the (4, n) anchored states y."""
-        return self._row(3, j, y)
-
-    def propagate(self, j, y) -> np.ndarray:
-        """C_j y for the (4, n) anchored states y."""
-        return np.stack([self._row(i, j, y) for i in range(4)])
-
-    def _row(self, i, j, y) -> np.ndarray:
         # Elementwise sums: a matrix product would hand these
         # per-trajectory arrays to multithreaded BLAS.
-        row = self.c[i]
+        row = self.trace_row
         return row[0].take(j) * y[0] + row[1].take(j) * y[1] + row[2].take(j) * y[2] + row[3].take(j) * y[3]
 
 
@@ -305,58 +309,47 @@ def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx
     The law is that of marching step by step: after each step tr(x) is
     tested against the threshold; below it, the emitter clicks at that
     boundary (the tag time interpolates log-linearly within the step) and
-    resets to the ground state. Each pass moves every unfinished trajectory
-    to its next event: the first boundary below its threshold (binary
-    search; tr(x) does not increase between clicks), else its segment end or the
-    window end. The unfinished trajectories are kept as compacted arrays in
-    ascending order, so the thresholds of one pass are drawn in that order.
+    resets to the ground state. The window runs one table segment [a, b)
+    at a time, and a segment in passes. A pass moves every trajectory still
+    in the segment to b with the segment's product C_b (state.x then holds
+    where it ends unless it clicks first) and tests the trace there. Those
+    that stay above their threshold are done; the others find their first
+    boundary below it by binary search (tr(x) does not increase between
+    clicks), click there, re-anchor and take part in the next pass.
+
+    Draw order: the trajectories of a pass are kept in ascending order, so
+    its clicks draw their new thresholds in that order, and the draws of
+    one segment all precede those of the next.
     """
-    steps, dt = tab.steps, tab.dt
-    idx = np.arange(state.n)
-    k = np.zeros(state.n, dtype=np.int64)
-    y = state.x.copy()  # boundary 0 starts a segment
-    s_anchor = y[3].copy()
-    u = state.thresh.copy()
-    while len(idx):
-        stop = tab.seg_end.take(k)
-        fell = tab.trace_at(stop, y) < u
-        jp = np.flatnonzero(fell)
-        mp = np.flatnonzero(~fell)
-
-        if len(jp):
-            # The last boundary lo in [k, stop) with tr(C_lo y) >= u, in
-            # binary steps of falling size; a candidate past stop is clamped
-            # to stop, where the trace is below u, so it is never taken.
-            ka, yj, uj = k.take(jp), y.take(jp, axis=1), u.take(jp)
-            lo, stop_j = ka, stop.take(jp)
-            for shift in reversed(range(int((stop_j - ka).max() - 1).bit_length())):
-                cand = np.minimum(lo + (1 << shift), stop_j)
-                lo = lo + (cand - lo) * (tab.trace_at(cand, yj) >= uj)
+    for a, b, end in zip(tab.bounds[:-1], tab.bounds[1:], tab.ends):
+        y = state.x  # C_a = I at a segment start
+        idx, k, s_anchor = np.arange(state.n), np.full(state.n, a), y[3]
+        state.x = np.einsum("ij,jn->in", end, y)  # no BLAS threads
+        while True:
+            # state.x[:, idx] = C_b y
+            jp = np.flatnonzero(state.x[3].take(idx) < state.thresh.take(idx))
+            if not len(jp):
+                break
+            idx, k, y, s_anchor = idx.take(jp), k.take(jp), y.take(jp, axis=1), s_anchor.take(jp)
+            # The last boundary lo in [k, b) with tr(C_lo y) >= u, in binary
+            # steps of falling size; a candidate past b is clamped to b,
+            # where the trace is below u, so it is never taken.
+            u = state.thresh.take(idx)
+            lo = k
+            for shift in reversed(range(int(b - k.min() - 1).bit_length())):
+                cand = np.minimum(lo + (1 << shift), b)
+                lo = lo + (cand - lo) * (tab.trace_at(cand, y) >= u)
             hi = lo + 1
-            s0 = np.where(lo == ka, s_anchor.take(jp), tab.trace_at(lo, yj))
+            s0 = np.where(lo == k, s_anchor, tab.trace_at(lo, y))
             # a trace below a tiny threshold can round to <= 0
-            s1 = np.maximum(tab.trace_at(hi, yj), np.finfo(float).tiny)
-            frac = np.log(s0 / uj) / np.log(s0 / s1)
-            jmp = idx.take(jp)
-            state.record(jmp, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * dt, pulse_idx)
-            state.reset_ground(jmp)
-            k[jp] = hi
-            y[:, jp] = tab.reset[:, hi]
-            s_anchor[jp] = 1.0
-            u[jp] = state.thresh.take(jmp)
-
-        if len(mp):
-            st = stop.take(mp)
-            x = tab.propagate(st, y.take(mp, axis=1))
-            end = st == steps
-            state.x[:, idx.take(mp[end])] = x[:, end]
-            # a segment end starts the next segment, where y = x
-            k[mp] = st
-            y[:, mp] = x
-            s_anchor[mp] = x[3]
-
-        go = np.flatnonzero(k < steps)
-        idx, k, y, s_anchor, u = idx.take(go), k.take(go), y.take(go, axis=1), s_anchor.take(go), u.take(go)
+            s1 = np.maximum(tab.trace_at(hi, y), np.finfo(float).tiny)
+            frac = np.log(s0 / u) / np.log(s0 / s1)
+            state.record(idx, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * tab.dt, pulse_idx)
+            state.reset_ground(idx)  # a click at b leaves the ground state there
+            go = np.flatnonzero(hi < b)
+            idx, k = idx.take(go), hi.take(go)
+            y, s_anchor = tab.reset[:, k], np.ones(len(k))
+            state.x[:, idx] = np.einsum("ij,jn->in", end, y)
 
 
 def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, decay):
@@ -408,8 +401,8 @@ def simulate_stream(
     """Quantum-jump Monte Carlo photon stream for a two-pulse train.
 
     The stream is a function of (params, train, seed, steps_per_pulse):
-    pairs are split into fixed chunks of 2^16, chunk i draws from the
-    Philox key (seed, i), and `workers` only sets how many threads (at most
+    pairs are split into fixed chunks of 2^16, chunk i draws from
+    `_rng(seed, _STREAM, i)`, and `workers` only sets how many threads (at most
     the core count) run the chunks.
     """
     if workers < 1:
@@ -423,7 +416,7 @@ def simulate_stream(
     def run(chunk):
         lo = chunk * _CHUNK_PAIRS
         size = min(_CHUNK_PAIRS, n - lo)
-        idx, t_local, pulse = _simulate_chunk(params, train, tables, _rng(seed, chunk), size)
+        idx, t_local, pulse = _simulate_chunk(params, train, tables, _rng(seed, _STREAM, chunk), size)
         return idx + lo, t_local, pulse
 
     threads = min(workers, os.cpu_count() or 1, n_chunks)
@@ -591,6 +584,10 @@ def pulsed_hom(
     2*A_orth(0)/(n*S), with S the per-cycle probability of a meeting
     computed from the recorded per-pulse counts; for weak contamination the
     correction reduces to the familiar (1 + 4g) inflation.
+
+    The two configurations route with `_rng(seed, purpose, 0)` under their
+    own purposes, so the stream's seed may be passed: no key is shared
+    with any stream chunk.
     """
     if not 0.0 <= overlap_true <= 1.0:
         raise ValueError("overlap_true must lie in [0, 1]")
@@ -604,9 +601,10 @@ def pulsed_hom(
     if stream.n_tags == 0:
         raise ValueError("empty photon stream")
 
-    slot_par, det_par = _route_config(stream, _rng(seed, 0), splitter_ratio, True, overlap_true)
+    rng_par, rng_ort = _rng(seed, _ROUTE_PARALLEL, 0), _rng(seed, _ROUTE_ORTHOGONAL, 0)
+    slot_par, det_par = _route_config(stream, rng_par, splitter_ratio, True, overlap_true)
     areas_par = _cluster_areas(stream, slot_par, det_par)
-    slot_ort, det_ort = _route_config(stream, _rng(seed, 1), splitter_ratio, False, 0.0)
+    slot_ort, det_ort = _route_config(stream, rng_ort, splitter_ratio, False, 0.0)
     areas_ort = _cluster_areas(stream, slot_ort, det_ort)
 
     counts = stream.counts_per_pulse()  # int64: the dot below stays out of BLAS

@@ -14,7 +14,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from cohscat.emitter import HBAR_UEV_NS, DriveField, EmitterParams, IntegrationError, steady_state
 from cohscat.fock import CircuitElement
-from cohscat.pulsed import _CHUNK_PAIRS, PhotonStream, PulseTrain, _rng
+from cohscat.pulsed import _CHUNK_PAIRS, _STREAM, PhotonStream, PulseTrain, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
 from cohscat.spectrum import GridError, SpectralResponse, SpectrumTrace, _uniform_spacing, lorentzian
 
@@ -243,8 +243,9 @@ class _WindowTables:
 
     Step j (0 <= j < steps) applies m_j = expm(G dt) (`_expm_2x2`), G the
     non-Hermitian no-jump generator at the step's midpoint Rabi rate;
-    boundary j lies after j steps. The window splits into segments of `seg` steps (about
-    18 t1, so |det| >= e^-9 and the inverses stay well conditioned):
+    boundary j lies after j steps. The window splits into segments [a, b)
+    between consecutive entries of `bounds`, of `seg` steps (about 18 t1,
+    so |det| >= e^-9 and the inverses stay well conditioned):
 
     - c[j]: the product of the steps from the start of the segment holding
       step j-1 through step j-1 (c[0] = I);
@@ -252,9 +253,9 @@ class _WindowTables:
       the identity at a segment start;
     - g00, g11, g01: the entries of c[j]^H c[j].
 
-    A trajectory anchored at boundary k with state x carries y = inv[k] x;
-    for k < j <= seg_end[k] its state is c[j] y and its squared norm the
-    quadratic form of y under the Gram entries at j.
+    A trajectory anchored at boundary k of segment [a, b) with state x
+    carries y = inv[k] x; for k < j <= b its state is c[j] y and its
+    squared norm the quadratic form of y under the Gram entries at j.
     """
 
     def __init__(self, params: EmitterParams, train: PulseTrain, steps: int, segment_t1: float):
@@ -292,7 +293,7 @@ class _WindowTables:
         self.g00 = np.abs(c00) ** 2 + np.abs(c10) ** 2
         self.g11 = np.abs(c01) ** 2 + np.abs(c11) ** 2
         self.g01 = c00.conj() * c01 + c10.conj() * c11
-        self.seg_end = np.minimum((np.arange(steps + 1) // seg + 1) * seg, steps)
+        self.bounds = list(range(0, steps, seg)) + [steps]
         gamma_phi = params.gamma_phi
         self.flip_p = -math.expm1(-0.5 * gamma_phi * dt) if gamma_phi > 0 else 0.0
 
@@ -338,74 +339,78 @@ def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx
     The law is that of marching step by step: after each step the squared
     norm is tested against the threshold (a jump resets to the ground state
     at that boundary; its time interpolates log-linearly within the step),
-    then the coherence sign flips with probability flip_p. Each pass moves
-    every unfinished trajectory to its next event: the first boundary
+    then the coherence sign flips with probability flip_p. The window runs
+    one table segment [a, b) at a time, in passes that move every
+    trajectory still in the segment to its next event: the first boundary
     below its threshold (bisection; the norm does not increase between
-    events), else its next flip, segment end or the window end.
+    events), else its next flip or b. Within a segment the passes run in
+    order, so the draws of one segment all precede those of the next.
     """
-    rng, steps, dt = state.rng, tab.steps, tab.dt
-    k = np.zeros(state.n, dtype=np.int64)
-    y0, y1 = state.ce.copy(), state.cg.copy()
-    s_anchor = np.abs(y0) ** 2 + np.abs(y1) ** 2
+    rng, dt = state.rng, tab.dt
     flip = tab.flip_gaps(rng, state.n)
-    act = np.arange(state.n)
-    while len(act):
-        ka = k[act]
-        stop = np.minimum(np.minimum(flip[act], tab.seg_end[ka]), steps)
-        ya0, ya1 = y0[act], y1[act]
-        quad = (np.abs(ya0) ** 2, np.abs(ya1) ** 2, ya0.conj() * ya1)
-        u = state.thresh[act]
-        fell = tab.norm(stop, *quad) < u
-        finished = []
+    for a, b in zip(tab.bounds[:-1], tab.bounds[1:]):
+        k = np.full(state.n, a)
+        # inv[a] = I at a segment start, so y = x
+        y0, y1 = state.ce.copy(), state.cg.copy()
+        s_anchor = np.abs(y0) ** 2 + np.abs(y1) ** 2
+        act = np.arange(state.n)
+        while len(act):
+            ka = k[act]
+            stop = np.minimum(flip[act], b)
+            ya0, ya1 = y0[act], y1[act]
+            quad = (np.abs(ya0) ** 2, np.abs(ya1) ** 2, ya0.conj() * ya1)
+            u = state.thresh[act]
+            fell = tab.norm(stop, *quad) < u
+            finished = []
 
-        jmp = act[fell]
-        if len(jmp):
-            # Invariant: norm(lo) >= u > norm(hi); mid > lo keeps every
-            # evaluation inside the anchor's segment.
-            lo, hi = ka[fell], stop[fell]
-            qj = tuple(q[fell] for q in quad)
-            uj = u[fell]
-            for _ in range(int((hi - lo).max() - 1).bit_length()):
-                mid = (lo + hi + 1) // 2
-                below = tab.norm(mid, *qj) < uj
-                hi = np.where(below, mid, hi)
-                lo = np.where(below, lo, mid)
-            s0 = np.where(hi - 1 == ka[fell], s_anchor[jmp], tab.norm(hi - 1, *qj))
-            s1 = tab.norm(hi, *qj)
-            frac = np.log(s0 / uj) / np.log(s0 / s1)
-            state.record(jmp, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * dt, pulse_idx)
-            state.reset_ground(jmp)
-            k[jmp] = hi
-            y0[jmp] = tab.inv[1][hi]
-            y1[jmp] = tab.inv[3][hi]
-            s_anchor[jmp] = 1.0
-            # A flip at the jump boundary acts on the ground state, where a
-            # sign is a global phase: consume it.
-            hit = jmp[flip[jmp] == hi]
-            flip[hit] += tab.flip_gaps(rng, len(hit))
-            finished.append(jmp[hi == steps])
+            jmp = act[fell]
+            if len(jmp):
+                # Invariant: norm(lo) >= u > norm(hi); mid > lo keeps every
+                # evaluation inside the anchor's segment.
+                lo, hi = ka[fell], stop[fell]
+                qj = tuple(q[fell] for q in quad)
+                uj = u[fell]
+                for _ in range(int((hi - lo).max() - 1).bit_length()):
+                    mid = (lo + hi + 1) // 2
+                    below = tab.norm(mid, *qj) < uj
+                    hi = np.where(below, mid, hi)
+                    lo = np.where(below, lo, mid)
+                s0 = np.where(hi - 1 == ka[fell], s_anchor[jmp], tab.norm(hi - 1, *qj))
+                s1 = tab.norm(hi, *qj)
+                frac = np.log(s0 / uj) / np.log(s0 / s1)
+                state.record(jmp, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * dt, pulse_idx)
+                state.reset_ground(jmp)
+                k[jmp] = hi
+                y0[jmp] = tab.inv[1][hi]
+                y1[jmp] = tab.inv[3][hi]
+                s_anchor[jmp] = 1.0
+                # A flip at the jump boundary acts on the ground state, where a
+                # sign is a global phase: consume it.
+                hit = jmp[flip[jmp] == hi]
+                flip[hit] += tab.flip_gaps(rng, len(hit))
+                finished.append(jmp[hi == b])
 
-        mov = act[~fell]
-        if len(mov):
-            st = stop[~fell]
-            c00, c01, c10, c11 = (m[st] for m in tab.c)
-            ya0, ya1 = ya0[~fell], ya1[~fell]
-            x0 = c00 * ya0 + c01 * ya1
-            x1 = c10 * ya0 + c11 * ya1
-            flipped = flip[mov] == st
-            x1[flipped] = -x1[flipped]
-            hit = mov[flipped]
-            flip[hit] += tab.flip_gaps(rng, len(hit))
-            state.ce[mov] = x0
-            state.cg[mov] = x1
-            i00, i01, i10, i11 = (m[st] for m in tab.inv)
-            k[mov] = st
-            y0[mov] = i00 * x0 + i01 * x1
-            y1[mov] = i10 * x0 + i11 * x1
-            s_anchor[mov] = np.abs(x0) ** 2 + np.abs(x1) ** 2
-            finished.append(mov[st == steps])
+            mov = act[~fell]
+            if len(mov):
+                st = stop[~fell]
+                c00, c01, c10, c11 = (m[st] for m in tab.c)
+                ya0, ya1 = ya0[~fell], ya1[~fell]
+                x0 = c00 * ya0 + c01 * ya1
+                x1 = c10 * ya0 + c11 * ya1
+                flipped = flip[mov] == st
+                x1[flipped] = -x1[flipped]
+                hit = mov[flipped]
+                flip[hit] += tab.flip_gaps(rng, len(hit))
+                state.ce[mov] = x0
+                state.cg[mov] = x1
+                i00, i01, i10, i11 = (m[st] for m in tab.inv)
+                k[mov] = st
+                y0[mov] = i00 * x0 + i01 * x1
+                y1[mov] = i10 * x0 + i11 * x1
+                s_anchor[mov] = np.abs(x0) ** 2 + np.abs(x1) ** 2
+                finished.append(mov[st == b])
 
-        act = np.setdiff1d(act, np.concatenate(finished), assume_unique=True)
+            act = np.setdiff1d(act, np.concatenate(finished), assume_unique=True)
 
 
 def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params):
@@ -466,7 +471,7 @@ def simulate_stream_flips(params, train, seed, steps_per_pulse=4096, segment_t1=
     for chunk in range(-(-n // _CHUNK_PAIRS)):
         lo = chunk * _CHUNK_PAIRS
         size = min(_CHUNK_PAIRS, n - lo)
-        idx, t_local, pulse = _simulate_chunk(params, train, tables, _rng(seed, chunk), size)
+        idx, t_local, pulse = _simulate_chunk(params, train, tables, _rng(seed, _STREAM, chunk), size)
         parts.append((idx + lo, t_local, pulse))
     pair_idx = np.concatenate([p[0] for p in parts])
     t_local = np.concatenate([p[1] for p in parts])
@@ -501,7 +506,7 @@ def synthetic_stream(
     p1 = mean_per_pulse - 2.0 * p2
     if p1 < 0 or p1 + p2 > 1:
         raise ValueError("mean/g combination is not a valid count distribution")
-    rng = _rng(seed, 0)
+    rng = _rng(seed, _STREAM, 0)
     n = train.n_pairs
     counts = rng.choice(3, size=(n, 2), p=[1.0 - p1 - p2, p1, p2])
     flat = counts.reshape(-1)

@@ -268,6 +268,18 @@ def test_pulsed_commands_call_the_library_through_module_globals(tmp_path, monke
         assert {p.name for p in out.iterdir()} == files | {"manifest.json"}, command
 
 
+def test_top_seed_runs_the_pulsed_interference_commands(tmp_path):
+    # The schema accepts seeds up to 2^64 - 1; the interference routing
+    # once keyed itself with seed + 1 and overflowed there.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulse_train": {"n_pairs": 2000}}))
+    for command in (["fig", "fig3c"], ["sim", "hom-pulsed"]):
+        out = tmp_path / command[1]
+        args = ["--config", str(cfg), "--seed", str(2 ** 64 - 1), "--threads", "1", "--out", str(out)]
+        assert run_cli(command + args) == 0, command
+        assert json.loads((out / "manifest.json").read_text())["scenario"]["seed"] == 2 ** 64 - 1
+
+
 def test_every_figure_svg_parses(tmp_path):
     for fig in cli.FIGURE_IDS:
         out = tmp_path / fig

@@ -21,6 +21,7 @@ from conftest import (
 )
 
 PARAMS = cs.default_cavity_params()  # t1 = 0.1072 ns, t2 = 2*t1
+SEGMENTED = cs.EmitterParams(t1=0.01, t2=0.02)  # a 1 ns window spans several table segments
 
 
 def make_train(area_pi, fwhm, n_pairs):
@@ -141,16 +142,38 @@ def test_mc_mean_matches_ode_expectation():
     assert abs(stream.mean_per_pulse - expected) < 3.0 * sigma + 0.002
 
 
-def test_stream_determinism_and_worker_equivalence():
-    # more pairs than one 2^16-pair chunk, so threads really split the work
-    train = make_train(0.71, 0.057, (1 << 16) + 3000)
-    a = cs.simulate_stream(PARAMS, train, seed=11)
-    assert a.pair_index.max() >= 1 << 16
-    for workers in (1, 2, 3):
-        b = cs.simulate_stream(PARAMS, train, seed=11, workers=workers)
-        assert a.times.tobytes() == b.times.tobytes()
-        assert a.pair_index.tobytes() == b.pair_index.tobytes()
-        assert a.pulse_index.tobytes() == b.pulse_index.tobytes()
+def test_stream_determinism_and_worker_equivalence(monkeypatch):
+    # More pairs than one chunk, so threads really split the work; on the
+    # segmented square train smaller chunks keep that cheap.
+    cases = [
+        (PARAMS, make_train(0.71, 0.057, (1 << 16) + 3000), 1 << 16),
+        (SEGMENTED,
+         cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=5000, shape="square"),
+         1 << 11),
+    ]
+    for params, train, chunk in cases:
+        monkeypatch.setattr(pulsed, "_CHUNK_PAIRS", chunk)
+        a = cs.simulate_stream(params, train, seed=11)
+        assert a.pair_index.max() >= chunk
+        for workers in (1, 2, 3):
+            b = cs.simulate_stream(params, train, seed=11, workers=workers)
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.pair_index.tobytes() == b.pair_index.tobytes()
+            assert a.pulse_index.tobytes() == b.pulse_index.tobytes()
+
+
+def test_rng_keys_of_neighbouring_seeds_are_distinct():
+    # The pulsed-HOM routing at seed S once drew the stream deviates of
+    # seed S + 1; the top seed overflowed S + 1.
+    def key(seed, purpose, index):
+        return tuple(int(v) for v in pulsed._rng(seed, purpose, index).bit_generator.state["state"]["key"])
+
+    purposes = (pulsed._STREAM, pulsed._ROUTE_PARALLEL, pulsed._ROUTE_ORTHOGONAL)
+    for seed in (0, 7, 12345, 2 ** 64 - 2):
+        triples = list(itertools.product((seed, seed + 1), purposes, range(4)))
+        assert len({key(*t) for t in triples}) == len(triples)
+    # stream chunks keep the key (seed, chunk), so streams keep their values
+    assert key(12345, pulsed._STREAM, 3) == (12345, 3)
 
 
 def test_thread_pool_is_capped(monkeypatch):
@@ -246,30 +269,29 @@ def test_window_tables_match_sequential_products():
         tab = pulsed._WindowTables(params, train, steps)
         dt = 2.0 * train._half_window() / steps
         drive = train.drive(center=train._half_window())
-        c = np.array(tab.c).transpose(2, 0, 1)
         seg = int(pulsed._SEGMENT_T * min(params.t1, params.t2) / dt)
         starts = set(range(0, steps, seg))
         assert len(starts) > 2
-        # the no-jump products over at most 9 min(t1, t2) stay well conditioned
-        assert np.linalg.cond(c).max() <= math.exp(9.0)
-        prod = np.eye(4)
+        assert tab.bounds == sorted(starts) + [steps]
+        prods = [np.eye(4)]
         for j in range(1, steps + 1):
-            if j - 1 in starts:
-                prod = np.eye(4)
-            prod = expm(pulsed._no_jump_generator(params, drive.omega((j - 0.5) * dt)) * dt) @ prod
-            np.testing.assert_allclose(c[j], prod, rtol=0, atol=1e-12)
+            prod = np.eye(4) if j - 1 in starts else prods[-1]
+            prods.append(expm(pulsed._no_jump_generator(params, drive.omega((j - 0.5) * dt)) * dt) @ prod)
+        prods = np.array(prods)
+        # the no-jump products over at most 9 min(t1, t2) stay well conditioned
+        assert np.linalg.cond(prods).max() <= math.exp(9.0)
+        np.testing.assert_allclose(np.array(tab.trace_row).T, prods[:, 3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tab.ends, prods[tab.bounds[1:]], rtol=0, atol=1e-12)
         for k in range(steps + 1):
-            expected = ground if k in starts else np.linalg.solve(c[k], ground)
+            expected = ground if k in starts else np.linalg.solve(prods[k], ground)
             np.testing.assert_allclose(tab.reset[:, k], expected, rtol=1e-9, atol=1e-9)
-            assert tab.seg_end[k] == min([b for b in starts if b > k] + [steps])
 
 
 @pytest.mark.parametrize(
     "params, train",
     [
         (PARAMS, make_train(0.71, 0.057, 100000)),
-        (cs.EmitterParams(t1=0.01, t2=0.02),
-         cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")),
+        (SEGMENTED, cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")),
     ],
     ids=["default", "segmented-square"],
 )
@@ -305,7 +327,7 @@ def test_stream_draws_one_deviate_per_trajectory_and_click(monkeypatch):
             return self.gen.random(n)
 
     keyed = pulsed._rng
-    monkeypatch.setattr(pulsed, "_rng", lambda seed, chunk: Counting(keyed(seed, chunk)))
+    monkeypatch.setattr(pulsed, "_rng", lambda seed, purpose, index: Counting(keyed(seed, purpose, index)))
     train = make_train(3.0, 0.4, 5000)
     stream = cs.simulate_stream(DENSE, train, seed=5)
     assert DENSE.gamma_phi > 0 and stream.n_tags > train.n_pairs

@@ -1,10 +1,11 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 
 from cohscat import _text
-from cohscat._svg import render_lines
+from cohscat._svg import _ticks, render_lines
 from conftest import assert_same_text, render_lines_per_point
 
 NAN, INF = math.nan, math.inf
@@ -60,6 +61,31 @@ def _pixel_edges():
     near = np.concatenate([ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)])
     edges = [0.0, -0.0, -0.04, -0.05, 0.05, 0.25, 99999.94, 99999.95, 99999.96, 1e5, -1e5, 5e-324, -5e-324]
     return np.concatenate([near, edges, [INF, -INF, NAN]])
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[0.0, 3.5e-323], [1.0, 1.0 + 2.2e-16]],
+    ids=["subnormal-span", "span-below-half-an-ulp"],
+)
+def test_degenerate_axis_spans_render(tmp_path, x):
+    # A subnormal span underflows the tick magnitude to 0; on a span below
+    # half an ulp of its ends a tick step cannot advance. An alarm turns a
+    # tick loop that never ends into a failure.
+    def timeout(signum, frame):
+        raise TimeoutError("tick loop did not end")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        ticks = _ticks(min(x), max(x))
+        render_lines(tmp_path / "new.svg", {"s": (x, [0.0, 1.0])})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert 1 <= len(ticks) <= 8
+    render_lines_per_point(tmp_path / "oracle.svg", {"s": (x, [0.0, 1.0])})
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "oracle.svg").read_bytes()
 
 
 def test_pixel_text_matches_python_formatting():
