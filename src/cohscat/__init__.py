@@ -33,7 +33,6 @@ from .emitter import (
     GatingModel,
     IntegrationError,
     default_bulk_params,
-    default_cavity_params,
     derive_cavity_params,
     evolve,
     rrs_fraction,

@@ -22,12 +22,13 @@ from . import _text
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
+_TICKS = 6  # target number of tick intervals per axis
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     # on a subnormal span mag can underflow to 0; raw itself is then the step
     step = min((s * mag for s in (1, 2, 5, 10) if s * mag >= raw), default=raw)

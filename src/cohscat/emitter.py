@@ -32,13 +32,14 @@ class EmitterParams:
     t1 : radiative lifetime (ns)
     t2 : coherence time (ns), bounded by 0 < t2 <= 2*t1
     detuning : laser-transition detuning (rad/ns)
-    cavity_q : device metadata, not used by the dynamics
+
+    A cavity enters only through these numbers: the Purcell-shortened t1
+    and the coherence ratio t2/(2*t1) (see ``derive_cavity_params``).
     """
 
     t1: float
     t2: float
     detuning: float = 0.0
-    cavity_q: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.t1) and self.t1 > 0):
@@ -55,11 +56,6 @@ class EmitterParams:
         return 2.0 * HBAR_UEV_NS / self.t2
 
     @property
-    def gamma(self) -> float:
-        """Radiative decay rate 1/t1 (1/ns)."""
-        return 1.0 / self.t1
-
-    @property
     def gamma_phi(self) -> float:
         """Pure-dephasing rate 1/t2 - 1/(2*t1) (1/ns), zero at t2 = 2*t1."""
         return max(0.0, 1.0 / self.t2 - 0.5 / self.t1)
@@ -68,18 +64,7 @@ class EmitterParams:
         """Same lifetime, coherence time set to ratio * 2 * t1."""
         if not 0 < ratio <= 1:
             raise ValueError(f"coherence ratio must lie in (0, 1], got {ratio}")
-        return EmitterParams(
-            t1=self.t1,
-            t2=ratio * 2.0 * self.t1,
-            detuning=self.detuning,
-            cavity_q=self.cavity_q,
-        )
-
-
-def default_cavity_params(linewidth_uev: float = 6.14, cavity_q: float = 8900.0) -> EmitterParams:
-    """Lifetime-limited emitter whose linewidth matches the given FWHM (µeV)."""
-    t2 = 2.0 * HBAR_UEV_NS / linewidth_uev
-    return EmitterParams(t1=t2 / 2.0, t2=t2, cavity_q=cavity_q)
+        return EmitterParams(t1=self.t1, t2=ratio * 2.0 * self.t1, detuning=self.detuning)
 
 
 def default_bulk_params() -> EmitterParams:
@@ -87,12 +72,7 @@ def default_bulk_params() -> EmitterParams:
     return EmitterParams(t1=1.0, t2=0.6)
 
 
-def derive_cavity_params(
-    t1_bulk: float,
-    purcell_factor: float,
-    coherence_ratio: float,
-    cavity_q: float | None = None,
-) -> EmitterParams:
+def derive_cavity_params(t1_bulk: float, purcell_factor: float, coherence_ratio: float) -> EmitterParams:
     """Lifetime-reduced parameters: t1 = t1_bulk/purcell, t2 = ratio * 2 * t1."""
     if t1_bulk <= 0:
         raise ValueError("t1_bulk must be positive")
@@ -101,11 +81,7 @@ def derive_cavity_params(
     if not 0 < coherence_ratio <= 1:
         raise ValueError(f"coherence_ratio must lie in (0, 1], got {coherence_ratio}")
     t1 = t1_bulk / purcell_factor
-    return EmitterParams(
-        t1=t1,
-        t2=coherence_ratio * 2.0 * t1,
-        cavity_q=cavity_q,
-    )
+    return EmitterParams(t1=t1, t2=coherence_ratio * 2.0 * t1)
 
 
 @dataclass(frozen=True)
@@ -254,22 +230,21 @@ def evolve(
     drive: DriveField,
     initial: BlochState,
     t_grid,
-    tol: float = 1e-10,
 ) -> list[BlochState]:
     """Propagate the Bloch equations along t_grid with the given drive.
 
     Where the drive is constant (CW, either side of a square edge) each grid
     interval is one exact matrix exponential; across a gaussian pulse the
     split steps of ``_propagate`` are refined until their estimated error
-    is below ``tol``. The grid must be strictly increasing and the first
-    entry is the initial time.
+    is below ``_SPLIT_TOL``. The grid must be strictly increasing and the
+    first entry is the initial time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid must contain at least two times")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    xs = _propagate(params, drive, np.append(initial.as_array(), [1.0, 0.0]), t_grid, tol)
+    xs = _propagate(params, drive, np.append(initial.as_array(), [1.0, 0.0]), t_grid)
     return [BlochState(*_clip_to_ball(x[:3])) for x in xs.T]
 
 
@@ -340,10 +315,11 @@ def _expm(m) -> np.ndarray:
 _GAUSS_REACH_SIGMAS = 10.0
 _MIN_STEPS = 16  # split steps across a gaussian before the first doubling
 _MAX_DOUBLINGS = 13
+_SPLIT_TOL = 1e-10  # error estimate at which the doubling stops
 _ANGLE_BLOCK = 64  # steps whose rotation angles are computed together
 
 
-def _propagate(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
+def _propagate(params, drive, x0, t_grid, scale=1.0) -> np.ndarray:
     """States on t_grid from x0 at t_grid[0], shape x0.shape + (len(t_grid),).
 
     x0 holds (u, v, w, tr, n) (see ``_generator``), one column per emitter
@@ -355,7 +331,7 @@ def _propagate(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
     symmetric, so its error expands in even powers of h: the Richardson
     value (4 x_2N - x_N) / 3 is fourth order, and N doubles until that
     value's change over the last doubling, divided by 15 (its error
-    estimate), is below ``tol``.
+    estimate), is below ``_SPLIT_TOL``.
     """
     x0 = np.asarray(x0, dtype=float)
     cols = x0.reshape(len(x0), -1)  # (dim, columns)
@@ -405,10 +381,10 @@ def _propagate(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
     for doublings in range(1, _MAX_DOUBLINGS + 1):
         fine = march(doublings)
         previous, richardson = richardson, (4.0 * fine - coarse) / 3.0
-        if previous is not None and np.max(np.abs(richardson - previous)) / 15.0 < tol:
+        if previous is not None and np.max(np.abs(richardson - previous)) / 15.0 < _SPLIT_TOL:
             return richardson
         coarse = fine
-    raise IntegrationError(f"split steps did not reach tol = {tol} at {_MIN_STEPS << _MAX_DOUBLINGS} steps")
+    raise IntegrationError(f"split steps did not reach tol {_SPLIT_TOL} at {_MIN_STEPS << _MAX_DOUBLINGS} steps")
 
 
 def _split_steps(x, drive, scale, t_start, h, steps, half) -> np.ndarray:

@@ -18,6 +18,7 @@ from .emitter import EmitterParams
 
 PARALLEL = "parallel"
 ORTHOGONAL = "orthogonal"
+_IRF_FWHM_MAX = 2.0  # ns; widest detector response the IRF solve tries
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,14 @@ def solve_timing_for_visibility(
     setup: HomSetup,
     tau_grid,
     target: float = 0.89,
-    fwhm_max: float = 2.0,
 ) -> float:
     """Detector-response FWHM (ns) at which the peak visibility equals target.
 
     Peak visibility falls monotonically from 1 as the IRF smears the
-    parallel dip, so a scalar bracket suffices. The IRF only smooths the
-    two traces, so they are built once and each trial width convolves them.
+    parallel dip, so a scalar bracket suffices: the width doubles from the
+    grid spacing until the visibility drops below target, and a width past
+    `_IRF_FWHM_MAX` raises ValueError. The IRF only smooths the two traces,
+    so they are built once and each trial width convolves them.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target visibility must lie in (0, 1)")
@@ -158,8 +160,8 @@ def solve_timing_for_visibility(
     while f_hi > 0:
         f_lo = f_hi
         hi *= 2.0
-        if hi > fwhm_max:
-            raise ValueError(f"no IRF below {fwhm_max} ns yields visibility {target}")
+        if hi > _IRF_FWHM_MAX:
+            raise ValueError(f"no IRF below {_IRF_FWHM_MAX} ns yields visibility {target}")
         f_hi = peak(hi) - target
     if f_hi == 0:
         return float(hi)

@@ -54,12 +54,17 @@ _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
 _STREAM, _ROUTE_PARALLEL, _ROUTE_ORTHOGONAL = range(3)  # Philox key purposes
 _SEGMENT_T = 9.0  # propagator-table segment length, in min(t1, t2)
+_STEPS_PER_PULSE = 4096  # pulse-window steps of the jump engine
+_MAX_SIDE_LAG = 20  # side clusters of `hbt_analyze`, in pair periods
+_SPLITTER_RATIO = 0.5  # long-arm probability of `pulsed_hom`'s interferometer
 _GROUND = np.array([0.0, 0.0, -1.0, 1.0])  # (u, v, w, tr)
 
 
 def _rng(seed: int, purpose: int, index: int) -> np.random.Generator:
     """Philox generator keyed (seed, purpose * 2^56 + index): for
     index < 2^56, distinct (seed, purpose, index) triples share no key."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([seed, (purpose << 56) + index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -72,6 +77,10 @@ class PulseTrain:
     pulse_fwhm : ns (square pulses use this as the duration)
     separation : ns between the two pulses of a pair
     pair_period: ns between consecutive pairs
+
+    Each pulse runs in a window of width 2 * _half_window() (the square
+    pulse, or 10 sigma of a gaussian), shorter than both separation and
+    pair_period - separation: no two windows overlap, within or across cycles.
     """
 
     pulse_area: float
@@ -94,7 +103,7 @@ class PulseTrain:
             raise ValueError("n_pairs must be >= 1")
         if self.shape not in ("square", "gaussian"):
             raise ValueError(f"unknown pulse shape {self.shape!r}")
-        if 2.0 * self._half_window() >= self.separation:
+        if 2.0 * self._half_window() >= min(self.separation, self.pair_period - self.separation):
             raise ValueError("pulse windows overlap; reduce pulse_fwhm")
 
     def _half_window(self) -> float:
@@ -160,7 +169,6 @@ def rabi_curve(
     areas,
     pulse_fwhm: float,
     shape: str = "gaussian",
-    tol: float = 1e-10,
 ) -> list[tuple[float, float]]:
     """Expected photons emitted per pulse versus pulse area.
 
@@ -175,7 +183,8 @@ def rabi_curve(
     columns of one (5, n_areas) state under the unit-area pulse scaled per
     column (see ``emitter._propagate``): a square pulse and the decay tail
     are one matrix exponential each, and a gaussian pulse takes split steps
-    whose count doubles until the estimated error is below ``tol``.
+    whose count doubles until the estimated error is below
+    ``emitter._SPLIT_TOL``.
     """
     areas = np.asarray(areas, dtype=float)
     if not (math.isfinite(pulse_fwhm) and pulse_fwhm > 0):
@@ -199,7 +208,7 @@ def rabi_curve(
         unit = DriveField.from_area(1.0, shape, pulse_fwhm, t0=t0)
         t_end = t_pulse_end + 15.0 * params.t1
         x0 = np.tile([[0.0], [0.0], [-1.0], [1.0], [0.0]], np.count_nonzero(driven))
-        x = _propagate(params, unit, x0, np.array([0.0, t_end]), tol, scale=areas[driven])
+        x = _propagate(params, unit, x0, np.array([0.0, t_end]), scale=areas[driven])
         photons[driven] = x[4, :, -1]
     return [(float(a), float(n)) for a, n in zip(areas, photons)]
 
@@ -289,9 +298,9 @@ class _ChunkState:
         self.rng = rng
         self.x = np.repeat(_GROUND[:, None], n, axis=1)
         self.thresh = rng.random(n)
-        self.tag_time: list[np.ndarray] = []
-        self.tag_idx: list[np.ndarray] = []
-        self.tag_pulse: list[np.ndarray] = []
+        self.tag_time = [np.empty(0)]
+        self.tag_idx = [np.empty(0, dtype=np.int64)]
+        self.tag_pulse = [np.empty(0, dtype=np.int64)]
 
     def record(self, idx, times, pulse):
         self.tag_idx.append(np.asarray(idx, dtype=np.int64))
@@ -356,8 +365,6 @@ def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, deca
     """Drive-free stretch: at most one click per trajectory, at the time
     where rho_gg + rho_ee e^(-t/t1) meets the threshold, then the exact
     propagator ``decay``."""
-    if length <= 0:
-        return
     gamma = 1.0 / params.t1
     x = state.x
     pe = 0.5 * (x[3] + x[2])
@@ -374,21 +381,11 @@ def _simulate_chunk(params, train, tables, rng, n_chunk):
     state = _ChunkState(n_chunk, rng)
     # Local timeline: pulse 0 spans [-half, half] around 0, pulse 1 around
     # `separation`; the cycle ends where the next cycle's window begins.
-    if tables is not None:  # zero-area pulses excite nothing
-        half = train._half_window()
-        for pulse, center in enumerate((0.0, train.separation)):
-            _run_pulse_window(state, tables, center - half, pulse)
-            _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, tables.decay[pulse])
-
-    if state.tag_idx:
-        idx = np.concatenate(state.tag_idx)
-        t_local = np.concatenate(state.tag_time)
-        pulse = np.concatenate(state.tag_pulse)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        t_local = np.empty(0, dtype=float)
-        pulse = np.empty(0, dtype=np.int64)
-    return idx, t_local, pulse
+    half = train._half_window()
+    for pulse, center in enumerate((0.0, train.separation)):
+        _run_pulse_window(state, tables, center - half, pulse)
+        _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, tables.decay[pulse])
+    return np.concatenate(state.tag_idx), np.concatenate(state.tag_time), np.concatenate(state.tag_pulse)
 
 
 def simulate_stream(
@@ -396,20 +393,18 @@ def simulate_stream(
     train: PulseTrain,
     seed: int,
     workers: int = 1,
-    steps_per_pulse: int = 4096,
 ) -> PhotonStream:
     """Quantum-jump Monte Carlo photon stream for a two-pulse train.
 
-    The stream is a function of (params, train, seed, steps_per_pulse):
-    pairs are split into fixed chunks of 2^16, chunk i draws from
-    `_rng(seed, _STREAM, i)`, and `workers` only sets how many threads (at most
-    the core count) run the chunks.
+    The stream is a function of (params, train, seed): each pulse window
+    takes `_STEPS_PER_PULSE` steps, pairs are split into fixed chunks of
+    2^16, chunk i draws from `_rng(seed, _STREAM, i)`, and `workers` only
+    sets how many threads (at most the core count) run the chunks. A seed
+    outside [0, 2^64) raises ValueError.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if steps_per_pulse < 1:
-        raise ValueError("steps_per_pulse must be >= 1")
-    tables = _WindowTables(params, train, steps_per_pulse) if train.pulse_area > 0 else None
+    tables = _WindowTables(params, train, _STEPS_PER_PULSE)
     n = train.n_pairs
     n_chunks = -(-n // _CHUNK_PAIRS)
 
@@ -470,10 +465,11 @@ class PeakReport:
             raise ValueError("overlap estimate must lie in [0, 1]")
 
 
-def hbt_analyze(stream: PhotonStream, max_side_lag: int = 20) -> PeakReport:
+def hbt_analyze(stream: PhotonStream) -> PeakReport:
     """Cluster the pulsed autocorrelation and form the two-photon metric.
 
-    The metric normalizes the same-pulse pair count by the mean
+    Cluster areas are kept for pair-period lags 0 to `_MAX_SIDE_LAG` (or
+    n_pairs - 1 when fewer). The metric normalizes the same-pulse pair count by the mean
     uncorrelated cluster area at lags of two or more pair periods, matching
     the combination multiplicity of the central sub-peak (the lag-d*period
     sub-peak collects both same-pulse-index products, exactly like the
@@ -498,7 +494,7 @@ def hbt_analyze(stream: PhotonStream, max_side_lag: int = 20) -> PeakReport:
     all_rates = []
     peak_areas = {0: same_pulse + within_cross}
     tot = c0 + c1
-    for d in range(1, min(max_side_lag, n - 1) + 1):
+    for d in range(1, min(_MAX_SIDE_LAG, n - 1) + 1):
         area = float(tot[:-d] @ tot[d:])
         peak_areas[d] = area
         if d >= 2:
@@ -530,11 +526,11 @@ def hbt_analyze(stream: PhotonStream, max_side_lag: int = 20) -> PeakReport:
     )
 
 
-def _route_config(stream: PhotonStream, rng, splitter_ratio, hom_active, overlap):
+def _route_config(stream: PhotonStream, rng, hom_active, overlap):
     """One interferometer pass: (slot id, detector) per photon plus the
     central-slot coincidence bookkeeping."""
     m = stream.n_tags
-    long_path = rng.random(m) < splitter_ratio
+    long_path = rng.random(m) < _SPLITTER_RATIO
     slot = stream.pulse_index + long_path.astype(np.int64)  # 0, 1, 2 within the pair
     det = (rng.random(m) < 0.5).astype(np.int64)
 
@@ -571,13 +567,12 @@ def pulsed_hom(
     stream: PhotonStream,
     overlap_true: float,
     seed: int,
-    delay: float | None = None,
-    splitter_ratio: float = 0.5,
 ) -> PeakReport:
     """Click-level two-photon interference of consecutive pulses.
 
-    Photons pass an unbalanced interferometer whose delay matches the pulse
-    separation; a same-pair meeting (pulse-0 photon delayed against pulse-1
+    Photons pass an unbalanced interferometer whose delay is the pulse
+    separation and whose first coupler sends a photon into the long arm with
+    probability `_SPLITTER_RATIO`; a same-pair meeting (pulse-0 photon delayed against pulse-1
     photon) bunches with probability overlap_true in the parallel
     configuration and never in the orthogonal one. The overlap estimate is
     1 - A_par(0)/A_orth(0) rescaled by the multi-photon correction
@@ -587,29 +582,22 @@ def pulsed_hom(
 
     The two configurations route with `_rng(seed, purpose, 0)` under their
     own purposes, so the stream's seed may be passed: no key is shared
-    with any stream chunk.
+    with any stream chunk. A seed outside [0, 2^64) raises ValueError.
     """
     if not 0.0 <= overlap_true <= 1.0:
         raise ValueError("overlap_true must lie in [0, 1]")
-    if delay is None:
-        delay = stream.train.separation
-    if abs(delay - stream.train.separation) > 1e-9:
-        raise ValueError(
-            f"interferometer delay {delay} ns must match the pulse separation "
-            f"{stream.train.separation} ns"
-        )
     if stream.n_tags == 0:
         raise ValueError("empty photon stream")
 
     rng_par, rng_ort = _rng(seed, _ROUTE_PARALLEL, 0), _rng(seed, _ROUTE_ORTHOGONAL, 0)
-    slot_par, det_par = _route_config(stream, rng_par, splitter_ratio, True, overlap_true)
+    slot_par, det_par = _route_config(stream, rng_par, True, overlap_true)
     areas_par = _cluster_areas(stream, slot_par, det_par)
-    slot_ort, det_ort = _route_config(stream, rng_ort, splitter_ratio, False, 0.0)
+    slot_ort, det_ort = _route_config(stream, rng_ort, False, 0.0)
     areas_ort = _cluster_areas(stream, slot_ort, det_ort)
 
     counts = stream.counts_per_pulse()  # int64: the dot below stays out of BLAS
     n = counts.shape[0]
-    r = splitter_ratio
+    r = _SPLITTER_RATIO
     p_meet_a = 1.0 - float(np.mean((1.0 - r) ** counts[:, 0]))
     p_meet_b = 1.0 - float(np.mean(r ** counts[:, 1]))
     s_meet = p_meet_a * p_meet_b

@@ -83,7 +83,6 @@ class EmitterBlock:
     linewidth_uev: float = 6.14
     coherence_ratio: float = 1.0
     detuning_rad_ns: float = 0.0
-    cavity_q: float = 8900.0
 
     def __post_init__(self):
         if (self.t1_ns is None) != (self.t2_ns is None):
@@ -91,16 +90,12 @@ class EmitterBlock:
 
     def resolve(self) -> em.EmitterParams:
         if self.t1_ns is not None:
-            return em.EmitterParams(
-                t1=self.t1_ns, t2=self.t2_ns, detuning=self.detuning_rad_ns, cavity_q=self.cavity_q
-            )
+            return em.EmitterParams(t1=self.t1_ns, t2=self.t2_ns, detuning=self.detuning_rad_ns)
         # The homogeneous linewidth pins t2 = 2*hbar/dE; the coherence
         # ratio t2/(2*t1) then sets the lifetime.
         t2 = 2.0 * em.HBAR_UEV_NS / self.linewidth_uev
         t1 = t2 / (2.0 * self.coherence_ratio)
-        return em.EmitterParams(
-            t1=t1, t2=t2, detuning=self.detuning_rad_ns, cavity_q=self.cavity_q
-        )
+        return em.EmitterParams(t1=t1, t2=t2, detuning=self.detuning_rad_ns)
 
 
 @dataclass(frozen=True)
@@ -190,10 +185,8 @@ class HomBlock:
     def __post_init__(self):
         self.resolve()  # range checks at load time
 
-    def resolve(self, polarization: str = "parallel") -> HomSetup:
-        return HomSetup(
-            delay=self.delay_ns, splitter_ratio=self.splitter_ratio, polarization=polarization
-        )
+    def resolve(self) -> HomSetup:
+        return HomSetup(delay=self.delay_ns, splitter_ratio=self.splitter_ratio)
 
 
 @dataclass(frozen=True)

@@ -121,9 +121,12 @@ def test_manifest_roundtrip(tmp_path):
 
 def test_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"emitter": {"bogus": 1}}')
-    assert run_cli(["fig", "fig2c", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert "bogus" in capsys.readouterr().err
+    # manifests written before cavity_q was removed still carry the key
+    for key in ("bogus", "cavity_q"):
+        bad.write_text(json.dumps({"emitter": {key: 8900}}))
+        assert run_cli(["fig", "fig2c", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key in err
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):
@@ -168,6 +171,8 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
     "command, config, message",
     [(["sim", "stream"], {"pulse_train": {"pulse_area_pi": -1}}, "pulse_area must be >= 0"),
      (["sim", "stream"], {"pulse_train": {"pulse_fwhm_ns": 3}}, "pulse_fwhm must be smaller than separation"),
+     # the second pulse's window would run into the next cycle's first
+     (["sim", "stream"], {"pulse_train": {"pulse_fwhm_ns": 0.4, "pair_period_ns": 2.5}}, "pulse windows overlap"),
      (["sim", "stream"], {"pulse_train": {"shape": "triangle"}}, "unknown pulse shape"),
      (["fig", "fig2d"], {"hom": {"splitter_ratio": 2}}, "splitter_ratio must lie in (0, 1)"),
      (["fig", "fig2d"], {"hom": {"delay_ns": -1}}, "delay must be > 0"),
@@ -175,8 +180,8 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
      (["fig", "fig2b"], {"spectral": {"instrument_fwhm_uev": -1}}, "spectral widths must be >= 0"),
      (["fig", "fig3e"], {"circuit": {"n_phi": 0}}, "phi grid must hold at least two points"),
      (["fig", "fig3e"], {"circuit": {"phi_span_rad": 0}}, "phi grid must cover at least 2*pi")],
-    ids=["pulse-area", "pulse-fwhm", "pulse-shape", "splitter-ratio", "hom-delay", "timing-fwhm",
-         "instrument-fwhm", "n-phi", "phi-span"],
+    ids=["pulse-area", "pulse-fwhm", "pulse-cycle", "pulse-shape", "splitter-ratio", "hom-delay",
+         "timing-fwhm", "instrument-fwhm", "n-phi", "phi-span"],
 )
 def test_out_of_range_block_values_are_schema_errors(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 import cohscat as cs
 from cohscat import emitter
 from cohscat.emitter import _expm, _generator, bloch_system, leakage_for_contrast
+from cohscat.scenario import EmitterBlock
 from conftest import _bloch_rhs, _evolve_array
 
 
@@ -22,7 +23,7 @@ def test_params_validation():
 
 def test_linewidth_inverts_exactly():
     de = 6.14
-    params = cs.default_cavity_params(linewidth_uev=de)
+    params = EmitterBlock(linewidth_uev=de).resolve()
     assert abs(params.t2 - 2.0 * cs.HBAR_UEV_NS / de) < 1e-12
     assert abs(params.linewidth_uev() - de) < 1e-12
     assert abs(params.t2 - 2.0 * params.t1) < 1e-12
@@ -174,7 +175,7 @@ GAUSSIAN = cs.DriveField.from_area(2.2 * math.pi, "gaussian", 0.3, t0=1.0)
         (cs.EmitterParams(t1=0.7, t2=0.5), cs.DriveField(rabi=9.0, shape="square", duration=0.33, t0=0.41),
          np.linspace(0.0, 4.0, 41)),
         (cs.EmitterParams(t1=0.7, t2=0.5, detuning=-1.5), cs.DriveField(rabi=4.0), np.linspace(0.0, 4.0, 41)),
-        (cs.default_cavity_params(), cs.DriveField.from_area(3.0 * math.pi, "gaussian", 0.057, t0=0.3),
+        (EmitterBlock().resolve(), cs.DriveField.from_area(3.0 * math.pi, "gaussian", 0.057, t0=0.3),
          np.linspace(0.0, 1.0, 101)),
     ],
     ids=["gaussian", "gaussian-coarse", "square", "detuned", "dephased", "cw", "sim-rabi-pulse"],
@@ -202,8 +203,9 @@ def test_drive_field_rejects_non_finite_shapes(kwargs):
 
 def test_split_steps_give_up_loudly(monkeypatch):
     monkeypatch.setattr(emitter, "_MAX_DOUBLINGS", 2)
+    monkeypatch.setattr(emitter, "_SPLIT_TOL", 1e-30)
     with pytest.raises(cs.IntegrationError):
-        cs.evolve(cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, cs.BlochState.ground(), [0.0, 3.0], tol=1e-30)
+        cs.evolve(cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, cs.BlochState.ground(), [0.0, 3.0])
 
 
 def test_expm_matches_scipy(rng):
@@ -307,7 +309,7 @@ def test_saturation_curve_occupation_zero_kills_emission():
 
 
 def test_saturation_curve_monotone_and_contrast():
-    params = cs.default_cavity_params()
+    params = EmitterBlock().resolve()
     k = 2.0
     leak = leakage_for_contrast(params, 1.0, 0.05, k, contrast=500.0)
     gating = cs.GatingModel(charge_occupation=1.0, laser_leakage=leak, collection_efficiency=0.05)

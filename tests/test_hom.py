@@ -3,10 +3,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import cohscat as cs
+from cohscat import hom
 from cohscat.hom import HomSetup
+from cohscat.scenario import EmitterBlock
 from conftest import liouvillian_reference
 
-PARAMS = cs.default_cavity_params()
+PARAMS = EmitterBlock().resolve()
 RABI = 2.0 * np.pi * 0.83
 SETUP = HomSetup(delay=10.4)
 TAUS = np.linspace(-25.0, 25.0, 2001)
@@ -152,7 +154,7 @@ def test_irf_root_matches_brentq_oracle():
 
 
 def test_fig2e_irf_solve_evaluates_each_point_once(monkeypatch):
-    from cohscat import cli, hom
+    from cohscat import cli
     from cohscat.scenario import Scenario
 
     pairs, widths = [], []
@@ -178,10 +180,11 @@ def test_fig2e_irf_solve_evaluates_each_point_once(monkeypatch):
     assert len(set(evaluated)) == len(evaluated)
 
 
-def test_irf_solve_failures_raise():
+def test_irf_solve_failures_raise(monkeypatch):
     with pytest.raises(ValueError, match="too coarse"):
         cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, np.linspace(-25.0, 25.0, 51), target=0.89)
+    monkeypatch.setattr(hom, "_IRF_FWHM_MAX", 0.05)
     with pytest.raises(ValueError, match="no IRF below"):
-        cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89, fwhm_max=0.05)
+        cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89)
     with pytest.raises(ValueError, match="increasing"):
         cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS[::-1], target=0.89)

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 import cohscat as cs
 from cohscat import pulsed
 from cohscat.emitter import _expm
+from cohscat.scenario import EmitterBlock
 from conftest import (
     export_stream_rows_per_tag,
     liouvillian_reference,
@@ -20,7 +21,7 @@ from conftest import (
     synthetic_stream,
 )
 
-PARAMS = cs.default_cavity_params()  # t1 = 0.1072 ns, t2 = 2*t1
+PARAMS = EmitterBlock().resolve()  # t1 = 0.1072 ns, t2 = 2*t1
 SEGMENTED = cs.EmitterParams(t1=0.01, t2=0.02)  # a 1 ns window spans several table segments
 
 
@@ -433,11 +434,15 @@ def test_pulsed_hom_estimator_bias_is_small():
     assert abs(float(np.mean(estimates)) - 0.90) < 0.01
 
 
-def test_pulsed_hom_delay_mismatch_rejected():
-    train = make_train(0.71, PARAMS.t1 / 1000.0, 1000)
-    stream = synthetic_stream(PARAMS, train, mean_per_pulse=0.8, g_target=0.0, seed=1)
-    with pytest.raises(ValueError):
-        cs.pulsed_hom(stream, 0.9, seed=2, delay=1.0)
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "2^64"])
+def test_out_of_range_seed_raises_value_error(seed):
+    train = make_train(0.71, 0.057, 10)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        cs.simulate_stream(PARAMS, train, seed)
+    stream = synthetic_stream(PARAMS, make_train(0.71, PARAMS.t1 / 1000.0, 1000), mean_per_pulse=0.8,
+                              g_target=0.0, seed=1)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        cs.pulsed_hom(stream, 0.9, seed)
 
 
 def test_coincidence_histogram_pairs():

@@ -3,7 +3,7 @@ import pytest
 from scipy.signal import find_peaks
 
 import cohscat as cs
-from cohscat.scenario import Scenario
+from cohscat.scenario import EmitterBlock, Scenario
 from cohscat.spectrum import GridError, lorentzian
 from conftest import fit_linewidth, incoherent_spectrum_quadrature
 
@@ -41,8 +41,8 @@ def test_incoherent_integral_matches_weight():
         (cs.EmitterParams(t1=1.0, t2=2.0), 30.0, 0.0, 40.0),
         (cs.EmitterParams(t1=1.0, t2=2.0), 0.25, 0.0, 10.0),  # critical drive 1 / (4 t1)
         (cs.EmitterParams(t1=1.0, t2=0.6), 3.0, 0.78, 20.0),
-        (cs.default_cavity_params(), _FIG2B_RABI, 0.78, 40.0),
-        (cs.default_cavity_params(), _FIG2B_RABI, 0.0, 40.0),
+        (EmitterBlock().resolve(), _FIG2B_RABI, 0.78, 40.0),
+        (EmitterBlock().resolve(), _FIG2B_RABI, 0.0, 40.0),
     ],
     ids=["mollow", "critical", "dephased-instrument", "cavity-fig2b", "cavity-no-instrument"],
 )
@@ -58,7 +58,7 @@ def test_incoherent_density_matches_g1_quadrature(params, rabi, instrument_fwhm,
 @pytest.mark.parametrize("points", [3, 41])
 @pytest.mark.parametrize("widths", [(0.78, 0.37), (0.0, 0.0)], ids=["lines", "zero-width"])
 def test_unresolved_grid_raises(points, widths):
-    params = cs.default_cavity_params()
+    params = EmitterBlock().resolve()
     response = cs.SpectralResponse(*widths)
     grid = np.linspace(-40.0, 40.0, points)
     # the zero-width line is one bin and exempt, so there the incoherent part trips
@@ -80,7 +80,7 @@ def test_weak_drive_zero_width_collapses_to_single_bin():
 
 
 def test_spectrum_normalization_and_symmetry():
-    params = cs.default_cavity_params()
+    params = EmitterBlock().resolve()
     response = cs.SpectralResponse(instrument_fwhm=0.78, laser_fwhm=0.37)
     grid = np.linspace(-40.0, 40.0, 4096)
     trace = cs.emission_spectrum(params, 2.0, response, grid)
@@ -91,7 +91,7 @@ def test_spectrum_normalization_and_symmetry():
 
 def test_measured_line_is_instrument_dominated():
     # coherent-dominated drive on the lifetime-limited emitter
-    params = cs.default_cavity_params()
+    params = EmitterBlock().resolve()
     rabi = 0.4
     assert cs.rrs_fraction(params, rabi) > 0.99
     response = cs.SpectralResponse(instrument_fwhm=0.78, laser_fwhm=0.37)
