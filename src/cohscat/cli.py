@@ -164,8 +164,7 @@ _FRINGE_HEADER = "phi_rad,p_out0,p_out1,p_coincidence"
 def _fringes(scenario: Scenario, *input_kinds):
     """Couplers (r1, r2) of the scenario's interferometer and its fringe
     tables, one per input kind."""
-    r1, r2 = scenario.circuit.couplers()
-    phi = scenario.circuit.phi_grid()
+    r1, r2, phi = scenario.circuit.resolve()
     source = scenario.source_model.resolve()
     return r1, r2, [mzi_fringes(source, r1, r2, phi, input_kind=kind) for kind in input_kinds]
 
@@ -182,7 +181,7 @@ def _fig1d(scenario: Scenario, args, threads: int) -> _Output:
     params = scenario.emitter.resolve()
     gating = scenario.gating.resolve(params)
     k = scenario.gating.rabi_per_sqrt_power
-    p_knee = 1.0 / (k ** 2 * params.t1 * params.t2)
+    p_knee = em.knee_power(params, k)
     powers = np.linspace(0.0, 5.0 * p_knee, 101)
     gated = [c for _, c in em.saturation_curve(params, gating, powers, k, gate_on=True)]
     laser = [c for _, c in em.saturation_curve(params, gating, powers, k, gate_on=False)]
@@ -229,7 +228,7 @@ def _fig2c(scenario: Scenario, args, threads: int) -> _Output:
     params_bulk = em.default_bulk_params()
     freqs = np.linspace(0.0, 3.0, 121)
     omegas = 2.0 * math.pi * freqs
-    s = omegas ** 2 * params_cavity.t1 * params_cavity.t2
+    s = em.saturation_parameter(params_cavity, omegas)
     i_total = s / (1.0 + s)
     frac_1 = [em.rrs_fraction(params_cavity, w) for w in omegas]
     frac_03 = [em.rrs_fraction(params_bulk, w) for w in omegas]
@@ -354,7 +353,7 @@ def _sim_steady(scenario: Scenario, args, threads: int) -> _Output:
     params = scenario.emitter.resolve()
     rows = []
     for label, omega in scenario.drive.conventions().items():
-        s = omega ** 2 * params.t1 * params.t2
+        s = em.saturation_parameter(params, omega)
         rho = em.steady_state(params, omega).rho_ee()
         rows.append((label, omega, s, rho, em.rrs_fraction(params, omega)))
     return _Output(
@@ -563,7 +562,7 @@ def main(argv=None) -> int:
     except (SchemaError, FileNotFoundError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, IntegrationError, GridError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, IntegrationError, GridError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

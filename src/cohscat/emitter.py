@@ -202,11 +202,17 @@ def _check_rabi(rabi: float):
         raise ValueError(f"rabi must be >= 0, got {rabi}")
 
 
+def saturation_parameter(params: EmitterParams, rabi):
+    """s = W^2 T1 T2 / (1 + D^2 T2^2) for Rabi frequency (or array) W and
+    detuning D; the steady state has rho_ee = s / (2 (1 + s))."""
+    return rabi ** 2 * params.t1 * params.t2 / (1.0 + (params.detuning * params.t2) ** 2)
+
+
 def steady_state(params: EmitterParams, rabi: float) -> BlochState:
     """Closed-form fixed point of the Bloch equations under CW drive."""
     _check_rabi(rabi)
     d2t2 = 1.0 + (params.detuning * params.t2) ** 2
-    s_eff = rabi ** 2 * params.t1 * params.t2 / d2t2
+    s_eff = saturation_parameter(params, rabi)
     w = -1.0 / (1.0 + s_eff)
     v = -rabi * params.t2 * w / d2t2
     u = params.detuning * params.t2 * v
@@ -220,9 +226,7 @@ def rrs_fraction(params: EmitterParams, rabi: float) -> float:
     steady-state ratio |<sigma>|^2 / rho_ee.
     """
     _check_rabi(rabi)
-    d2t2 = 1.0 + (params.detuning * params.t2) ** 2
-    s_eff = rabi ** 2 * params.t1 * params.t2 / d2t2
-    return params.t2 / (2.0 * params.t1 * (1.0 + s_eff))
+    return params.t2 / (2.0 * params.t1 * (1.0 + saturation_parameter(params, rabi)))
 
 
 def evolve(
@@ -450,6 +454,14 @@ def saturation_curve(
     return out
 
 
+def knee_power(params: EmitterParams, rabi_per_sqrt_power: float) -> float:
+    """Incident power (nW) of the resonant saturation knee W^2*T1*T2 = 1,
+    for the drive W = rabi_per_sqrt_power * sqrt(P)."""
+    if not rabi_per_sqrt_power > 0:
+        raise ValueError(f"rabi_per_sqrt_power must be > 0, got {rabi_per_sqrt_power}")
+    return 1.0 / (rabi_per_sqrt_power ** 2 * params.t1 * params.t2)
+
+
 def leakage_for_contrast(
     params: EmitterParams,
     occupation: float,
@@ -458,9 +470,13 @@ def leakage_for_contrast(
     contrast: float = 500.0,
 ) -> float:
     """Laser leakage such that emission exceeds leaked laser by ``contrast``
-    at the saturation knee (W^2*T1*T2 = 1)."""
-    p_knee = 1.0 / (rabi_per_sqrt_power ** 2 * params.t1 * params.t2)
+    at the saturation knee (``knee_power``)."""
+    if not contrast > 0:
+        raise ValueError(f"contrast must be > 0, got {contrast}")
+    p_knee = knee_power(params, rabi_per_sqrt_power)
     rabi = rabi_per_sqrt_power * math.sqrt(p_knee)
     emitted = steady_state(params, rabi).rho_ee() / params.t1 * NS_PER_S
     detected = occupation * collection_efficiency * emitted
+    if not detected > 0:
+        raise ValueError(f"detected emission must be > 0 (occupation x efficiency), got {detected}")
     return detected / (contrast * p_knee)

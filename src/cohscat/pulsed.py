@@ -91,6 +91,9 @@ class PulseTrain:
     shape: str = "gaussian"
 
     def __post_init__(self):
+        for name in ("pulse_area", "pulse_fwhm", "separation", "pair_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pulse_area < 0:
             raise ValueError("pulse_area must be >= 0")
         if self.pulse_fwhm <= 0:

@@ -3,7 +3,14 @@
 Every run of the command-line harness resolves one Scenario (defaults
 filled in, derived quantities computed) and echoes it into a manifest next
 to its outputs, so a manifest can be fed back as the config of a later run.
-Unknown keys anywhere in the document are rejected.
+
+One loader reads the document: each key must name a field, each value must
+have the field's type (numbers finite), and each block is an object loaded
+the same way. One rule then decides validity: a scenario is valid if and
+only if every block resolves, `gating` against the resolved emitter.
+`Scenario.__post_init__` resolves them all, so every way of making a
+Scenario (a config, `dataclasses.replace` with a flag's value) passes the
+same check, and a failure is a SchemaError that names its block.
 """
 
 from __future__ import annotations
@@ -36,42 +43,37 @@ def _type_ok(value, typ) -> bool:
         return any(_type_ok(value, t) for t in typing.get_args(typ))
     if typ is type(None):
         return value is None
+    if isinstance(value, bool):  # an int subclass, but no number
+        return typ is bool
     if typ is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if typ is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if typ is bool:
-        return isinstance(value, bool)
-    if typ is str:
-        return isinstance(value, str)
-    return False
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    return isinstance(value, typ)
 
 
-def _load_block(cls, data, path: str):
-    if data is None:
-        return cls()
+def _load_block(cls, data, path: str | None = None):
+    """cls from a JSON object: the Scenario itself at the top (path None),
+    else the block at `path`. Absent keys keep their defaults."""
+    where = path or "scenario"
     if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(data).__name__}")
+        raise SchemaError(f"{where}: expected an object, got {type(data).__name__}")
     hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    unknown = sorted(set(data) - set(names))
+    unknown = sorted(set(data) - set(hints))
     if unknown:
-        raise SchemaError(f"{path}: unknown key(s) {unknown}; allowed keys: {sorted(names)}")
+        raise SchemaError(f"{where}: unknown key(s) {unknown}; allowed keys: {sorted(hints)}")
     kwargs = {}
-    for name in names:
-        if name not in data:
-            continue
-        value = data[name]
-        typ = hints[name]
-        if not _type_ok(value, typ):
-            raise SchemaError(f"{path}.{name}: expected {typ}, got {value!r}")
-        if typ is float and value is not None:
+    for name, value in data.items():
+        key, typ = (name if path is None else f"{path}.{name}"), hints[name]
+        if dataclasses.is_dataclass(typ):
+            value = _load_block(typ, value, key)
+        elif not _type_ok(value, typ):
+            raise SchemaError(f"{key}: expected {getattr(typ, '__name__', typ)}, got {value!r}")
+        elif value is not None and float in (typ, *typing.get_args(typ)):
             value = float(value)
         kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,15 @@ class EmitterBlock:
     coherence_ratio: float = 1.0
     detuning_rad_ns: float = 0.0
 
-    def __post_init__(self):
+    def resolve(self) -> em.EmitterParams:
         if (self.t1_ns is None) != (self.t2_ns is None):
             raise ValueError("t1_ns and t2_ns must be given together")
-
-    def resolve(self) -> em.EmitterParams:
         if self.t1_ns is not None:
             return em.EmitterParams(t1=self.t1_ns, t2=self.t2_ns, detuning=self.detuning_rad_ns)
+        if not self.linewidth_uev > 0:
+            raise ValueError(f"linewidth_uev must be > 0, got {self.linewidth_uev}")
+        if not 0.0 < self.coherence_ratio <= 1.0:
+            raise ValueError(f"coherence_ratio must lie in (0, 1], got {self.coherence_ratio}")
         # The homogeneous linewidth pins t2 = 2*hbar/dE; the coherence
         # ratio t2/(2*t1) then sets the lifetime.
         t2 = 2.0 * em.HBAR_UEV_NS / self.linewidth_uev
@@ -107,9 +111,9 @@ class DriveBlock:
     rabi_rad_ns: float | None = None
 
     def resolve(self) -> float:
-        if self.rabi_rad_ns is not None:
-            return self.rabi_rad_ns
-        return TWO_PI * self.rabi_ghz
+        rabi = TWO_PI * self.rabi_ghz if self.rabi_rad_ns is None else self.rabi_rad_ns
+        em._check_rabi(rabi)
+        return rabi
 
     def conventions(self) -> dict[str, float]:
         """Both readings of a GHz figure: angular (2*pi f) and direct."""
@@ -136,6 +140,8 @@ class GatingBlock:
                 self.rabi_per_sqrt_power,
                 self.contrast,
             )
+        else:
+            em.knee_power(params, self.rabi_per_sqrt_power)  # the power scale of fig1d
         return em.GatingModel(
             charge_occupation=self.charge_occupation,
             laser_leakage=leak,
@@ -156,9 +162,6 @@ class BlinkingBlock:
 class TimingBlock:
     fwhm_ns: float = 0.1
 
-    def __post_init__(self):
-        self.resolve()  # range checks at load time
-
     def resolve(self) -> TimingResponse:
         return TimingResponse(fwhm=self.fwhm_ns)
 
@@ -167,9 +170,6 @@ class TimingBlock:
 class SpectralBlock:
     instrument_fwhm_uev: float = 0.78
     laser_fwhm_uev: float = 0.37
-
-    def __post_init__(self):
-        self.resolve()  # range checks at load time
 
     def resolve(self) -> SpectralResponse:
         return SpectralResponse(
@@ -181,9 +181,6 @@ class SpectralBlock:
 class HomBlock:
     delay_ns: float = 10.4
     splitter_ratio: float = 0.5
-
-    def __post_init__(self):
-        self.resolve()  # range checks at load time
 
     def resolve(self) -> HomSetup:
         return HomSetup(delay=self.delay_ns, splitter_ratio=self.splitter_ratio)
@@ -197,9 +194,6 @@ class PulseTrainBlock:
     pair_period_ns: float = 13.1
     n_pairs: int = 100000
     shape: str = "gaussian"
-
-    def __post_init__(self):
-        self.resolve()  # PulseTrain's range checks, at load time
 
     def resolve(self, n_pairs: int | None = None) -> PulseTrain:
         return PulseTrain(
@@ -217,9 +211,6 @@ class SourceModelBlock:
     overlap: float = 0.90
     multiphoton_g: float = 0.167
 
-    def __post_init__(self):
-        self.resolve()  # SourceModel's range checks, at load time
-
     def resolve(self) -> SourceModel:
         return SourceModel(overlap=self.overlap, multiphoton_g=self.multiphoton_g)
 
@@ -232,36 +223,16 @@ class CircuitBlock:
     phi_span_rad: float = TWO_PI
     single_visibility: float | None = None  # if set, r1 = r2 solved from it
 
-    def __post_init__(self):
-        for r in self.couplers():
+    def resolve(self) -> tuple[float, float, np.ndarray]:
+        """Couplers (r1, r2), solved from single_visibility when that is
+        set, and the fringe phases (rad) the circuit figures sample."""
+        r1, r2 = self.r1, self.r2
+        if self.single_visibility is not None:
+            r1 = r2 = solve_coupler_reflectivity(self.single_visibility)
+        for r in (r1, r2):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"coupler reflectivity must lie in (0, 1), got {r!r}")
-        check_phi_grid(self.phi_grid())
-
-    def phi_grid(self) -> np.ndarray:
-        """The fringe phases (rad) the circuit figures sample."""
-        return np.linspace(0.0, self.phi_span_rad, self.n_phi)
-
-    def couplers(self) -> tuple[float, float]:
-        """(r1, r2), solved from single_visibility when that is set."""
-        if self.single_visibility is not None:
-            r = solve_coupler_reflectivity(self.single_visibility)
-            return r, r
-        return self.r1, self.r2
-
-
-_BLOCKS = {
-    "emitter": EmitterBlock,
-    "drive": DriveBlock,
-    "gating": GatingBlock,
-    "blinking": BlinkingBlock,
-    "timing": TimingBlock,
-    "spectral": SpectralBlock,
-    "hom": HomBlock,
-    "pulse_train": PulseTrainBlock,
-    "source_model": SourceModelBlock,
-    "circuit": CircuitBlock,
-}
+        return r1, r2, check_phi_grid(np.linspace(0.0, self.phi_span_rad, self.n_phi))
 
 
 @dataclass(frozen=True)
@@ -282,50 +253,39 @@ class Scenario:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise SchemaError("seed must be a 64-bit unsigned integer")
+        params = None  # the emitter resolves first; gating resolves against it
+        for f in dataclasses.fields(self):
+            block = getattr(self, f.name)
+            try:
+                if f.name == "emitter":
+                    params = block.resolve()
+                elif f.name == "gating":
+                    block.resolve(params)
+                elif dataclasses.is_dataclass(block):
+                    block.resolve()
+            except (ValueError, ArithmeticError) as exc:
+                raise SchemaError(f"{f.name}: {exc}") from exc
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise SchemaError(f"scenario: expected an object, got {type(data).__name__}")
-        if "scenario" in data and "artifact" in data:
+    def from_dict(cls, data) -> "Scenario":
+        if isinstance(data, dict) and "scenario" in data and "artifact" in data:
             data = data["scenario"]  # a manifest doubles as a config
-        allowed = set(_BLOCKS) | {"seed", "output_dir"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise SchemaError(
-                f"scenario: unknown key(s) {unknown}; allowed keys: {sorted(allowed)}"
-            )
-        kwargs = {}
-        for name, block_cls in _BLOCKS.items():
-            kwargs[name] = _load_block(block_cls, data.get(name), name)
-        if "seed" in data:
-            if not _type_ok(data["seed"], int):
-                raise SchemaError(f"scenario.seed: expected int, got {data['seed']!r}")
-            kwargs["seed"] = data["seed"]
-        if "output_dir" in data:
-            if not _type_ok(data["output_dir"], str):
-                raise SchemaError("scenario.output_dir: expected str")
-            kwargs["output_dir"] = data["output_dir"]
-        return cls(**kwargs)
+        return _load_block(cls, data)
 
     @classmethod
     def from_json(cls, path) -> "Scenario":
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(data)
 
     def resolved_dict(self) -> dict:
         """Scenario with defaults and derived numbers filled in."""
-        out = {}
-        for name in _BLOCKS:
-            out[name] = dataclasses.asdict(getattr(self, name))
+        out = dataclasses.asdict(self)
         params = self.emitter.resolve()
         out["emitter"]["t1_ns"] = params.t1
         out["emitter"]["t2_ns"] = params.t2
         out["gating"]["laser_leakage"] = self.gating.resolve(params).laser_leakage
-        out["seed"] = self.seed
-        out["output_dir"] = self.output_dir
         return out

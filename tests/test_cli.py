@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cohscat import _text, cli, hom
+from cohscat import emitter as em
 from cohscat._svg import render_lines
 from cohscat.scenario import Scenario, SchemaError
 from conftest import assert_same_text, render_lines_per_point
@@ -37,6 +38,17 @@ def test_scenario_defaults_and_strictness():
         Scenario.from_dict({"seed": -3})
     with pytest.raises(SchemaError):
         Scenario.from_dict({"emitter": {"t1_ns": 1.0}})  # t2 missing
+    # JSON's NaN and Infinity literals, and integers beyond the float range
+    for text in ('{"emitter": {"linewidth_uev": NaN}}', '{"pulse_train": {"pair_period_ns": Infinity}}',
+                 '{"drive": {"rabi_rad_ns": -Infinity}}', '{"emitter": {"linewidth_uev": 1%s}}' % ("0" * 400)):
+        with pytest.raises(SchemaError, match="expected float"):
+            Scenario.from_dict(json.loads(text))
+    for block in (None, [], 3.0):
+        with pytest.raises(SchemaError, match="emitter: expected an object"):
+            Scenario.from_dict({"emitter": block})
+    for top in ([], "emitter", None):
+        with pytest.raises(SchemaError, match="scenario: expected an object"):
+            Scenario.from_dict(top)
 
 
 def test_drive_conventions():
@@ -138,6 +150,14 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_float_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # a finite drive whose square overflows: OverflowError, not a traceback
+    out = tmp_path / "o"
+    assert run_cli(["sim", "steady", "--rabi-ghz", "1e200", "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["fig", "fig3d"], ["fig", "fig3e"], ["sim", "noon"]],
                          ids=["fig3d", "fig3e", "noon"])
 def test_failed_fringe_fit_leaves_no_output(tmp_path, capsys, command):
@@ -179,9 +199,25 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
      (["fig", "fig2d"], {"timing": {"fwhm_ns": -0.1}}, "timing fwhm must be >= 0"),
      (["fig", "fig2b"], {"spectral": {"instrument_fwhm_uev": -1}}, "spectral widths must be >= 0"),
      (["fig", "fig3e"], {"circuit": {"n_phi": 0}}, "phi grid must hold at least two points"),
-     (["fig", "fig3e"], {"circuit": {"phi_span_rad": 0}}, "phi grid must cover at least 2*pi")],
+     (["fig", "fig3e"], {"circuit": {"phi_span_rad": 0}}, "phi grid must cover at least 2*pi"),
+     *[(command, config, message) for command in (["fig", "fig1d"], ["fig", "fig2a"], ["sim", "steady"])
+       for config, message in (({"gating": {"contrast": 0}}, "contrast must be > 0"),
+                               ({"gating": {"rabi_per_sqrt_power": 0}}, "rabi_per_sqrt_power must be > 0"),
+                               ({"emitter": {"coherence_ratio": 0}}, "coherence_ratio must lie in (0, 1]"))],
+     (["fig", "fig2c"], {"emitter": {"linewidth_uev": 10 ** 400}}, "linewidth_uev: expected float"),
+     (["fig", "fig1d"], {"gating": {"charge_occupation": 2}}, "charge_occupation must lie in [0, 1]"),
+     (["fig", "fig1d"], {"emitter": {"linewidth_uev": -1}}, "linewidth_uev must be > 0"),
+     (["fig", "fig1d"], {"gating": {"collection_efficiency": 0}}, "detected emission must be > 0"),
+     (["sim", "stream"], {"pulse_train": {"pulse_area_pi": math.nan}}, "pulse_area_pi: expected float"),
+     *[(command, config, message) for command in (["fig", "fig1d"], ["fig", "fig2a"])
+       for config, message in (({"drive": {"rabi_ghz": -1}}, "rabi must be >= 0"),
+                               ({"blinking": {"timescale_ns": 0}}, "blinking timescale must be > 0"))]],
     ids=["pulse-area", "pulse-fwhm", "pulse-cycle", "pulse-shape", "splitter-ratio", "hom-delay",
-         "timing-fwhm", "instrument-fwhm", "n-phi", "phi-span"],
+         "timing-fwhm", "instrument-fwhm", "n-phi", "phi-span",
+         *[f"{command}-{case}" for command in ("fig1d", "fig2a", "steady")
+           for case in ("contrast", "knee-scale", "coherence-ratio")],
+         "huge-linewidth", "occupation", "negative-linewidth", "zero-efficiency", "nan-area",
+         *[f"{command}-{case}" for command in ("fig1d", "fig2a") for case in ("rabi", "blinking")]],
 )
 def test_out_of_range_block_values_are_schema_errors(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
@@ -189,8 +225,32 @@ def test_out_of_range_block_values_are_schema_errors(tmp_path, capsys, command, 
     out = tmp_path / "o"
     assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "scenario error" in err and message in err
+    block = next(iter(config))
+    assert "scenario error" in err and message in err and block in err
     assert not out.exists()
+
+
+def test_flag_overrides_pass_the_load_time_check(tmp_path, capsys):
+    # --rabi-ghz rebuilds the scenario with dataclasses.replace, which
+    # resolves every block again
+    out = tmp_path / "o"
+    assert run_cli(["sim", "steady", "--rabi-ghz", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "drive: rabi must be finite" in err
+    assert not out.exists()
+
+
+def test_detuned_steady_state_is_reported_consistently():
+    sc = Scenario.from_dict({"emitter": {"detuning_rad_ns": 3.0}})
+    steady = cli._sim_steady(sc, None, 1).results
+    for row in steady.values():
+        s = row["s"]
+        assert row["rho_ee"] == pytest.approx(s / (2.0 * (1.0 + s)), rel=0, abs=1e-12)
+    fig = cli._fig2c(sc, None, 1)
+    params = sc.emitter.resolve().with_coherence_ratio(1.0)
+    freqs, i_total = fig.columns[0], fig.columns[1]
+    rho = np.array([em.steady_state(params, 2.0 * math.pi * f).rho_ee() for f in freqs])
+    assert np.max(np.abs(i_total - 2.0 * rho)) < 1e-12
 
 
 def test_unknown_flag_exit_code(capsys):

@@ -44,6 +44,14 @@ def test_train_validation():
         cs.PulseTrain(pulse_area=-1.0, pulse_fwhm=0.1, separation=2.0, pair_period=13.0)
 
 
+@pytest.mark.parametrize("name, value", [("pulse_area", math.nan), ("pulse_fwhm", math.nan),
+                                         ("separation", math.inf), ("pair_period", math.inf),
+                                         ("pulse_area", -math.inf)])
+def test_train_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cs.PulseTrain(**{"pulse_area": 1.0, "pulse_fwhm": 0.057, name: value})
+
+
 def test_rabi_curve_examples():
     fwhm = PARAMS.t1 / 1000.0
     curve = dict(cs.rabi_curve(PARAMS, [0.0, 0.71 * math.pi, math.pi], fwhm))
