@@ -3,13 +3,15 @@
 Library layout:
 
 - emitter       parameters, Bloch dynamics, steady state, coherent fraction,
-                saturation/gating intensity model
+                saturation/gating intensity model, the pulse train
 - correlations  g1/g2 via the regression theorem, blinking envelope,
                 detector timing response
 - spectrum      coherent + incoherent emission spectrum
 - hom           CW two-photon interference in a delay interferometer
 - pulsed        Rabi curves, quantum-jump photon streams, coincidence-peak
-                analysis, click-level pulsed interference
+                analysis, click-level pulsed interference; not re-exported
+                here, so importing the package does not load the engine:
+                use `from cohscat import pulsed`
 - fock          few-photon linear optics with partial distinguishability
 - scenario/cli  JSON-configured figure-reproducing command line
 """
@@ -32,6 +34,7 @@ from .emitter import (
     EmitterParams,
     GatingModel,
     IntegrationError,
+    PulseTrain,
     default_bulk_params,
     derive_cavity_params,
     evolve,
@@ -55,17 +58,6 @@ from .hom import (
     solve_timing_for_visibility,
     visibility,
     visibility_family,
-)
-from .pulsed import (
-    PeakReport,
-    PhotonStream,
-    PulseTrain,
-    coincidence_histogram,
-    export_stream,
-    hbt_analyze,
-    pulsed_hom,
-    rabi_curve,
-    simulate_stream,
 )
 from .scenario import Scenario, SchemaError
 from .spectrum import (

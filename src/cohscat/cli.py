@@ -22,6 +22,7 @@ import os
 import shutil
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,17 +33,12 @@ from .correlations import TimingResponse, apply_blinking, convolve_timing, g1, g
 from .emitter import IntegrationError
 from .fock import fit_fringe, mzi_fringes
 from .hom import hom_pair, solve_timing_for_visibility, visibility, visibility_family
-from .pulsed import (
-    PhotonStream,
-    coincidence_histogram,
-    export_stream,
-    hbt_analyze,
-    pulsed_hom,
-    rabi_curve,
-    simulate_stream,
-)
 from .scenario import Scenario, SchemaError
 from .spectrum import GridError, emission_spectrum, lorentzian
+
+if TYPE_CHECKING:
+    from .pulsed import PhotonStream
+
 
 def write_csv(path, header: str, columns) -> None:
     """Header plus one row per entry of the equal-length columns.
@@ -57,13 +53,15 @@ def write_csv(path, header: str, columns) -> None:
         fh.writelines(_text.csv_lines(columns))
 
 
-def _manifest_text(command: str, scenario: Scenario, results: dict) -> str:
+def _manifest_text(command: str, scenario: Scenario, results: dict, threads: int) -> str:
     payload = {
         "artifact": "cohscat",
         "version": __version__,
         "command": command,
         "scenario": scenario.resolved_dict(),
         "results": results,
+        # how this run was made, not what it found: results never depend on it
+        "diagnostics": {"threads": threads},
     }
     # A NaN or infinity raises ValueError here, before any file opens.
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -124,38 +122,46 @@ class _Output:
 # ---------------------------------------------------------------------------
 # pipelines shared by a figure and its sim twin
 #
-# The library is called through this module's globals (`simulate_stream`,
-# `pulsed_hom`, `hom_pair`), so wrappers bound over them see every call.
+# The Monte Carlo engine is imported only by the runners that use it, so no
+# other command loads it, and is called through the `pulsed` module
+# attribute (`pulsed.simulate_stream`, `pulsed.pulsed_hom`); `hom_pair` is
+# called through this module's globals. Wrappers bound over either see
+# every call.
 
 
 def _stream(scenario: Scenario, threads: int):
+    from . import pulsed
+
     train = scenario.pulse_train.resolve()
-    return simulate_stream(scenario.emitter.resolve(), train, scenario.seed, workers=threads)
+    return pulsed.simulate_stream(scenario.emitter.resolve(), train, scenario.seed, workers=threads)
 
 
 def _hbt(scenario: Scenario, threads: int):
     """Stream, its HBT report and its coincidence histogram (centers, counts)."""
+    from . import pulsed
+
     stream = _stream(scenario, threads)
-    report = hbt_analyze(stream)
-    return stream, report, coincidence_histogram(stream.times, 3.2 * stream.train.pair_period, 0.05)
+    report = pulsed.hbt_analyze(stream)
+    return stream, report, pulsed.coincidence_histogram(stream.times, 3.2 * stream.train.pair_period, 0.05)
 
 
 def _hom_pulsed(scenario: Scenario, threads: int):
+    from . import pulsed
+
     stream = _stream(scenario, threads)
-    return stream.train, pulsed_hom(stream, scenario.source_model.overlap, scenario.seed)
+    return stream.train, pulsed.pulsed_hom(stream, scenario.source_model.overlap, scenario.seed)
 
 
 def _hom_cw(scenario: Scenario, taus):
     params = scenario.emitter.resolve()
     rabi = scenario.drive.resolve()
-    return hom_pair(params, rabi, scenario.hom.resolve(), taus, scenario.timing.resolve())
+    return hom_pair(params, rabi, scenario.hom.resolve(), taus, scenario.timing)
 
 
 def _spectrum(scenario: Scenario, grid):
     params = scenario.emitter.resolve()
     rabi = scenario.drive.resolve()
-    response = scenario.spectral.resolve()
-    return params, response, emission_spectrum(params, rabi, response, grid)
+    return params, emission_spectrum(params, rabi, scenario.spectral, grid)
 
 
 _FRINGE_HEADER = "phi_rad,p_out0,p_out1,p_coincidence"
@@ -165,8 +171,7 @@ def _fringes(scenario: Scenario, *input_kinds):
     """Couplers (r1, r2) of the scenario's interferometer and its fringe
     tables, one per input kind."""
     r1, r2, phi = scenario.circuit.resolve()
-    source = scenario.source_model.resolve()
-    return r1, r2, [mzi_fringes(source, r1, r2, phi, input_kind=kind) for kind in input_kinds]
+    return r1, r2, [mzi_fringes(scenario.source_model, r1, r2, phi, input_kind=kind) for kind in input_kinds]
 
 
 def _fringe_columns(table) -> list:
@@ -200,9 +205,7 @@ def _fig2a(scenario: Scenario, args, threads: int) -> _Output:
     rabi = scenario.drive.resolve()
     taus = np.linspace(-120.0, 120.0, 12001)
     ideal = g2(params, rabi, taus)
-    detected = convolve_timing(
-        apply_blinking(ideal, scenario.blinking.resolve()), scenario.timing.resolve()
-    )
+    detected = convolve_timing(apply_blinking(ideal, scenario.blinking), scenario.timing)
     return _Output(
         "fig2a.csv", "tau_ns,g2,g2_detected", [taus, ideal.values, detected.values],
         {"g2_zero_ideal": float(ideal.values[len(taus) // 2]), "rabi_rad_ns": rabi},
@@ -213,8 +216,8 @@ def _fig2a(scenario: Scenario, args, threads: int) -> _Output:
 
 def _fig2b(scenario: Scenario, args, threads: int) -> _Output:
     grid = np.linspace(-40.0, 40.0, 4096)
-    params, response, trace = _spectrum(scenario, grid)
-    instrument = lorentzian(grid, 0.0, response.instrument_fwhm)
+    params, trace = _spectrum(scenario, grid)
+    instrument = lorentzian(grid, 0.0, scenario.spectral.instrument_fwhm_uev)
     return _Output(
         "fig2b.csv", "energy_uev,density,instrument_profile", [grid, trace.density, instrument],
         {"coherent_weight": trace.coherent_weight, "natural_linewidth_uev": params.linewidth_uev()},
@@ -267,7 +270,7 @@ def _fig2e(scenario: Scenario, args, threads: int) -> _Output:
         params.with_coherence_ratio(1.0), rabi, setup, _HOM_TAUS, target=0.89
     )
     ratios = [0.3, 0.5, 0.8, 1.0]
-    traces = visibility_family(params, rabi, setup, ratios, _HOM_TAUS, TimingResponse(fwhm=irf_fwhm))
+    traces = visibility_family(params, rabi, setup, ratios, _HOM_TAUS, TimingResponse(fwhm_ns=irf_fwhm))
     peak = float(np.max(traces[-1].values))
     return _Output(
         "fig2e.csv", "tau_ns," + ",".join(f"v_ratio{r:g}" for r in ratios),
@@ -285,7 +288,7 @@ def _fig3b(scenario: Scenario, args, threads: int) -> _Output:
         "fig3b.csv", "lag_ns,coincidences", [centers, counts],
         {"g_metric": report.g_metric, "g_metric_err": report.g_metric_err,
          "g2_zero": report.g2_zero, "g2_zero_err": report.g2_zero_err,
-         "mean_per_pulse": stream.mean_per_pulse, "workers": threads},
+         "mean_per_pulse": stream.mean_per_pulse},
         plot=({"coincidences": (centers, counts)}, "Pulsed autocorrelation", "lag (ns)", "coincidences"),
         line=f"fig3b: g = {report.g_metric:.4f} ± {report.g_metric_err:.4f}, "
         f"g2(0) = {report.g2_zero:.4f} ± {report.g2_zero_err:.4f}",
@@ -304,7 +307,7 @@ def _fig3c(scenario: Scenario, args, threads: int) -> _Output:
     return _Output(
         "fig3c.csv", "peak_lag_ns,coincidences_parallel,coincidences_orthogonal", [lags, par, orth],
         {"overlap_estimate": report.overlap, "overlap_raw": report.aux["overlap_raw"],
-         "g_metric": report.g_metric, "workers": threads},
+         "g_metric": report.g_metric},
         plot=({"parallel": (lags, par), "orthogonal": (lags, orth)},
               "Pulsed two-photon interference peak areas", "lag (ns)", "coincidences", True),
         line=f"fig3c: two-photon overlap estimate {report.overlap:.3f}",
@@ -383,7 +386,7 @@ def _sim_g1(scenario: Scenario, args, threads: int) -> _Output:
 
 def _sim_spectrum(scenario: Scenario, args, threads: int) -> _Output:
     grid = np.linspace(-args.span_uev / 2.0, args.span_uev / 2.0, args.points)
-    _, _, trace = _spectrum(scenario, grid)
+    _, trace = _spectrum(scenario, grid)
     return _Output("spectrum.csv", "energy_uev,density", [grid, trace.density],
                    {"coherent_weight": trace.coherent_weight})
 
@@ -398,10 +401,12 @@ def _sim_hom_cw(scenario: Scenario, args, threads: int) -> _Output:
 
 
 def _sim_rabi(scenario: Scenario, args, threads: int) -> _Output:
+    from . import pulsed
+
     params = scenario.emitter.resolve()
     areas_pi = np.linspace(0.0, args.max_area_pi, args.points)
     fwhm = args.fwhm_ns if args.fwhm_ns is not None else scenario.pulse_train.pulse_fwhm_ns
-    curve = rabi_curve(params, areas_pi * math.pi, fwhm, shape=scenario.pulse_train.shape)
+    curve = pulsed.rabi_curve(params, areas_pi * math.pi, fwhm, shape=scenario.pulse_train.shape)
     probs = [p for _, p in curve]
     return _Output("rabi.csv", "area_pi,emission_probability", [areas_pi, probs],
                    {"max_probability": float(np.max(probs)), "pulse_fwhm_ns": fwhm})
@@ -411,7 +416,7 @@ def _sim_stream(scenario: Scenario, args, threads: int) -> _Output:
     stream = _stream(scenario, threads)
     # export_stream writes the sidecar next to the CSV, as <csv>.json
     results = {"n_tags": stream.n_tags, "mean_per_pulse": stream.mean_per_pulse,
-               "sidecar": "stream.csv.json", "workers": threads}
+               "sidecar": "stream.csv.json"}
     return _Output("stream.csv", None, None, results, stream=stream)
 
 
@@ -420,7 +425,7 @@ def _sim_hbt(scenario: Scenario, args, threads: int) -> _Output:
     return _Output(
         "hbt.csv", "lag_ns,coincidences", [centers, counts],
         {"g_metric": report.g_metric, "g_metric_err": report.g_metric_err,
-         "g2_zero": report.g2_zero, "workers": threads},
+         "g2_zero": report.g2_zero},
         line=f"hbt: g = {report.g_metric:.4f} ± {report.g_metric_err:.4f}",
     )
 
@@ -431,7 +436,7 @@ def _sim_hom_pulsed(scenario: Scenario, args, threads: int) -> _Output:
     return _Output(
         "hom_pulsed.csv", "peak_index,coincidences_parallel,coincidences_orthogonal",
         [lags, [report.peak_areas[d] for d in lags], [report.aux["areas_orthogonal"][d] for d in lags]],
-        {"overlap_estimate": report.overlap, "g_metric": report.g_metric, "workers": threads},
+        {"overlap_estimate": report.overlap, "g_metric": report.g_metric},
         line=f"hom-pulsed: overlap estimate {report.overlap:.3f}",
     )
 
@@ -485,11 +490,13 @@ def run(mode: str, name: str, scenario: Scenario, args, threads: int) -> dict:
     """
     runner = _FIGURES[name] if mode == "fig" else _SIMS[name][0]
     out = runner(scenario, args, threads)
-    manifest = _manifest_text(f"{mode} {name}", scenario, out.results)
+    manifest = _manifest_text(f"{mode} {name}", scenario, out.results, threads)
     outdir = Path(scenario.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     if out.stream is not None:
-        export_stream(out.stream, outdir / out.csv)
+        from . import pulsed
+
+        pulsed.export_stream(out.stream, outdir / out.csv)
     else:
         write_csv(outdir / out.csv, out.header, out.columns)
     if out.plot is not None:

@@ -23,26 +23,26 @@ _EVEN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BlinkingParams:
-    """Classical intermittency envelope (1 + amplitude * exp(-|tau|/timescale))."""
+    """Classical intermittency envelope (1 + amplitude * exp(-|tau|/timescale_ns))."""
 
-    amplitude: float
-    timescale: float
+    amplitude: float = 0.1
+    timescale_ns: float = 50.0
 
     def __post_init__(self):
         if self.amplitude < 0:
             raise ValueError("blinking amplitude must be >= 0")
-        if self.timescale <= 0:
+        if self.timescale_ns <= 0:
             raise ValueError("blinking timescale must be > 0")
 
 
 @dataclass(frozen=True)
 class TimingResponse:
-    """Gaussian detector timing response; fwhm = 0 is an ideal detector."""
+    """Gaussian detector timing response; fwhm_ns = 0 is an ideal detector."""
 
-    fwhm: float
+    fwhm_ns: float = 0.1
 
     def __post_init__(self):
-        if self.fwhm < 0:
+        if self.fwhm_ns < 0:
             raise ValueError("timing fwhm must be >= 0")
 
 
@@ -192,7 +192,7 @@ def apply_blinking(trace: CorrelationTrace, blinking: BlinkingParams) -> Correla
     """Multiply a G2 trace by the bunching envelope (1 + a*exp(-|tau|/tau_b))."""
     if trace.kind != "G2":
         raise ValueError("blinking applies to G2 traces only")
-    env = 1.0 + blinking.amplitude * np.exp(-np.abs(trace.tau_grid) / blinking.timescale)
+    env = 1.0 + blinking.amplitude * np.exp(-np.abs(trace.tau_grid) / blinking.timescale_ns)
     return replace(trace, values=trace.values * env)
 
 
@@ -206,10 +206,10 @@ def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> Correlation
     """
     if not trace.is_uniform():
         raise ValueError("convolve_timing requires a uniform tau grid")
-    if irf.fwhm == 0.0:
+    if irf.fwhm_ns == 0.0:
         return replace(trace)
     dt = float(trace.tau_grid[1] - trace.tau_grid[0])
-    sigma = irf.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    sigma = irf.fwhm_ns / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     half = max(1, int(math.ceil(6.0 * sigma / dt)))
     x = np.arange(-half, half + 1) * dt
     kernel = np.exp(-0.5 * (x / sigma) ** 2)

@@ -1,5 +1,6 @@
 """Two-level emitter model: parameters, optical Bloch dynamics, steady state,
-the coherently scattered fraction, and the gated saturation curve.
+the coherently scattered fraction, the gated saturation curve, and the
+two-pulse excitation train.
 
 Units throughout: times in ns, (angular) Rabi frequency and detuning in
 rad/ns, energies in µeV.
@@ -18,6 +19,8 @@ HBAR_UEV_NS = 0.6582119
 # Emission rates are computed per ns; detected intensities are reported in
 # counts/s.
 NS_PER_S = 1.0e9
+
+_WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 
 
 class IntegrationError(RuntimeError):
@@ -50,6 +53,12 @@ class EmitterParams:
             )
         if not math.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
+        # knee_power divides by t1*t2; saturation_parameter squares detuning*t2
+        scale = self.t1 * self.t2
+        if not (scale > 0 and math.isfinite(1.0 / scale)):
+            raise ValueError(f"saturation scale 1/(t1*t2) must be finite, got t1={self.t1}, t2={self.t2}")
+        if not math.isfinite((self.detuning * self.t2) * (self.detuning * self.t2)):
+            raise ValueError(f"detuning factor (detuning*t2)^2 must be finite, got detuning={self.detuning}")
 
     def linewidth_uev(self) -> float:
         """Homogeneous FWHM linewidth 2*hbar/t2 in µeV."""
@@ -143,6 +152,60 @@ class DriveField:
             peak = area / (width * math.sqrt(math.pi / (4.0 * math.log(2.0))))
             return cls(rabi=peak, shape="gaussian", fwhm=width, t0=t0)
         raise ValueError(f"from_area needs a pulsed shape, got {shape!r}")
+
+
+@dataclass(frozen=True)
+class PulseTrain:
+    """Two excitation pulses per cycle.
+
+    pulse_area : dimensionless rotation area of each pulse
+    pulse_fwhm : ns (square pulses use this as the duration)
+    separation : ns between the two pulses of a pair
+    pair_period: ns between consecutive pairs
+
+    Each pulse runs in a window of width 2 * _half_window() (the square
+    pulse, or 10 sigma of a gaussian), shorter than both separation and
+    pair_period - separation: no two windows overlap, within or across cycles.
+    """
+
+    pulse_area: float
+    pulse_fwhm: float
+    separation: float = 2.36
+    pair_period: float = 13.1
+    n_pairs: int = 1
+    shape: str = "gaussian"
+
+    def __post_init__(self):
+        for name in ("pulse_area", "pulse_fwhm", "separation", "pair_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.pulse_area < 0:
+            raise ValueError("pulse_area must be >= 0")
+        if self.pulse_fwhm <= 0:
+            raise ValueError("pulse_fwhm must be > 0")
+        if not self.separation < self.pair_period:
+            raise ValueError("separation must be smaller than pair_period")
+        if not self.pulse_fwhm < self.separation:
+            raise ValueError("pulse_fwhm must be smaller than separation")
+        if self.n_pairs < 1:
+            raise ValueError("n_pairs must be >= 1")
+        if self.shape not in ("square", "gaussian"):
+            raise ValueError(f"unknown pulse shape {self.shape!r}")
+        if 2.0 * self._half_window() >= min(self.separation, self.pair_period - self.separation):
+            raise ValueError("pulse windows overlap; reduce pulse_fwhm")
+
+    def _half_window(self) -> float:
+        if self.shape == "square":
+            return self.pulse_fwhm / 2.0
+        sigma = self.pulse_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        return _WINDOW_SIGMAS * sigma
+
+    def drive(self, center: float = 0.0) -> DriveField:
+        if self.shape == "square":
+            return DriveField.from_area(
+                self.pulse_area, "square", self.pulse_fwhm, t0=center - self.pulse_fwhm / 2.0
+            )
+        return DriveField.from_area(self.pulse_area, "gaussian", self.pulse_fwhm, t0=center)
 
 
 _BLOCH_BALL_TOL = 1e-9

@@ -76,8 +76,8 @@ class SourceModel:
     multiphoton_g : relative weight of a two-photons-in-one-port event
     """
 
-    overlap: float
-    multiphoton_g: float = 0.0
+    overlap: float = 0.90
+    multiphoton_g: float = 0.167
 
     def __post_init__(self):
         if not 0.0 <= self.overlap <= 1.0:

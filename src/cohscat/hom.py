@@ -78,7 +78,7 @@ def hom_pair(
     """(parallel, orthogonal) traces, optionally smeared by the detector IRF."""
     par = hom_g2(params, rabi, replace(setup, polarization=PARALLEL), tau_grid)
     perp = hom_g2(params, rabi, replace(setup, polarization=ORTHOGONAL), tau_grid)
-    if irf is not None and irf.fwhm > 0.0:
+    if irf is not None and irf.fwhm_ns > 0.0:
         par = convolve_timing(par, irf)
         perp = convolve_timing(perp, irf)
     return par, perp
@@ -151,7 +151,7 @@ def solve_timing_for_visibility(
     par, perp = hom_pair(params, rabi, setup, tau_grid)
 
     def peak(fwhm: float) -> float:
-        irf = TimingResponse(fwhm=fwhm)
+        irf = TimingResponse(fwhm_ns=fwhm)
         return float(np.max(visibility(convolve_timing(par, irf), convolve_timing(perp, irf)).values))
 
     hi, f_hi = lo, peak(lo) - target

@@ -48,9 +48,8 @@ import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
 from . import _text
-from .emitter import DriveField, EmitterParams, _expm, _generator, _propagate
+from .emitter import _WINDOW_SIGMAS, DriveField, EmitterParams, PulseTrain, _expm, _generator, _propagate
 
-_WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
 _STREAM, _ROUTE_PARALLEL, _ROUTE_ORTHOGONAL = range(3)  # Philox key purposes
 _SEGMENT_T = 9.0  # propagator-table segment length, in min(t1, t2)
@@ -67,60 +66,6 @@ def _rng(seed: int, purpose: int, index: int) -> np.random.Generator:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([seed, (purpose << 56) + index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class PulseTrain:
-    """Two excitation pulses per cycle.
-
-    pulse_area : dimensionless rotation area of each pulse
-    pulse_fwhm : ns (square pulses use this as the duration)
-    separation : ns between the two pulses of a pair
-    pair_period: ns between consecutive pairs
-
-    Each pulse runs in a window of width 2 * _half_window() (the square
-    pulse, or 10 sigma of a gaussian), shorter than both separation and
-    pair_period - separation: no two windows overlap, within or across cycles.
-    """
-
-    pulse_area: float
-    pulse_fwhm: float
-    separation: float = 2.36
-    pair_period: float = 13.1
-    n_pairs: int = 1
-    shape: str = "gaussian"
-
-    def __post_init__(self):
-        for name in ("pulse_area", "pulse_fwhm", "separation", "pair_period"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.pulse_area < 0:
-            raise ValueError("pulse_area must be >= 0")
-        if self.pulse_fwhm <= 0:
-            raise ValueError("pulse_fwhm must be > 0")
-        if not self.separation < self.pair_period:
-            raise ValueError("separation must be smaller than pair_period")
-        if not self.pulse_fwhm < self.separation:
-            raise ValueError("pulse_fwhm must be smaller than separation")
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
-        if self.shape not in ("square", "gaussian"):
-            raise ValueError(f"unknown pulse shape {self.shape!r}")
-        if 2.0 * self._half_window() >= min(self.separation, self.pair_period - self.separation):
-            raise ValueError("pulse windows overlap; reduce pulse_fwhm")
-
-    def _half_window(self) -> float:
-        if self.shape == "square":
-            return self.pulse_fwhm / 2.0
-        sigma = self.pulse_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        return _WINDOW_SIGMAS * sigma
-
-    def drive(self, center: float = 0.0) -> DriveField:
-        if self.shape == "square":
-            return DriveField.from_area(
-                self.pulse_area, "square", self.pulse_fwhm, t0=center - self.pulse_fwhm / 2.0
-            )
-        return DriveField.from_area(self.pulse_area, "gaussian", self.pulse_fwhm, t0=center)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,14 @@ to its outputs, so a manifest can be fed back as the config of a later run.
 
 One loader reads the document: each key must name a field, each value must
 have the field's type (numbers finite), and each block is an object loaded
-the same way. One rule then decides validity: a scenario is valid if and
-only if every block resolves, `gating` against the resolved emitter.
+the same way. Four blocks are the library's own value classes, which check
+their values when built: `blinking` (BlinkingParams), `timing`
+(TimingResponse), `spectral` (SpectralResponse) and `source_model`
+(SourceModel). The other blocks derive something and resolve to it:
+`emitter` to EmitterParams, `drive` to a Rabi frequency, `gating` to a
+GatingModel (against the resolved emitter), `hom` to HomSetup,
+`pulse_train` to PulseTrain and `circuit` to its couplers and phases.
+A scenario is valid if and only if every block builds and resolves.
 `Scenario.__post_init__` resolves them all, so every way of making a
 Scenario (a config, `dataclasses.replace` with a flag's value) passes the
 same check, and a failure is a SchemaError that names its block.
@@ -28,7 +34,6 @@ from . import emitter as em
 from .correlations import BlinkingParams, TimingResponse
 from .fock import SourceModel, check_phi_grid, solve_coupler_reflectivity
 from .hom import HomSetup
-from .pulsed import PulseTrain
 from .spectrum import SpectralResponse
 
 TWO_PI = 2.0 * math.pi
@@ -73,7 +78,12 @@ def _load_block(cls, data, path: str | None = None):
         elif value is not None and float in (typ, *typing.get_args(typ)):
             value = float(value)
         kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except SchemaError:
+        raise
+    except (ValueError, ArithmeticError) as exc:  # a block's own check at construction
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -150,34 +160,6 @@ class GatingBlock:
 
 
 @dataclass(frozen=True)
-class BlinkingBlock:
-    amplitude: float = 0.1
-    timescale_ns: float = 50.0
-
-    def resolve(self) -> BlinkingParams:
-        return BlinkingParams(amplitude=self.amplitude, timescale=self.timescale_ns)
-
-
-@dataclass(frozen=True)
-class TimingBlock:
-    fwhm_ns: float = 0.1
-
-    def resolve(self) -> TimingResponse:
-        return TimingResponse(fwhm=self.fwhm_ns)
-
-
-@dataclass(frozen=True)
-class SpectralBlock:
-    instrument_fwhm_uev: float = 0.78
-    laser_fwhm_uev: float = 0.37
-
-    def resolve(self) -> SpectralResponse:
-        return SpectralResponse(
-            instrument_fwhm=self.instrument_fwhm_uev, laser_fwhm=self.laser_fwhm_uev
-        )
-
-
-@dataclass(frozen=True)
 class HomBlock:
     delay_ns: float = 10.4
     splitter_ratio: float = 0.5
@@ -195,8 +177,8 @@ class PulseTrainBlock:
     n_pairs: int = 100000
     shape: str = "gaussian"
 
-    def resolve(self, n_pairs: int | None = None) -> PulseTrain:
-        return PulseTrain(
+    def resolve(self, n_pairs: int | None = None) -> em.PulseTrain:
+        return em.PulseTrain(
             pulse_area=self.pulse_area_pi * math.pi,
             pulse_fwhm=self.pulse_fwhm_ns,
             separation=self.separation_ns,
@@ -204,15 +186,6 @@ class PulseTrainBlock:
             n_pairs=self.n_pairs if n_pairs is None else n_pairs,
             shape=self.shape,
         )
-
-
-@dataclass(frozen=True)
-class SourceModelBlock:
-    overlap: float = 0.90
-    multiphoton_g: float = 0.167
-
-    def resolve(self) -> SourceModel:
-        return SourceModel(overlap=self.overlap, multiphoton_g=self.multiphoton_g)
 
 
 @dataclass(frozen=True)
@@ -240,12 +213,12 @@ class Scenario:
     emitter: EmitterBlock = field(default_factory=EmitterBlock)
     drive: DriveBlock = field(default_factory=DriveBlock)
     gating: GatingBlock = field(default_factory=GatingBlock)
-    blinking: BlinkingBlock = field(default_factory=BlinkingBlock)
-    timing: TimingBlock = field(default_factory=TimingBlock)
-    spectral: SpectralBlock = field(default_factory=SpectralBlock)
+    blinking: BlinkingParams = field(default_factory=BlinkingParams)
+    timing: TimingResponse = field(default_factory=TimingResponse)
+    spectral: SpectralResponse = field(default_factory=SpectralResponse)
     hom: HomBlock = field(default_factory=HomBlock)
     pulse_train: PulseTrainBlock = field(default_factory=PulseTrainBlock)
-    source_model: SourceModelBlock = field(default_factory=SourceModelBlock)
+    source_model: SourceModel = field(default_factory=SourceModel)
     circuit: CircuitBlock = field(default_factory=CircuitBlock)
     seed: int = 12345
     output_dir: str = "out"
@@ -261,7 +234,7 @@ class Scenario:
                     params = block.resolve()
                 elif f.name == "gating":
                     block.resolve(params)
-                elif dataclasses.is_dataclass(block):
+                elif hasattr(block, "resolve"):
                     block.resolve()
             except (ValueError, ArithmeticError) as exc:
                 raise SchemaError(f"{f.name}: {exc}") from exc

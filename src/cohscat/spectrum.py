@@ -33,11 +33,11 @@ class GridError(ValueError):
 class SpectralResponse:
     """Lorentzian FWHM of the spectrometer and of the drive laser (µeV)."""
 
-    instrument_fwhm: float
-    laser_fwhm: float
+    instrument_fwhm_uev: float = 0.78
+    laser_fwhm_uev: float = 0.37
 
     def __post_init__(self):
-        if self.instrument_fwhm < 0 or self.laser_fwhm < 0:
+        if self.instrument_fwhm_uev < 0 or self.laser_fwhm_uev < 0:
             raise ValueError("spectral widths must be >= 0")
 
 
@@ -146,7 +146,7 @@ def emission_spectrum(
         )
     frac = rrs_fraction(params, rabi)
 
-    coherent_fwhm = response.laser_fwhm + response.instrument_fwhm
+    coherent_fwhm = response.laser_fwhm_uev + response.instrument_fwhm_uev
     if coherent_fwhm > 0.0:
         coh = lorentzian(energy_grid, 0.0, coherent_fwhm)
         coh_total = _resolved_total("coherent line", coh, energy_grid)
@@ -156,7 +156,7 @@ def emission_spectrum(
         coh_total = np.trapezoid(coh, energy_grid)
 
     if frac < 1.0 - 1e-12:
-        inc = incoherent_spectrum(params, rabi, energy_grid, response.instrument_fwhm)
+        inc = incoherent_spectrum(params, rabi, energy_grid, response.instrument_fwhm_uev)
         inc_total = _resolved_total("incoherent spectrum", inc, energy_grid)
         density = frac * coh / coh_total + (1.0 - frac) * inc / inc_total
     else:

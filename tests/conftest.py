@@ -12,9 +12,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from cohscat.emitter import HBAR_UEV_NS, DriveField, EmitterParams, IntegrationError, steady_state
+from cohscat.emitter import HBAR_UEV_NS, DriveField, EmitterParams, IntegrationError, PulseTrain, steady_state
 from cohscat.fock import CircuitElement
-from cohscat.pulsed import _CHUNK_PAIRS, _STREAM, PhotonStream, PulseTrain, _rng
+from cohscat.pulsed import _CHUNK_PAIRS, _STREAM, PhotonStream, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
 from cohscat.spectrum import GridError, SpectralResponse, SpectrumTrace, _uniform_spacing, lorentzian
 
@@ -463,7 +463,7 @@ def _simulate_chunk(params, train, tables, rng, n_chunk):
 
 
 def simulate_stream_flips(params, train, seed, steps_per_pulse=4096, segment_t1=18.0):
-    """``cohscat.simulate_stream`` with the flip-based engine, one chunk
+    """``cohscat.pulsed.simulate_stream`` with the flip-based engine, one chunk
     after another; segment_t1 is the table segment length in t1."""
     tables = _WindowTables(params, train, steps_per_pulse, segment_t1) if train.pulse_area > 0 else None
     n = train.n_pairs
@@ -825,10 +825,10 @@ def fit_linewidth(trace: SpectrumTrace, response: SpectralResponse) -> Linewidth
         raise GridError("spectral peak is not resolvable above the grid spacing")
 
     def model(e, amp, center, w_intr):
-        return amp * lorentzian(e, center, abs(w_intr) + response.instrument_fwhm)
+        return amp * lorentzian(e, center, abs(w_intr) + response.instrument_fwhm_uev)
 
-    w0 = max(fwhm_obs - response.instrument_fwhm, de / 10.0)
-    amp0 = dens.max() * math.pi * (w0 + response.instrument_fwhm) / 2.0
+    w0 = max(fwhm_obs - response.instrument_fwhm_uev, de / 10.0)
+    amp0 = dens.max() * math.pi * (w0 + response.instrument_fwhm_uev) / 2.0
     p0 = [amp0, grid[int(np.argmax(dens))], w0]
     try:
         with warnings.catch_warnings():
@@ -844,7 +844,7 @@ def fit_linewidth(trace: SpectrumTrace, response: SpectralResponse) -> Linewidth
         w_intr = 0.0
     return LinewidthFit(
         intrinsic_fwhm=w_intr,
-        total_fwhm=w_intr + response.instrument_fwhm,
+        total_fwhm=w_intr + response.instrument_fwhm_uev,
         center=float(popt[1]),
         amplitude=float(popt[0]),
         residual_norm=resid,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohscat import _text, cli, hom
+from cohscat import _text, cli, hom, pulsed
 from cohscat import emitter as em
 from cohscat._svg import render_lines
 from cohscat.scenario import Scenario, SchemaError
@@ -208,6 +208,8 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
      (["fig", "fig1d"], {"gating": {"charge_occupation": 2}}, "charge_occupation must lie in [0, 1]"),
      (["fig", "fig1d"], {"emitter": {"linewidth_uev": -1}}, "linewidth_uev must be > 0"),
      (["fig", "fig1d"], {"gating": {"collection_efficiency": 0}}, "detected emission must be > 0"),
+     (["fig", "fig1d"], {"emitter": {"linewidth_uev": 1e300}}, "saturation scale 1/(t1*t2) must be finite"),
+     (["fig", "fig1d"], {"emitter": {"detuning_rad_ns": 1e300}}, "detuning factor (detuning*t2)^2 must be finite"),
      (["sim", "stream"], {"pulse_train": {"pulse_area_pi": math.nan}}, "pulse_area_pi: expected float"),
      *[(command, config, message) for command in (["fig", "fig1d"], ["fig", "fig2a"])
        for config, message in (({"drive": {"rabi_ghz": -1}}, "rabi must be >= 0"),
@@ -216,7 +218,8 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
          "timing-fwhm", "instrument-fwhm", "n-phi", "phi-span",
          *[f"{command}-{case}" for command in ("fig1d", "fig2a", "steady")
            for case in ("contrast", "knee-scale", "coherence-ratio")],
-         "huge-linewidth", "occupation", "negative-linewidth", "zero-efficiency", "nan-area",
+         "huge-linewidth", "occupation", "negative-linewidth", "zero-efficiency",
+         "extreme-linewidth", "extreme-detuning", "nan-area",
          *[f"{command}-{case}" for command in ("fig1d", "fig2a") for case in ("rabi", "blinking")]],
 )
 def test_out_of_range_block_values_are_schema_errors(tmp_path, capsys, command, config, message):
@@ -304,8 +307,8 @@ def test_sim_hom_cw_builds_the_traces_once(tmp_path, monkeypatch):
 
 
 def test_pulsed_commands_call_the_library_through_module_globals(tmp_path, monkeypatch):
-    # Wrappers bound over cli.simulate_stream and cli.pulsed_hom (as the
-    # benchmark's probe binds them) must see every call the runners make.
+    # Wrappers bound over pulsed.simulate_stream and pulsed.pulsed_hom (as
+    # the benchmark's probe binds them) must see every call the runners make.
     calls = []
 
     def counting(name, real):
@@ -314,8 +317,8 @@ def test_pulsed_commands_call_the_library_through_module_globals(tmp_path, monke
             return real(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(cli, "simulate_stream", counting("stream", cli.simulate_stream))
-    monkeypatch.setattr(cli, "pulsed_hom", counting("hom", cli.pulsed_hom))
+    monkeypatch.setattr(pulsed, "simulate_stream", counting("stream", pulsed.simulate_stream))
+    monkeypatch.setattr(pulsed, "pulsed_hom", counting("hom", pulsed.pulsed_hom))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pulse_train": {"n_pairs": 2000}}))
     cases = [
@@ -355,6 +358,17 @@ def test_every_figure_svg_parses(tmp_path):
             "{http://www.w3.org/2000/svg}circle"
         )
         assert marks, fig
+
+
+def test_results_do_not_depend_on_the_thread_count(tmp_path):
+    manifests = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        assert run_cli(["sim", "hbt", "--pairs", "2000", "--threads", str(threads), "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert manifests[-1]["diagnostics"] == {"threads": threads}
+    assert manifests[0]["results"] == manifests[1]["results"]
+    assert (tmp_path / "1" / "hbt.csv").read_bytes() == (tmp_path / "2" / "hbt.csv").read_bytes()
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
@@ -611,6 +625,25 @@ def test_no_scipy_on_any_command_path(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fig_fig3e" / "fig3e.csv").exists()
+
+
+def test_only_the_pulsed_commands_load_the_monte_carlo_engine(tmp_path):
+    code = (
+        "import sys\n"
+        "from cohscat import cli\n"
+        "pulsed = {'fig3b', 'fig3c', 'rabi', 'stream', 'hbt', 'hom-pulsed'}\n"
+        "for args in [['fig', fig] for fig in cli.FIGURE_IDS] + [['sim', sim] for sim in cli._SIMS]:\n"
+        "    if args[1] not in pulsed:\n"
+        f"        out = {str(tmp_path)!r} + '/' + '_'.join(args)\n"
+        "        assert cli.main([*args, '--threads', '1', '--out', out]) == 0, args\n"
+        "loaded = [m for m in ('cohscat.pulsed', 'numpy.random', 'concurrent.futures') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sim_noon" / "noon.csv").exists()
 
 
 def test_runtime_dependencies_name_no_scipy():

@@ -160,10 +160,10 @@ def test_blinking_envelope():
     taus = np.linspace(-300.0, 300.0, 1201)
     base = cs.g2(params, 3.0, taus)
 
-    same = cs.apply_blinking(base, cs.BlinkingParams(amplitude=0.0, timescale=10.0))
+    same = cs.apply_blinking(base, cs.BlinkingParams(amplitude=0.0, timescale_ns=10.0))
     assert np.array_equal(same.values, base.values)
 
-    blk = cs.BlinkingParams(amplitude=0.2, timescale=100.0)
+    blk = cs.BlinkingParams(amplitude=0.2, timescale_ns=100.0)
     bunched = cs.apply_blinking(base, blk)
     mid = len(taus) // 2
     assert bunched.values[mid] == 0.0  # antibunching survives
@@ -180,11 +180,11 @@ def test_convolve_timing_identity_and_delta():
     delta[400] = 1.0
     trace = cs.CorrelationTrace(taus, delta, kind="G2")
 
-    out0 = cs.convolve_timing(trace, cs.TimingResponse(fwhm=0.0))
+    out0 = cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=0.0))
     assert np.array_equal(out0.values, delta)
 
     fwhm = 0.2
-    out = cs.convolve_timing(trace, cs.TimingResponse(fwhm=fwhm))
+    out = cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=fwhm))
     assert np.sum(out.values) == pytest.approx(np.sum(delta), rel=1e-9)
     # the delta response is a unit-norm Gaussian sampled on the grid
     dt = taus[1] - taus[0]
@@ -207,12 +207,12 @@ def test_convolve_timing_against_direct_sum():
     # the integral-preservation contract assumes
     taus = np.linspace(-40.0, 40.0, 4001)
     trace = cs.g2(params, 5.0, taus)
-    irf = cs.TimingResponse(fwhm=0.1 * params.t1)
+    irf = cs.TimingResponse(fwhm_ns=0.1 * params.t1)
     out = cs.convolve_timing(trace, irf)
 
     # direct O(N^2) oracle with the same edge-replication convention
     dt = taus[1] - taus[0]
-    sigma = irf.fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    sigma = irf.fwhm_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     half = int(np.ceil(6.0 * sigma / dt))
     kern = np.exp(-0.5 * ((np.arange(-half, half + 1) * dt) / sigma) ** 2)
     kern /= kern.sum()
@@ -230,4 +230,4 @@ def test_convolve_timing_rejects_nonuniform():
     taus = np.array([0.0, 0.1, 0.3])
     trace = cs.CorrelationTrace(taus, np.ones(3), kind="G2")
     with pytest.raises(ValueError):
-        cs.convolve_timing(trace, cs.TimingResponse(fwhm=0.1))
+        cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=0.1))

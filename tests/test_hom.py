@@ -132,12 +132,12 @@ def test_family_ordering_near_zero_lag():
 
 def test_irf_solution_reproduces_peak_visibility():
     fwhm = cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89)
-    vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm=fwhm))
+    vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm_ns=fwhm))
     assert float(np.max(vis.values)) == pytest.approx(0.89, abs=0.005)
 
 
 def _peak_minus_target(fwhm, target=0.89):
-    vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm=fwhm))
+    vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm_ns=fwhm))
     return float(np.max(vis.values)) - target
 
 
@@ -165,7 +165,7 @@ def test_fig2e_irf_solve_evaluates_each_point_once(monkeypatch):
         return real_pair(*args, **kwargs)
 
     def counted_convolve(trace, irf):
-        widths.append(irf.fwhm)
+        widths.append(irf.fwhm_ns)
         return real_convolve(trace, irf)
 
     monkeypatch.setattr(hom, "hom_pair", counted_pair)

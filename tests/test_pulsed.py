@@ -54,7 +54,7 @@ def test_train_rejects_non_finite_fields(name, value):
 
 def test_rabi_curve_examples():
     fwhm = PARAMS.t1 / 1000.0
-    curve = dict(cs.rabi_curve(PARAMS, [0.0, 0.71 * math.pi, math.pi], fwhm))
+    curve = dict(pulsed.rabi_curve(PARAMS, [0.0, 0.71 * math.pi, math.pi], fwhm))
     assert curve[0.0] == 0.0
     assert curve[math.pi] >= 0.98
     assert curve[0.71 * math.pi] == pytest.approx(math.sin(0.71 * math.pi / 2.0) ** 2, rel=0.02)
@@ -63,7 +63,7 @@ def test_rabi_curve_examples():
 def test_rabi_curve_maxima_at_odd_pi():
     fwhm = PARAMS.t1 / 1000.0
     areas = np.linspace(0.0, 4.0, 41) * math.pi
-    probs = np.array([p for _, p in cs.rabi_curve(PARAMS, areas, fwhm)])
+    probs = np.array([p for _, p in pulsed.rabi_curve(PARAMS, areas, fwhm)])
     # local maxima of the sampled curve sit at pi and 3*pi
     peaks = [areas[i] for i in range(1, 40) if probs[i] > probs[i - 1] and probs[i] > probs[i + 1]]
     assert np.allclose(peaks, [math.pi, 3.0 * math.pi], atol=areas[1] - areas[0])
@@ -87,7 +87,7 @@ SIM_RABI_FWHM = 0.057
 )
 def test_rabi_curve_matches_per_area_oracle(params, areas, shape):
     # all areas share one integration; each must still match its own
-    batched = np.array(cs.rabi_curve(params, areas, SIM_RABI_FWHM, shape=shape))
+    batched = np.array(pulsed.rabi_curve(params, areas, SIM_RABI_FWHM, shape=shape))
     oracle = np.array(rabi_curve_per_area(params, areas, SIM_RABI_FWHM, shape))
     assert batched.shape == (len(areas), 2)
     assert np.array_equal(batched[:, 0], oracle[:, 0])
@@ -111,7 +111,7 @@ def test_rabi_curve_checks_inputs_before_integrating(monkeypatch, areas, fwhm, s
 
     monkeypatch.setattr(pulsed, "_propagate", fail)
     with pytest.raises(ValueError):
-        cs.rabi_curve(PARAMS, areas, fwhm, shape=shape)
+        pulsed.rabi_curve(PARAMS, areas, fwhm, shape=shape)
 
 
 def test_zero_area_gives_empty_stream():
@@ -119,13 +119,13 @@ def test_zero_area_gives_empty_stream():
     # zero-area "pulses" cannot excite anything
     train = cs.PulseTrain(pulse_area=0.0, pulse_fwhm=0.01, separation=2.36,
                           pair_period=13.1, n_pairs=200)
-    stream = cs.simulate_stream(PARAMS, train, seed=1)
+    stream = pulsed.simulate_stream(PARAMS, train, seed=1)
     assert stream.n_tags == 0
 
 
 def test_impulsive_pi_pulse_statistics():
     train = make_train(1.0, PARAMS.t1 / 1000.0, 50000)  # 1e5 pulses
-    stream = cs.simulate_stream(PARAMS, train, seed=42)
+    stream = pulsed.simulate_stream(PARAMS, train, seed=42)
     assert stream.mean_per_pulse == pytest.approx(1.0, abs=0.01)
     counts = stream.counts_per_pulse()
     assert (counts >= 2).sum() / counts.size < 0.005
@@ -135,7 +135,7 @@ def test_reexcitation_grows_with_pulse_width():
     n = 50000
     p2 = {}
     for fwhm in (0.25 * PARAMS.t1, 0.53 * PARAMS.t1):
-        stream = cs.simulate_stream(PARAMS, make_train(1.0, fwhm, n), seed=9)
+        stream = pulsed.simulate_stream(PARAMS, make_train(1.0, fwhm, n), seed=9)
         counts = stream.counts_per_pulse()
         p2[fwhm] = (counts >= 2).sum() / counts.size
     assert 0.0 < p2[0.25 * PARAMS.t1] < p2[0.53 * PARAMS.t1]
@@ -144,8 +144,8 @@ def test_reexcitation_grows_with_pulse_width():
 def test_mc_mean_matches_ode_expectation():
     fwhm = 0.057
     train = make_train(0.71, fwhm, 50000)  # 1e5 pulses
-    stream = cs.simulate_stream(PARAMS, train, seed=3)
-    expected = cs.rabi_curve(PARAMS, [0.71 * math.pi], fwhm)[0][1]
+    stream = pulsed.simulate_stream(PARAMS, train, seed=3)
+    expected = pulsed.rabi_curve(PARAMS, [0.71 * math.pi], fwhm)[0][1]
     n_pulses = 2 * train.n_pairs
     sigma = math.sqrt(expected / n_pulses)  # counts are nearly Bernoulli
     assert abs(stream.mean_per_pulse - expected) < 3.0 * sigma + 0.002
@@ -162,10 +162,10 @@ def test_stream_determinism_and_worker_equivalence(monkeypatch):
     ]
     for params, train, chunk in cases:
         monkeypatch.setattr(pulsed, "_CHUNK_PAIRS", chunk)
-        a = cs.simulate_stream(params, train, seed=11)
+        a = pulsed.simulate_stream(params, train, seed=11)
         assert a.pair_index.max() >= chunk
         for workers in (1, 2, 3):
-            b = cs.simulate_stream(params, train, seed=11, workers=workers)
+            b = pulsed.simulate_stream(params, train, seed=11, workers=workers)
             assert a.times.tobytes() == b.times.tobytes()
             assert a.pair_index.tobytes() == b.pair_index.tobytes()
             assert a.pulse_index.tobytes() == b.pulse_index.tobytes()
@@ -208,7 +208,7 @@ def test_thread_pool_is_capped(monkeypatch):
     train = make_train(0.0, 0.057, 4 << 16)
     for cores, expected in ((3, 3), (16, 4)):
         monkeypatch.setattr(pulsed.os, "cpu_count", lambda: cores)
-        cs.simulate_stream(PARAMS, train, seed=1, workers=10**6)
+        pulsed.simulate_stream(PARAMS, train, seed=1, workers=10**6)
         assert requested.pop() == expected
 
 
@@ -222,9 +222,9 @@ DENSE = cs.EmitterParams(t1=2.0 * PARAMS.t1, t2=2.0 * PARAMS.t1)  # pure dephasi
 )
 def test_stream_matches_conditional_master_equation(params, area_pi, fwhm, oracle):
     train = make_train(area_pi, fwhm, 100000)
-    counts = cs.simulate_stream(params, train, seed=41).counts_per_pulse().ravel()
+    counts = pulsed.simulate_stream(params, train, seed=41).counts_per_pulse().ravel()
     n = counts.size
-    expected = cs.rabi_curve(params, [area_pi * math.pi], fwhm)[0][1]
+    expected = pulsed.rabi_curve(params, [area_pi * math.pi], fwhm)[0][1]
     assert abs(counts.mean() - expected) < 4.0 * counts.std() / math.sqrt(n)
 
     pairs = counts * (counts - 1) / 2.0
@@ -307,7 +307,7 @@ def test_window_tables_match_sequential_products():
 def test_stream_matches_flip_engine_without_dephasing(params, train):
     # At t2 = 2 t1 the flip engine draws no flips: both engines march by the
     # same law and draw the same deviates, once they re-anchor alike.
-    new = cs.simulate_stream(params, train, seed=41)
+    new = pulsed.simulate_stream(params, train, seed=41)
     old = simulate_stream_flips(params, train, 41, segment_t1=pulsed._SEGMENT_T)
     assert np.array_equal(new.pair_index, old.pair_index)
     assert np.array_equal(new.pulse_index, old.pulse_index)
@@ -338,7 +338,7 @@ def test_stream_draws_one_deviate_per_trajectory_and_click(monkeypatch):
     keyed = pulsed._rng
     monkeypatch.setattr(pulsed, "_rng", lambda seed, purpose, index: Counting(keyed(seed, purpose, index)))
     train = make_train(3.0, 0.4, 5000)
-    stream = cs.simulate_stream(DENSE, train, seed=5)
+    stream = pulsed.simulate_stream(DENSE, train, seed=5)
     assert DENSE.gamma_phi > 0 and stream.n_tags > train.n_pairs
     assert sum(draws) == train.n_pairs + stream.n_tags
 
@@ -348,17 +348,17 @@ def test_long_window_stays_finite_and_unbiased():
     # the window has |det| = e^-50, so the tables must re-anchor
     params = cs.EmitterParams(t1=0.01, t2=0.02)
     train = cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")
-    stream = cs.simulate_stream(params, train, seed=13)
+    stream = pulsed.simulate_stream(params, train, seed=13)
     assert np.all(np.isfinite(stream.times))
     counts = stream.counts_per_pulse().ravel()
-    expected = cs.rabi_curve(params, [3.0 * math.pi], 1.0, shape="square")[0][1]
+    expected = pulsed.rabi_curve(params, [3.0 * math.pi], 1.0, shape="square")[0][1]
     assert abs(counts.mean() - expected) < 5.0 * counts.std() / math.sqrt(counts.size)
 
 
 def test_dephasing_channel_keeps_emission_statistics():
     dephased = cs.EmitterParams(t1=PARAMS.t1, t2=0.6 * PARAMS.t1)
     train = make_train(1.0, PARAMS.t1 / 1000.0, 20000)
-    stream = cs.simulate_stream(dephased, train, seed=5)
+    stream = pulsed.simulate_stream(dephased, train, seed=5)
     # an impulsive pi pulse inverts regardless of t2; emission count stays ~1
     assert stream.mean_per_pulse == pytest.approx(1.0, abs=0.02)
 
@@ -368,7 +368,7 @@ def test_synthetic_stream_matches_targets():
     mu = 0.8
     stream = synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=21)
     assert stream.mean_per_pulse == pytest.approx(mu, abs=0.01)
-    report = cs.hbt_analyze(stream)
+    report = pulsed.hbt_analyze(stream)
     assert report.g_metric == pytest.approx(0.167, abs=3.0 * report.g_metric_err + 0.005)
     with pytest.raises(ValueError):
         synthetic_stream(PARAMS, train, mean_per_pulse=0.1, g_target=300.0, seed=1)
@@ -377,7 +377,7 @@ def test_synthetic_stream_matches_targets():
 def test_hbt_single_photon_stream():
     train = make_train(0.71, PARAMS.t1 / 1000.0, 20000)
     stream = synthetic_stream(PARAMS, train, mean_per_pulse=1.0, g_target=0.0, seed=2)
-    report = cs.hbt_analyze(stream)
+    report = pulsed.hbt_analyze(stream)
     assert report.g_metric == 0.0
     assert report.g2_zero == 0.0
     sides = [report.peak_areas[d] / (train.n_pairs - d) for d in range(2, 11)]
@@ -393,22 +393,22 @@ def test_hbt_peak_areas_equal_a_pair_count():
     for a, b in itertools.combinations(stream.pair_index.tolist(), 2):
         if abs(a - b) <= 20:
             counts[abs(a - b)] += 1
-    report = cs.hbt_analyze(stream)
+    report = pulsed.hbt_analyze(stream)
     assert [report.peak_areas[d] for d in range(21)] == counts
 
 
 def test_hbt_rejects_empty_and_reports_errors():
     train = make_train(0.71, 0.057, 5000)
-    stream = cs.simulate_stream(PARAMS, train, seed=6)
-    report = cs.hbt_analyze(stream)
+    stream = pulsed.simulate_stream(PARAMS, train, seed=6)
+    report = pulsed.hbt_analyze(stream)
     assert report.g_metric_err > 0.0
     assert 0 in report.peak_areas and 2 in report.peak_areas
-    empty = cs.PhotonStream(
+    empty = pulsed.PhotonStream(
         times=np.empty(0), pair_index=np.empty(0, int), pulse_index=np.empty(0, int),
         seed=0, params=PARAMS, train=train,
     )
     with pytest.raises(ValueError):
-        cs.hbt_analyze(empty)
+        pulsed.hbt_analyze(empty)
 
 
 @pytest.mark.parametrize("overlap_true,g,tol", [(1.0, 0.0, 0.01), (0.0, 0.0, 0.01)])
@@ -416,7 +416,7 @@ def test_pulsed_hom_trivial_overlaps(overlap_true, g, tol):
     train = make_train(0.71, PARAMS.t1 / 1000.0, 2000000)
     mu = math.sin(0.71 * math.pi / 2.0) ** 2
     stream = synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=g, seed=17)
-    report = cs.pulsed_hom(stream, overlap_true, seed=23)
+    report = pulsed.pulsed_hom(stream, overlap_true, seed=23)
     assert report.aux["overlap_raw"] == pytest.approx(overlap_true, abs=tol)
     assert report.overlap == pytest.approx(overlap_true, abs=tol)
 
@@ -425,7 +425,7 @@ def test_pulsed_hom_recovers_contaminated_overlap():
     train = make_train(0.71, PARAMS.t1 / 1000.0, 400000)
     mu = math.sin(0.71 * math.pi / 2.0) ** 2
     stream = synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=29)
-    report = cs.pulsed_hom(stream, 0.90, seed=31)
+    report = pulsed.pulsed_hom(stream, 0.90, seed=31)
     assert report.overlap == pytest.approx(0.90, abs=0.02)
     assert report.g_metric == pytest.approx(0.167, abs=0.01)
     assert report.aux["correction"] > 1.5  # multi-photon correction is substantial
@@ -438,7 +438,7 @@ def test_pulsed_hom_estimator_bias_is_small():
     estimates = []
     for seed in range(5):
         stream = synthetic_stream(PARAMS, train, mean_per_pulse=mu, g_target=0.167, seed=seed)
-        estimates.append(cs.pulsed_hom(stream, 0.90, seed=seed + 100).aux["overlap_raw"])
+        estimates.append(pulsed.pulsed_hom(stream, 0.90, seed=seed + 100).aux["overlap_raw"])
     assert abs(float(np.mean(estimates)) - 0.90) < 0.01
 
 
@@ -446,25 +446,25 @@ def test_pulsed_hom_estimator_bias_is_small():
 def test_out_of_range_seed_raises_value_error(seed):
     train = make_train(0.71, 0.057, 10)
     with pytest.raises(ValueError, match="seed must lie in"):
-        cs.simulate_stream(PARAMS, train, seed)
+        pulsed.simulate_stream(PARAMS, train, seed)
     stream = synthetic_stream(PARAMS, make_train(0.71, PARAMS.t1 / 1000.0, 1000), mean_per_pulse=0.8,
                               g_target=0.0, seed=1)
     with pytest.raises(ValueError, match="seed must lie in"):
-        cs.pulsed_hom(stream, 0.9, seed)
+        pulsed.pulsed_hom(stream, 0.9, seed)
 
 
 def test_coincidence_histogram_pairs():
     times = np.array([0.0, 0.1, 5.0])
-    centers, counts = cs.coincidence_histogram(times, max_lag=1.0, bin_width=0.2)
+    centers, counts = pulsed.coincidence_histogram(times, max_lag=1.0, bin_width=0.2)
     assert counts.sum() == 2  # the 0.1 lag counted at +-
     assert len(centers) == len(counts)
 
 
 def test_export_stream_roundtrip(tmp_path):
     train = make_train(0.71, 0.057, 500)
-    stream = cs.simulate_stream(PARAMS, train, seed=8)
+    stream = pulsed.simulate_stream(PARAMS, train, seed=8)
     csv_path = tmp_path / "stream.csv"
-    sidecar = cs.export_stream(stream, csv_path)
+    sidecar = pulsed.export_stream(stream, csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "pair_index,pulse_index,time_ns"
     assert len(lines) == stream.n_tags + 1
@@ -480,13 +480,13 @@ def test_export_stream_matches_per_tag_oracle(tmp_path, scale):
     # Rescaled times put the tags in the 12-digit window's corners and past
     # it (scientific notation); one extra tag carries an infinite time and
     # the int64 extremes.
-    stream = cs.simulate_stream(PARAMS, make_train(0.71, 0.057, 3000), seed=5)
+    stream = pulsed.simulate_stream(PARAMS, make_train(0.71, 0.057, 3000), seed=5)
     stream = dataclasses.replace(
         stream,
         times=np.append(stream.times * scale, np.inf),
         pair_index=np.append(stream.pair_index, np.iinfo(np.int64).max),
         pulse_index=np.append(stream.pulse_index, np.iinfo(np.int64).min),
     )
-    cs.export_stream(stream, tmp_path / "new.csv")
+    pulsed.export_stream(stream, tmp_path / "new.csv")
     export_stream_rows_per_tag(stream, tmp_path / "oracle.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -70,7 +70,7 @@ def test_unresolved_grid_raises(points, widths):
 def test_weak_drive_zero_width_collapses_to_single_bin():
     params = cs.EmitterParams(t1=1.0, t2=2.0)
     grid = np.linspace(-40.0, 40.0, 4097)  # odd: a bin sits exactly at 0
-    response = cs.SpectralResponse(instrument_fwhm=0.0, laser_fwhm=0.0)
+    response = cs.SpectralResponse(instrument_fwhm_uev=0.0, laser_fwhm_uev=0.0)
     trace = cs.emission_spectrum(params, 1e-4, response, grid)
     assert trace.coherent_weight > 0.999999
     k = int(np.argmax(trace.density))
@@ -81,7 +81,7 @@ def test_weak_drive_zero_width_collapses_to_single_bin():
 
 def test_spectrum_normalization_and_symmetry():
     params = EmitterBlock().resolve()
-    response = cs.SpectralResponse(instrument_fwhm=0.78, laser_fwhm=0.37)
+    response = cs.SpectralResponse(instrument_fwhm_uev=0.78, laser_fwhm_uev=0.37)
     grid = np.linspace(-40.0, 40.0, 4096)
     trace = cs.emission_spectrum(params, 2.0, response, grid)
     assert np.trapezoid(trace.density, grid) == pytest.approx(1.0, abs=1e-6)
@@ -94,7 +94,7 @@ def test_measured_line_is_instrument_dominated():
     params = EmitterBlock().resolve()
     rabi = 0.4
     assert cs.rrs_fraction(params, rabi) > 0.99
-    response = cs.SpectralResponse(instrument_fwhm=0.78, laser_fwhm=0.37)
+    response = cs.SpectralResponse(instrument_fwhm_uev=0.78, laser_fwhm_uev=0.37)
     grid = np.linspace(-40.0, 40.0, 4096)
     trace = cs.emission_spectrum(params, rabi, response, grid)
 
@@ -111,7 +111,7 @@ def test_measured_line_is_instrument_dominated():
 
 def test_fit_linewidth_synthetic_self_consistency():
     grid = np.linspace(-30.0, 30.0, 4001)
-    response = cs.SpectralResponse(instrument_fwhm=0.78, laser_fwhm=0.0)
+    response = cs.SpectralResponse(instrument_fwhm_uev=0.78, laser_fwhm_uev=0.0)
     density = lorentzian(grid, 0.0, 0.37 + 0.78)
     density = density / np.trapezoid(density, grid)
     trace = cs.SpectrumTrace(energy_grid=grid, density=density, coherent_weight=1.0)
@@ -123,7 +123,7 @@ def test_fit_linewidth_synthetic_self_consistency():
 
 def test_fit_linewidth_zero_intrinsic():
     grid = np.linspace(-30.0, 30.0, 4001)
-    response = cs.SpectralResponse(instrument_fwhm=0.78, laser_fwhm=0.0)
+    response = cs.SpectralResponse(instrument_fwhm_uev=0.78, laser_fwhm_uev=0.0)
     density = lorentzian(grid, 0.0, 0.78)
     density = density / np.trapezoid(density, grid)
     trace = cs.SpectrumTrace(energy_grid=grid, density=density, coherent_weight=1.0)
@@ -142,10 +142,10 @@ def test_lorentzian_widths_add():
     assert above[-1] - above[0] == pytest.approx(w1 + w2, rel=0.01)
 
 
-def test_aliasing_guard():
+def test_narrow_energy_grid_raises_grid_error():
     params = cs.EmitterParams(t1=1.0, t2=0.6)  # linewidth 2.19 µeV
     grid = np.linspace(-5.0, 5.0, 512)  # span 10 < 10 * 2.19
-    response = cs.SpectralResponse(instrument_fwhm=0.0, laser_fwhm=0.0)
+    response = cs.SpectralResponse(instrument_fwhm_uev=0.0, laser_fwhm_uev=0.0)
     with pytest.raises(GridError):
         cs.emission_spectrum(params, 1.0, response, grid)
 
