@@ -2,7 +2,8 @@
 
 Library layout:
 
-- emitter       parameters, Bloch dynamics, steady state, coherent fraction,
+- emitter       parameters, the Bloch equations and their pulse propagator
+                (behind `pulsed.rabi_curve`), steady state, coherent fraction,
                 saturation/gating intensity model, the pulse train
 - correlations  g1/g2 via the regression theorem, blinking envelope,
                 detector timing response
@@ -37,7 +38,6 @@ from .emitter import (
     PulseTrain,
     default_bulk_params,
     derive_cavity_params,
-    evolve,
     rrs_fraction,
     saturation_curve,
     steady_state,
@@ -57,7 +57,6 @@ from .hom import (
     hom_visibility,
     solve_timing_for_visibility,
     visibility,
-    visibility_family,
 )
 from .scenario import Scenario, SchemaError
 from .spectrum import (

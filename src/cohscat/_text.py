@@ -1,4 +1,4 @@
-"""Number text for the CSV, SVG and photon-stream writers, a column at a time.
+"""Number text for the CSV and SVG writers, a column at a time.
 
 Every number the package writes to a data file goes through this module.
 The text contract is Python's own formatting, byte for byte:

@@ -8,7 +8,8 @@ computes; it returns an `_Output`. After it returns, `run` writes every
 output under the output directory: the CSV data file, the SVG rendering of a
 figure, and manifest.json, which echoes the fully resolved scenario so it
 can be re-used as a config. A run that fails writes nothing. Exit codes:
-0 success, 2 schema/flag error, 3 numerical failure.
+0 success, 2 schema, flag or file error (a --config or --out that
+cannot be used), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,12 +32,9 @@ from ._svg import render_lines
 from .correlations import TimingResponse, apply_blinking, convolve_timing, g1, g2
 from .emitter import IntegrationError
 from .fock import fit_fringe, mzi_fringes
-from .hom import hom_pair, solve_timing_for_visibility, visibility, visibility_family
+from .hom import hom_pair, hom_visibility, solve_timing_for_visibility, visibility
 from .scenario import Scenario, SchemaError
 from .spectrum import GridError, emission_spectrum, lorentzian
-
-if TYPE_CHECKING:
-    from .pulsed import PhotonStream
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -104,19 +101,17 @@ def _thread_count(flag_value: int | None) -> int:
 class _Output:
     """Everything one command writes, computed before the first write.
 
-    csv names the data file, written from header and columns, or, when
-    stream is set, by `export_stream` with its JSON sidecar. plot holds the
-    `render_lines` arguments after the path (a figure's SVG sits next to its
-    CSV); line is printed to stdout.
+    csv names the data file, written from header and columns. plot holds
+    the `render_lines` arguments after the path (a figure's SVG sits next to
+    its CSV); line is printed to stdout.
     """
 
     csv: str
-    header: str | None
-    columns: list | None
+    header: str
+    columns: list
     results: dict
     plot: tuple | None = None
     line: str | None = None
-    stream: PhotonStream | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +265,8 @@ def _fig2e(scenario: Scenario, args, threads: int) -> _Output:
         params.with_coherence_ratio(1.0), rabi, setup, _HOM_TAUS, target=0.89
     )
     ratios = [0.3, 0.5, 0.8, 1.0]
-    traces = visibility_family(params, rabi, setup, ratios, _HOM_TAUS, TimingResponse(fwhm_ns=irf_fwhm))
+    irf = TimingResponse(fwhm_ns=irf_fwhm)
+    traces = [hom_visibility(params.with_coherence_ratio(r), rabi, setup, _HOM_TAUS, irf) for r in ratios]
     peak = float(np.max(traces[-1].values))
     return _Output(
         "fig2e.csv", "tau_ns," + ",".join(f"v_ratio{r:g}" for r in ratios),
@@ -414,10 +410,9 @@ def _sim_rabi(scenario: Scenario, args, threads: int) -> _Output:
 
 def _sim_stream(scenario: Scenario, args, threads: int) -> _Output:
     stream = _stream(scenario, threads)
-    # export_stream writes the sidecar next to the CSV, as <csv>.json
-    results = {"n_tags": stream.n_tags, "mean_per_pulse": stream.mean_per_pulse,
-               "sidecar": "stream.csv.json"}
-    return _Output("stream.csv", None, None, results, stream=stream)
+    return _Output("stream.csv", "pair_index,pulse_index,time_ns",
+                   [stream.pair_index, stream.pulse_index, stream.times],
+                   {"n_tags": stream.n_tags, "mean_per_pulse": stream.mean_per_pulse})
 
 
 def _sim_hbt(scenario: Scenario, args, threads: int) -> _Output:
@@ -493,12 +488,7 @@ def run(mode: str, name: str, scenario: Scenario, args, threads: int) -> dict:
     manifest = _manifest_text(f"{mode} {name}", scenario, out.results, threads)
     outdir = Path(scenario.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if out.stream is not None:
-        from . import pulsed
-
-        pulsed.export_stream(out.stream, outdir / out.csv)
-    else:
-        write_csv(outdir / out.csv, out.header, out.columns)
+    write_csv(outdir / out.csv, out.header, out.columns)
     if out.plot is not None:
         render_lines(outdir / Path(out.csv).with_suffix(".svg"), *out.plot)
     if out.line is not None:
@@ -566,7 +556,7 @@ def main(argv=None) -> int:
         scenario = _load_scenario(args)
         threads = _thread_count(args.threads)
         run(args.mode, args.id if args.mode == "fig" else args.sim, scenario, args, threads)
-    except (SchemaError, FileNotFoundError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError, IntegrationError, GridError, np.linalg.LinAlgError) as exc:

@@ -24,8 +24,8 @@ _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 
 
 class IntegrationError(RuntimeError):
-    """Propagation of the Bloch equations failed (left the Bloch ball, or
-    the step doubling did not converge)."""
+    """Propagation of the Bloch equations failed: the step doubling did not
+    converge."""
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,14 @@ def derive_cavity_params(t1_bulk: float, purcell_factor: float, coherence_ratio:
 
 @dataclass(frozen=True)
 class DriveField:
-    """Classical drive with peak Rabi frequency ``rabi`` (rad/ns).
+    """Classical pulse with peak Rabi frequency ``rabi`` (rad/ns).
 
-    shape is "cw", "square" (needs duration) or "gaussian" (needs fwhm).
-    For pulses t0 marks the leading edge (square) or the center (gaussian).
+    shape is "square" (needs duration) or "gaussian" (needs fwhm); t0 marks
+    the leading edge (square) or the center (gaussian).
     """
 
     rabi: float
-    shape: str = "cw"
+    shape: str
     duration: float | None = None
     fwhm: float | None = None
     t0: float = 0.0
@@ -112,9 +112,7 @@ class DriveField:
             raise ValueError(f"rabi must be finite and >= 0, got {self.rabi}")
         if not math.isfinite(self.t0):
             raise ValueError(f"t0 must be finite, got {self.t0}")
-        if self.shape == "cw":
-            pass
-        elif self.shape == "square":
+        if self.shape == "square":
             if self.duration is None or not (math.isfinite(self.duration) and self.duration > 0):
                 raise ValueError(f"square drive requires a finite duration > 0, got {self.duration}")
         elif self.shape == "gaussian":
@@ -123,20 +121,9 @@ class DriveField:
         else:
             raise ValueError(f"unknown drive shape {self.shape!r}")
 
-    @property
-    def pulse_area(self) -> float | None:
-        """Integral of the Rabi envelope over all time; None for CW."""
-        if self.shape == "cw":
-            return None
-        if self.shape == "square":
-            return self.rabi * self.duration
-        return self.rabi * self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0)))
-
     def omega(self, t):
         """Instantaneous Rabi frequency at time(s) t."""
         t = np.asarray(t, dtype=float)
-        if self.shape == "cw":
-            return np.full_like(t, self.rabi)
         if self.shape == "square":
             inside = (t >= self.t0) & (t < self.t0 + self.duration)
             return np.where(inside, self.rabi, 0.0)
@@ -227,17 +214,6 @@ class BlochState:
     def rho_ee(self) -> float:
         return (1.0 + self.w) / 2.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.w])
-
-    @classmethod
-    def ground(cls) -> "BlochState":
-        return cls(0.0, 0.0, -1.0)
-
-    @classmethod
-    def excited(cls) -> "BlochState":
-        return cls(0.0, 0.0, 1.0)
-
 
 def bloch_system(params: EmitterParams, rabi: float):
     """Matrix A and offset b of the Bloch equations d(u,v,w)/dt = A x + b.
@@ -290,40 +266,6 @@ def rrs_fraction(params: EmitterParams, rabi: float) -> float:
     """
     _check_rabi(rabi)
     return params.t2 / (2.0 * params.t1 * (1.0 + saturation_parameter(params, rabi)))
-
-
-def evolve(
-    params: EmitterParams,
-    drive: DriveField,
-    initial: BlochState,
-    t_grid,
-) -> list[BlochState]:
-    """Propagate the Bloch equations along t_grid with the given drive.
-
-    Where the drive is constant (CW, either side of a square edge) each grid
-    interval is one exact matrix exponential; across a gaussian pulse the
-    split steps of ``_propagate`` are refined until their estimated error
-    is below ``_SPLIT_TOL``. The grid must be strictly increasing and the
-    first entry is the initial time.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise ValueError("t_grid must contain at least two times")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    xs = _propagate(params, drive, np.append(initial.as_array(), [1.0, 0.0]), t_grid)
-    return [BlochState(*_clip_to_ball(x[:3])) for x in xs.T]
-
-
-def _clip_to_ball(x, tol: float = 1e-6):
-    # Projects propagation roundoff (at most ~tol outside the unit ball)
-    # back onto the surface; anything larger is a genuine failure.
-    norm2 = float(x @ x)
-    if norm2 <= 1.0:
-        return x
-    if norm2 > 1.0 + tol:
-        raise IntegrationError(f"propagation left the Bloch ball: |r|^2 = {norm2}")
-    return x / math.sqrt(norm2)
 
 
 def _generator(params: EmitterParams, rabi: float) -> np.ndarray:
@@ -409,7 +351,7 @@ def _propagate(params, drive, x0, t_grid, scale=1.0) -> np.ndarray:
         reach = _GAUSS_REACH_SIGMAS * drive.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
         edges = (drive.t0 - reach, drive.t0 + reach)
     else:
-        edges = (drive.t0, drive.t0 + drive.duration) if drive.shape == "square" else ()
+        edges = (drive.t0, drive.t0 + drive.duration)
     # sorted union of grid and edges; np.union1d would import numpy.ma
     knots = np.sort(np.concatenate([t_grid, [t for t in edges if t_grid[0] < t < t_grid[-1]]]))
     knots = knots[np.concatenate([[True], knots[1:] != knots[:-1]])]

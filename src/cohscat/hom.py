@@ -112,21 +112,6 @@ def hom_visibility(
     return visibility(par, perp)
 
 
-def visibility_family(
-    params: EmitterParams,
-    rabi: float,
-    setup: HomSetup,
-    ratios,
-    tau_grid,
-    irf: TimingResponse | None = None,
-) -> list[CorrelationTrace]:
-    """One visibility trace per coherence ratio t2/(2 t1), shared grid."""
-    traces = []
-    for ratio in ratios:
-        traces.append(hom_visibility(params.with_coherence_ratio(ratio), rabi, setup, tau_grid, irf))
-    return traces
-
-
 def solve_timing_for_visibility(
     params: EmitterParams,
     rabi: float,

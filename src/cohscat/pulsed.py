@@ -38,16 +38,14 @@ trajectory order.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
-from . import _text
 from .emitter import _WINDOW_SIGMAS, DriveField, EmitterParams, PulseTrain, _expm, _generator, _propagate
 
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
@@ -73,17 +71,15 @@ class PhotonStream:
     """Time-tagged emission record.
 
     times are global (ns, ascending); pair_index / pulse_index annotate the
-    excitation cycle and the pulse within it. params/train/seed determine
-    the stream; workers records the thread count that was requested.
+    excitation cycle and the pulse within it; params/train are the model
+    that produced it.
     """
 
     times: np.ndarray
     pair_index: np.ndarray
     pulse_index: np.ndarray
-    seed: int
     params: EmitterParams
     train: PulseTrain
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -378,10 +374,8 @@ def simulate_stream(
         times=times[order],
         pair_index=pair_idx[order],
         pulse_index=pulse[order],
-        seed=seed,
         params=params,
         train=train,
-        workers=workers,
     )
 
 
@@ -597,28 +591,3 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
     centers = np.concatenate([-centers_pos[::-1], centers_pos])
     counts = np.concatenate([pos[::-1], pos])
     return centers, counts
-
-
-def export_stream(stream: PhotonStream, csv_path) -> str:
-    """Write tags as CSV plus a JSON sidecar with the parameter snapshot.
-
-    One row per tag: pair and pulse index as integers, the time as
-    ``format(t, ".12g")``, byte for byte (see `_text`; values the
-    column-wise path cannot decide exactly take Python's formatter).
-    Returns the sidecar path.
-    """
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("pair_index,pulse_index,time_ns\n")
-        fh.writelines(_text.csv_lines([stream.pair_index, stream.pulse_index, stream.times]))
-    sidecar = os.fspath(csv_path) + ".json"
-    payload = {
-        "seed": int(stream.seed),
-        "workers": int(stream.workers),
-        "n_tags": int(stream.n_tags),
-        "params": asdict(stream.params),
-        "train": asdict(stream.train),
-    }
-    with open(sidecar, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return sidecar

@@ -106,7 +106,7 @@ def rabi_curve_per_area(params, areas, pulse_fwhm, shape="gaussian", tol=1e-10):
 # ---------------------------------------------------------------------------
 # Adaptive DOP853 Bloch integration: the propagation path of cohscat.emitter
 # before exact exponentials and split steps replaced it, kept as the oracle
-# for ``evolve`` and ``rabi_curve``.
+# for ``_propagate`` and ``rabi_curve``.
 
 
 def _breakpoints(drive: DriveField, t_start: float, t_end: float):
@@ -480,7 +480,7 @@ def simulate_stream_flips(params, train, seed, steps_per_pulse=4096, segment_t1=
     order = np.argsort(times, kind="stable")
     return PhotonStream(
         times=times[order], pair_index=pair_idx[order], pulse_index=pulse[order],
-        seed=seed, params=params, train=train,
+        params=params, train=train,
     )
 
 
@@ -526,7 +526,6 @@ def synthetic_stream(
         times=times[order],
         pair_index=pair_idx[order],
         pulse_index=np.asarray(pulse_idx)[order],
-        seed=seed,
         params=params,
         train=train,
     )
@@ -967,9 +966,9 @@ def assert_same_text(got: str, expected: str) -> None:
     pytest.fail(f"line {first} differs: {shown[0]} != {shown[1]} ({len(a)} lines against {len(b)})")
 
 
-def export_stream_rows_per_tag(stream: PhotonStream, csv_path) -> None:
-    """The CSV half of ``pulsed.export_stream`` as it was before it wrote
-    whole columns: one f-string per tag."""
+def stream_csv_per_tag(stream: PhotonStream, csv_path) -> None:
+    """The stream.csv of ``sim stream`` as it was written before whole
+    columns: one f-string per tag."""
     lines = ["pair_index,pulse_index,time_ns"]
     for pair, pulse, t in zip(stream.pair_index, stream.pulse_index, stream.times):
         lines.append(f"{pair},{pulse},{t:.12g}")

@@ -23,6 +23,14 @@ def run_cli(args):
     return cli.main(args)
 
 
+def _portable_manifest(out: Path) -> dict:
+    """An output directory's manifest without the fields that say where and
+    with how many threads it ran."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["diagnostics"], manifest["scenario"]["output_dir"]
+    return manifest
+
+
 def test_scenario_defaults_and_strictness():
     sc = Scenario.from_dict({})
     params = sc.emitter.resolve()
@@ -118,7 +126,7 @@ def test_stream_byte_determinism(tmp_path):
         )
         assert code == 0
     assert (a / "stream.csv").read_bytes() == (b / "stream.csv").read_bytes()
-    assert (a / "stream.csv.json").read_bytes() == (b / "stream.csv.json").read_bytes()
+    assert _portable_manifest(a) == _portable_manifest(b)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -139,6 +147,23 @@ def test_schema_error_exit_code(tmp_path, capsys):
         assert run_cli(["fig", "fig2c", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "unknown key" in err and key in err
+
+
+@pytest.mark.parametrize("config, out_is_file", [("absent.json", False), (".", False), (None, True)],
+                         ids=["missing-config", "config-is-a-directory", "out-is-a-file"])
+def test_unusable_config_or_out_exit_code(tmp_path, capsys, config, out_is_file):
+    out = tmp_path / "o"
+    args = ["fig", "fig1d", "--out", str(out)]
+    if config is not None:
+        args += ["--config", str(tmp_path / config)]
+    if out_is_file:
+        out.write_text("kept\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "Traceback" not in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert out.exists() == out_is_file
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):
@@ -326,7 +351,7 @@ def test_pulsed_commands_call_the_library_through_module_globals(tmp_path, monke
         (["fig", "fig3c", "--config", str(cfg)], ["stream", "hom"], {"fig3c.csv", "fig3c.svg"}),
         (["sim", "hbt", "--pairs", "2000"], ["stream"], {"hbt.csv"}),
         (["sim", "hom-pulsed", "--pairs", "2000"], ["stream", "hom"], {"hom_pulsed.csv"}),
-        (["sim", "stream", "--pairs", "2000"], ["stream"], {"stream.csv", "stream.csv.json"}),
+        (["sim", "stream", "--pairs", "2000"], ["stream"], {"stream.csv"}),
     ]
     for command, expected_calls, files in cases:
         calls.clear()
@@ -361,22 +386,23 @@ def test_every_figure_svg_parses(tmp_path):
 
 
 def test_results_do_not_depend_on_the_thread_count(tmp_path):
-    manifests = []
+    # 70000 pairs make two 2^16-pair chunks, so two threads really run
+    outputs = []
     for threads in (1, 2):
         out = tmp_path / str(threads)
-        assert run_cli(["sim", "hbt", "--pairs", "2000", "--threads", str(threads), "--out", str(out)]) == 0
-        manifests.append(json.loads((out / "manifest.json").read_text()))
-        assert manifests[-1]["diagnostics"] == {"threads": threads}
-    assert manifests[0]["results"] == manifests[1]["results"]
-    assert (tmp_path / "1" / "hbt.csv").read_bytes() == (tmp_path / "2" / "hbt.csv").read_bytes()
+        assert run_cli(["sim", "stream", "--pairs", "70000", "--threads", str(threads), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {"threads": threads}
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        outputs.append((files, _portable_manifest(out)))
+    assert outputs[0] == outputs[1]
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("COHSCAT_THREADS", "2")
     out = tmp_path / "o"
     assert run_cli(["sim", "stream", "--pairs", "1000", "--seed", "5", "--out", str(out)]) == 0
-    meta = json.loads((out / "stream.csv.json").read_text())
-    assert meta["workers"] == 2
+    assert json.loads((out / "manifest.json").read_text())["diagnostics"] == {"threads": 2}
     monkeypatch.setenv("COHSCAT_THREADS", "nope")
     assert run_cli(["sim", "stream", "--pairs", "10", "--out", str(out)]) == 2
 

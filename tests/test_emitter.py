@@ -7,9 +7,22 @@ from scipy.linalg import expm
 
 import cohscat as cs
 from cohscat import emitter
-from cohscat.emitter import _expm, _generator, bloch_system, leakage_for_contrast
+from cohscat.emitter import _expm, _generator, _propagate, bloch_system, leakage_for_contrast
 from cohscat.scenario import EmitterBlock
 from conftest import _bloch_rhs, _evolve_array
+
+GROUND = [0.0, 0.0, -1.0, 1.0, 0.0]  # (u, v, w, tr, n); see emitter._generator
+
+
+def _bloch_path(params, drive, x0, t_grid) -> np.ndarray:
+    """(u, v, w) from ``_propagate`` on t_grid, one row per time."""
+    return _propagate(params, drive, x0, np.asarray(t_grid, dtype=float))[:3].T
+
+
+def _constant(rabi: float, t_end: float):
+    """A drive held at rabi over [0, t_end]: a square pulse from 0 that
+    outlasts the grid, so every interval is one exact exponential."""
+    return cs.DriveField(rabi=rabi, shape="square", duration=2.0 * t_end)
 
 
 def test_params_validation():
@@ -32,8 +45,8 @@ def test_linewidth_inverts_exactly():
 def test_bloch_state_invariants():
     with pytest.raises(ValueError):
         cs.BlochState(1.0, 1.0, 1.0)
-    assert cs.BlochState.ground().rho_ee() == 0.0
-    assert cs.BlochState.excited().rho_ee() == 1.0
+    assert cs.BlochState(0.0, 0.0, -1.0).rho_ee() == 0.0
+    assert cs.BlochState(0.0, 0.0, 1.0).rho_ee() == 1.0
 
 
 def test_steady_state_undriven():
@@ -55,11 +68,11 @@ def test_steady_state_s_equals_one_against_ode():
     st = cs.steady_state(params, rabi)
     assert st.rho_ee() == pytest.approx(0.25, abs=1e-12)
     # Independent check: integrate the equations of motion to 50 lifetimes.
-    drive = cs.DriveField(rabi=rabi)
-    final = cs.evolve(params, drive, cs.BlochState.ground(), [0.0, 50.0 * params.t1])[-1]
-    assert final.u == pytest.approx(st.u, abs=1e-8)
-    assert final.v == pytest.approx(st.v, abs=1e-8)
-    assert final.w == pytest.approx(st.w, abs=1e-8)
+    t_end = 50.0 * params.t1
+    u, v, w = _bloch_path(params, _constant(rabi, t_end), GROUND, [0.0, t_end])[-1]
+    assert u == pytest.approx(st.u, abs=1e-8)
+    assert v == pytest.approx(st.v, abs=1e-8)
+    assert w == pytest.approx(st.w, abs=1e-8)
 
 
 def test_steady_state_rejects_bad_rabi():
@@ -85,46 +98,40 @@ def test_rho_ee_saturation_curve_shape():
 def test_evolve_free_decay():
     params = cs.EmitterParams(t1=0.8, t2=1.2)
     ts = np.linspace(0.0, 6.0, 61)
-    states = cs.evolve(params, cs.DriveField(rabi=0.0), cs.BlochState.excited(), ts)
+    states = _bloch_path(params, _constant(0.0, 6.0), [0.0, 0.0, 1.0, 1.0, 0.0], ts)
     w_exact = 2.0 * np.exp(-ts / params.t1) - 1.0
-    for st, w in zip(states, w_exact):
-        assert st.u == 0.0 and st.v == 0.0
-        assert st.w == pytest.approx(w, abs=1e-8)
+    for (u, v, w), w_ref in zip(states, w_exact):
+        assert u == 0.0 and v == 0.0
+        assert w == pytest.approx(w_ref, abs=1e-8)
 
 
 def test_evolve_impulsive_pi_pulse():
     params = cs.EmitterParams(t1=1.0, t2=2.0)
     dur = params.t1 / 1000.0
     drive = cs.DriveField(rabi=math.pi / dur, shape="square", duration=dur)
-    states = cs.evolve(params, drive, cs.BlochState.ground(), [0.0, dur])
-    assert states[-1].rho_ee() >= 0.999
+    w = _bloch_path(params, drive, GROUND, [0.0, dur])[-1, 2]
+    assert (1.0 + w) / 2.0 >= 0.999
 
 
 def test_evolve_converges_to_steady_state():
     params = cs.EmitterParams(t1=1.0, t2=1.5)
     rabi = 2.0
     st = cs.steady_state(params, rabi)
-    final = cs.evolve(params, cs.DriveField(rabi=rabi), cs.BlochState.ground(), [0.0, 50.0])[-1]
-    assert np.allclose(final.as_array(), st.as_array(), atol=1e-8)
-
-
-def test_evolve_rejects_bad_grid():
-    params = cs.EmitterParams(t1=1.0, t2=1.0)
-    with pytest.raises(ValueError):
-        cs.evolve(params, cs.DriveField(rabi=0.0), cs.BlochState.ground(), [0.0, 0.0, 1.0])
+    final = _bloch_path(params, _constant(rabi, 50.0), GROUND, [0.0, 50.0])[-1]
+    assert np.allclose(final, [st.u, st.v, st.w], atol=1e-8)
 
 
 def test_evolve_preserves_bloch_ball(rng):
     params = cs.EmitterParams(t1=1.0, t2=1.3)
     drives = [
-        cs.DriveField(rabi=8.0),
+        _constant(8.0, 4.0),
         cs.DriveField(rabi=math.pi / 0.01, shape="square", duration=0.01),
         cs.DriveField.from_area(2.0 * math.pi, "gaussian", 0.05, t0=0.4),
     ]
     ts = np.linspace(0.0, 4.0, 201)
     for drive in drives:
-        for st in cs.evolve(params, drive, cs.BlochState.ground(), ts):
-            assert st.u ** 2 + st.v ** 2 + st.w ** 2 <= 1.0 + 1e-7
+        states = _bloch_path(params, drive, GROUND, ts)
+        assert np.all(np.sum(states ** 2, axis=1) <= 1.0 + 1e-7)
 
 
 @pytest.mark.parametrize("t0, duration, t_end, points", [(0.05, 0.5, 2.0, 5), (0.13, 0.3, 4.0, 201)])
@@ -136,10 +143,9 @@ def test_evolve_square_edges_off_grid(t0, duration, t_end, points):
     ts = np.linspace(0.0, t_end, points)
     with_edges = np.union1d(ts, [t0, t0 + duration])
     assert len(with_edges) == points + 2
-    coarse = [st.as_array() for st in cs.evolve(params, drive, cs.BlochState.ground(), ts)]
-    fine = [st.as_array() for st in cs.evolve(params, drive, cs.BlochState.ground(), with_edges)]
-    fine = np.array(fine)[np.isin(with_edges, ts)]
-    assert np.max(np.abs(np.array(coarse) - fine)) < 1e-8
+    coarse = _bloch_path(params, drive, GROUND, ts)
+    fine = _bloch_path(params, drive, GROUND, with_edges)[np.isin(with_edges, ts)]
+    assert np.max(np.abs(coarse - fine)) < 1e-8
 
 
 def test_bloch_rhs_matches_bloch_system(rng):
@@ -148,7 +154,7 @@ def test_bloch_rhs_matches_bloch_system(rng):
         params = cs.EmitterParams(t1=t1, t2=rng.uniform(0.05, 1.0) * 2.0 * t1, detuning=rng.normal())
         rabi = rng.uniform(0.0, 10.0)
         a_mat, b_vec = bloch_system(params, rabi)
-        rhs = _bloch_rhs(params, cs.DriveField(rabi=rabi))
+        rhs = _bloch_rhs(params, _constant(rabi, 5.0))
         x = rng.uniform(-1.0, 1.0, size=3)
         t = rng.uniform(0.0, 5.0)
         assert np.allclose(rhs(t, x), a_mat @ x + b_vec, rtol=0.0, atol=1e-13)
@@ -174,14 +180,14 @@ GAUSSIAN = cs.DriveField.from_area(2.2 * math.pi, "gaussian", 0.3, t0=1.0)
         (cs.EmitterParams(t1=1.0, t2=2.0, detuning=3.0), GAUSSIAN, np.linspace(0.0, 4.0, 41)),
         (cs.EmitterParams(t1=0.7, t2=0.5), cs.DriveField(rabi=9.0, shape="square", duration=0.33, t0=0.41),
          np.linspace(0.0, 4.0, 41)),
-        (cs.EmitterParams(t1=0.7, t2=0.5, detuning=-1.5), cs.DriveField(rabi=4.0), np.linspace(0.0, 4.0, 41)),
+        (cs.EmitterParams(t1=0.7, t2=0.5, detuning=-1.5), _constant(4.0, 4.0), np.linspace(0.0, 4.0, 41)),
         (EmitterBlock().resolve(), cs.DriveField.from_area(3.0 * math.pi, "gaussian", 0.057, t0=0.3),
          np.linspace(0.0, 1.0, 101)),
     ],
     ids=["gaussian", "gaussian-coarse", "square", "detuned", "dephased", "cw", "sim-rabi-pulse"],
 )
 def test_evolve_matches_dop853_oracle(params, drive, t_grid):
-    ours = np.array([st.as_array() for st in cs.evolve(params, drive, cs.BlochState.ground(), t_grid)])
+    ours = _bloch_path(params, drive, GROUND, t_grid)
     oracle = _evolve_array(params, drive, [0.0, 0.0, -1.0], np.asarray(t_grid), 1e-12).T
     assert np.max(np.abs(ours - oracle)) < 1e-8
 
@@ -205,7 +211,7 @@ def test_split_steps_give_up_loudly(monkeypatch):
     monkeypatch.setattr(emitter, "_MAX_DOUBLINGS", 2)
     monkeypatch.setattr(emitter, "_SPLIT_TOL", 1e-30)
     with pytest.raises(cs.IntegrationError):
-        cs.evolve(cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, cs.BlochState.ground(), [0.0, 3.0])
+        _propagate(cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, GROUND, np.array([0.0, 3.0]))
 
 
 def test_expm_matches_scipy(rng):
@@ -223,14 +229,15 @@ def test_expm_matches_scipy(rng):
 
 
 def test_drive_field_areas_match_quadrature():
-    for drive in (
-        cs.DriveField(rabi=3.0, shape="square", duration=0.4),
-        cs.DriveField.from_area(0.71 * math.pi, "gaussian", 0.057, t0=0.5),
+    for target, drive in (
+        (1.2, cs.DriveField(rabi=3.0, shape="square", duration=0.4)),
+        (0.71 * math.pi, cs.DriveField.from_area(0.71 * math.pi, "gaussian", 0.057, t0=0.5)),
     ):
         lo, hi = (drive.t0 - 2.0, drive.t0 + 2.0)
         area, _ = quad(lambda t: float(drive.omega(t)), lo, hi, limit=200)
-        assert area == pytest.approx(drive.pulse_area, abs=1e-9)
-    assert cs.DriveField(rabi=1.0).pulse_area is None
+        assert area == pytest.approx(target, abs=1e-9)
+    with pytest.raises(ValueError, match="unknown drive shape"):
+        cs.DriveField(rabi=1.0, shape="cw")
 
 
 def test_rrs_fraction_examples():
@@ -266,7 +273,8 @@ def test_bloch_system_steady_state_consistency():
     params = cs.EmitterParams(t1=0.9, t2=1.0, detuning=2.5)
     rabi = 3.0
     a_mat, b_vec = bloch_system(params, rabi)
-    x = cs.steady_state(params, rabi).as_array()
+    st = cs.steady_state(params, rabi)
+    x = np.array([st.u, st.v, st.w])
     assert np.allclose(a_mat @ x + b_vec, 0.0, atol=1e-13)
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 
 import mpmath
@@ -9,15 +8,15 @@ import pytest
 from scipy.linalg import expm
 
 import cohscat as cs
-from cohscat import pulsed
+from cohscat import cli, pulsed
 from cohscat.emitter import _expm
 from cohscat.scenario import EmitterBlock
 from conftest import (
-    export_stream_rows_per_tag,
     liouvillian_reference,
     pair_moment_oracle,
     rabi_curve_per_area,
     simulate_stream_flips,
+    stream_csv_per_tag,
     synthetic_stream,
 )
 
@@ -405,7 +404,7 @@ def test_hbt_rejects_empty_and_reports_errors():
     assert 0 in report.peak_areas and 2 in report.peak_areas
     empty = pulsed.PhotonStream(
         times=np.empty(0), pair_index=np.empty(0, int), pulse_index=np.empty(0, int),
-        seed=0, params=PARAMS, train=train,
+        params=PARAMS, train=train,
     )
     with pytest.raises(ValueError):
         pulsed.hbt_analyze(empty)
@@ -460,26 +459,12 @@ def test_coincidence_histogram_pairs():
     assert len(centers) == len(counts)
 
 
-def test_export_stream_roundtrip(tmp_path):
-    train = make_train(0.71, 0.057, 500)
-    stream = pulsed.simulate_stream(PARAMS, train, seed=8)
-    csv_path = tmp_path / "stream.csv"
-    sidecar = pulsed.export_stream(stream, csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "pair_index,pulse_index,time_ns"
-    assert len(lines) == stream.n_tags + 1
-    meta = json.loads((tmp_path / "stream.csv.json").read_text())
-    assert meta["seed"] == 8
-    assert meta["train"]["n_pairs"] == 500
-    assert meta["params"]["t1"] == pytest.approx(PARAMS.t1)
-    assert sidecar.endswith("stream.csv.json")
-
-
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e9], ids=["ns", "sub-ps", "seconds"])
-def test_export_stream_matches_per_tag_oracle(tmp_path, scale):
+def test_export_stream_matches_per_tag_oracle(tmp_path, monkeypatch, scale):
     # Rescaled times put the tags in the 12-digit window's corners and past
     # it (scientific notation); one extra tag carries an infinite time and
-    # the int64 extremes.
+    # the int64 extremes. `sim stream` writes whatever stream the engine
+    # hands it.
     stream = pulsed.simulate_stream(PARAMS, make_train(0.71, 0.057, 3000), seed=5)
     stream = dataclasses.replace(
         stream,
@@ -487,6 +472,7 @@ def test_export_stream_matches_per_tag_oracle(tmp_path, scale):
         pair_index=np.append(stream.pair_index, np.iinfo(np.int64).max),
         pulse_index=np.append(stream.pulse_index, np.iinfo(np.int64).min),
     )
-    pulsed.export_stream(stream, tmp_path / "new.csv")
-    export_stream_rows_per_tag(stream, tmp_path / "oracle.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    monkeypatch.setattr(pulsed, "simulate_stream", lambda *args, **kwargs: stream)
+    assert cli.main(["sim", "stream", "--threads", "1", "--out", str(tmp_path / "o")]) == 0
+    stream_csv_per_tag(stream, tmp_path / "oracle.csv")
+    assert (tmp_path / "o" / "stream.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
