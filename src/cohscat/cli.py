@@ -479,14 +479,21 @@ def run(mode: str, name: str, scenario: Scenario, args, threads: int) -> dict:
     """Run `fig <name>` or `sim <name>` and write its outputs; returns the
     manifest results.
 
-    The runner returns before the first write, and the manifest is
+    An output path that cannot become a directory fails before the runner
+    starts. The runner returns before the first write, and the manifest is
     serialized before the output directory is made, so a run that fails
     leaves no output behind.
     """
     runner = _FIGURES[name] if mode == "fig" else _SIMS[name][0]
+    outdir = Path(scenario.output_dir)
+    # the nearest existing path on the way to outdir must be a directory
+    for path in (outdir, *outdir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"output directory {outdir}: {path} is not a directory")
+            break
     out = runner(scenario, args, threads)
     manifest = _manifest_text(f"{mode} {name}", scenario, out.results, threads)
-    outdir = Path(scenario.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / out.csv, out.header, out.columns)
     if out.plot is not None:
@@ -502,7 +509,10 @@ def run(mode: str, name: str, scenario: Scenario, args, threads: int) -> dict:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv. Every command is listed, but `sim` gets only
+    the subcommand argv names (all of them when it names none it knows,
+    so `sim --help` and its usage errors list every one)."""
     # argparse builds a HelpFormatter, which measures the terminal, on every
     # add_argument call; measure it once per build instead, the same way.
     width = shutil.get_terminal_size().columns - 2
@@ -521,8 +531,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("id", choices=FIGURE_IDS)
     sims = sub.add_parser("sim", help="run one simulation", formatter_class=formatter)
     sims = sims.add_subparsers(dest="sim", required=True)
+    names = []
+    if argv[:1] == ["sim"]:
+        names = [argv[1]] if len(argv) > 1 and argv[1] in _SIMS else list(_SIMS)
     commands = [(p_fig, [])] + [
-        (sims.add_parser(name, formatter_class=formatter), flags) for name, (_, flags) in _SIMS.items()
+        (sims.add_parser(name, formatter_class=formatter), _SIMS[name][1]) for name in names
     ]
     for p, flags in commands:
         p.add_argument("--config", help="JSON scenario (a manifest.json also works)")
@@ -550,8 +563,8 @@ def _load_scenario(args) -> Scenario:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         scenario = _load_scenario(args)
         threads = _thread_count(args.threads)

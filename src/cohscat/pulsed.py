@@ -34,6 +34,14 @@ depends on the seed and the model alone, never on the thread count. Each
 trajectory draws one deviate at the start and one per click; within a
 segment, passes run in order and the clicks of one pass draw in ascending
 trajectory order.
+
+Memory: a run holds the returned stream plus one chunk's working set per
+thread, not a multiple of the stream. Chunk order is time order, so each
+chunk sorts its own tags and the stream is their concatenation, made one
+column at a time. The estimators work on `_CHUNK_PAIRS`-sized blocks:
+`pulsed_hom` routes with int8 slots and detectors drawn block by block
+and counts its clusters per block of pairs, and `coincidence_histogram`
+takes its lag differences per block of start tags.
 """
 
 from __future__ import annotations
@@ -87,8 +95,10 @@ class PhotonStream:
         object.__setattr__(self, "pulse_index", np.asarray(self.pulse_index, dtype=np.int64))
         if not (len(self.times) == len(self.pair_index) == len(self.pulse_index)):
             raise ValueError("tag arrays must have equal length")
-        if np.any(np.diff(self.times) < 0):
+        if np.any(self.times[1:] < self.times[:-1]):
             raise ValueError("tags must be sorted by time")
+        if np.any(self.pair_index[1:] < self.pair_index[:-1]):
+            raise ValueError("pair indices must not decrease along the stream")
         mean = self.mean_per_pulse
         bound = 1.0 + self.train.pulse_fwhm / self.params.t1 + 0.05
         if mean > bound:
@@ -104,7 +114,8 @@ class PhotonStream:
 
     def counts_per_pulse(self) -> np.ndarray:
         """(n_pairs, 2) integer emission counts."""
-        key = self.pair_index * 2 + self.pulse_index
+        key = self.pair_index * 2
+        key += self.pulse_index
         return np.bincount(key, minlength=2 * self.train.n_pairs).reshape(-1, 2)
 
 
@@ -235,25 +246,44 @@ class _WindowTables:
 
 
 class _ChunkState:
-    """Mutable per-chunk trajectory arrays (one trajectory per pulse pair)."""
+    """Mutable per-chunk trajectory arrays (one trajectory per pulse pair).
+
+    Each `record` call keeps the clicking trajectories, their local times
+    and the one pulse number they share, until `tags` merges them.
+    """
 
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
         self.x = np.repeat(_GROUND[:, None], n, axis=1)
         self.thresh = rng.random(n)
-        self.tag_time = [np.empty(0)]
         self.tag_idx = [np.empty(0, dtype=np.int64)]
-        self.tag_pulse = [np.empty(0, dtype=np.int64)]
+        self.tag_time = [np.empty(0)]
+        self.tag_pulse = [0]
 
-    def record(self, idx, times, pulse):
-        self.tag_idx.append(np.asarray(idx, dtype=np.int64))
-        self.tag_time.append(np.asarray(times, dtype=float))
-        self.tag_pulse.append(np.full(len(idx), pulse, dtype=np.int64))
+    def record(self, idx, times, pulse: int):
+        self.tag_idx.append(idx)
+        self.tag_time.append(times)
+        self.tag_pulse.append(pulse)
 
     def reset_ground(self, idx):
         self.x[:, idx] = _GROUND[:, None]
         self.thresh[idx] = self.rng.random(len(idx))
+
+    def tags(self, first_pair: int, pair_period: float):
+        """The chunk's clicks in time order, as a list of global times,
+        global pair indices and pulse indices (int8), for pairs numbered
+        from `first_pair`. The sort is stable: equal times keep record
+        order."""
+        pulse = np.repeat(np.array(self.tag_pulse, dtype=np.int8), [len(i) for i in self.tag_idx])
+        pair = np.concatenate(self.tag_idx)
+        self.tag_idx = None
+        pair += first_pair
+        times = pair * pair_period
+        times += np.concatenate(self.tag_time)
+        self.tag_time = None
+        order = np.argsort(times, kind="stable")
+        return [times.take(order), pair.take(order), pulse.take(order)]
 
 
 def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx):
@@ -321,7 +351,7 @@ def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, deca
     state.x = np.einsum("ij,jn->in", decay, state.x)  # no BLAS threads
 
 
-def _simulate_chunk(params, train, tables, rng, n_chunk):
+def _simulate_chunk(params, train, tables, rng, n_chunk, first_pair):
     state = _ChunkState(n_chunk, rng)
     # Local timeline: pulse 0 spans [-half, half] around 0, pulse 1 around
     # `separation`; the cycle ends where the next cycle's window begins.
@@ -329,7 +359,7 @@ def _simulate_chunk(params, train, tables, rng, n_chunk):
     for pulse, center in enumerate((0.0, train.separation)):
         _run_pulse_window(state, tables, center - half, pulse)
         _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, tables.decay[pulse])
-    return np.concatenate(state.tag_idx), np.concatenate(state.tag_time), np.concatenate(state.tag_pulse)
+    return state.tags(first_pair, train.pair_period)
 
 
 def simulate_stream(
@@ -345,6 +375,14 @@ def simulate_stream(
     2^16, chunk i draws from `_rng(seed, _STREAM, i)`, and `workers` only
     sets how many threads (at most the core count) run the chunks. A seed
     outside [0, 2^64) raises ValueError.
+
+    Memory: the peak above the returned stream (24 bytes per tag) is one
+    chunk's working set per thread, not a multiple of the stream. Pair p's
+    tags lie in [p T - half, (p + 1) T - half) for pair period T and half
+    window `half`, so chunk i's tags all precede chunk i + 1's. Each chunk
+    sorts its own tags as it finishes and keeps them in 17 bytes per tag
+    (the pulse index as int8). The stream's columns are then concatenated
+    one at a time, and each column's chunk copies are dropped once merged.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -355,8 +393,7 @@ def simulate_stream(
     def run(chunk):
         lo = chunk * _CHUNK_PAIRS
         size = min(_CHUNK_PAIRS, n - lo)
-        idx, t_local, pulse = _simulate_chunk(params, train, tables, _rng(seed, _STREAM, chunk), size)
-        return idx + lo, t_local, pulse
+        return _simulate_chunk(params, train, tables, _rng(seed, _STREAM, chunk), size, lo)
 
     threads = min(workers, os.cpu_count() or 1, n_chunks)
     if threads > 1:
@@ -365,17 +402,14 @@ def simulate_stream(
     else:
         parts = [run(chunk) for chunk in range(n_chunks)]
 
-    pair_idx = np.concatenate([p[0] for p in parts])
-    t_local = np.concatenate([p[1] for p in parts])
-    pulse = np.concatenate([p[2] for p in parts])
-    times = pair_idx * train.pair_period + t_local
-    order = np.argsort(times, kind="stable")
+    columns = []
+    for c, dtype in enumerate((float, np.int64, np.int64)):
+        columns.append(np.concatenate([part[c] for part in parts], dtype=dtype))
+        for part in parts:
+            part[c] = None
+    times, pair_index, pulse_index = columns
     return PhotonStream(
-        times=times[order],
-        pair_index=pair_idx[order],
-        pulse_index=pulse[order],
-        params=params,
-        train=train,
+        times=times, pair_index=pair_index, pulse_index=pulse_index, params=params, train=train
     )
 
 
@@ -468,41 +502,79 @@ def hbt_analyze(stream: PhotonStream) -> PeakReport:
     )
 
 
+def _draw_below(rng, m: int, p: float) -> np.ndarray:
+    """Boolean rng.random(m) < p, drawn in blocks of `_CHUNK_PAIRS`: the
+    same sequential deviates without an m-long float array."""
+    out = np.empty(m, dtype=bool)
+    for lo in range(0, m, _CHUNK_PAIRS):
+        block = out[lo : lo + _CHUNK_PAIRS]
+        np.less(rng.random(len(block)), p, out=block)
+    return out
+
+
+def _first_per_pair(pair_index, mask):
+    """Positions and pair indices of the first photon of each pair among
+    those in `mask`; pair_index does not decrease along a stream."""
+    idx = np.flatnonzero(mask)
+    pairs = pair_index[idx]
+    first = np.empty(len(idx), dtype=bool)
+    first[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    return idx[first], pairs[first]
+
+
 def _route_config(stream: PhotonStream, rng, hom_active, overlap):
-    """One interferometer pass: (slot id, detector) per photon plus the
-    central-slot coincidence bookkeeping."""
+    """One interferometer pass: slot id (0, 1, 2 within the pair) and
+    detector per photon, both int8.
+
+    The draws run in order: the long-path choice of every photon, then
+    every detector, then, when `hom_active`, the bunching and the port of
+    every meeting."""
     m = stream.n_tags
-    long_path = rng.random(m) < _SPLITTER_RATIO
-    slot = stream.pulse_index + long_path.astype(np.int64)  # 0, 1, 2 within the pair
-    det = (rng.random(m) < 0.5).astype(np.int64)
+    long_path = _draw_below(rng, m, _SPLITTER_RATIO)
+    det = _draw_below(rng, m, 0.5).view(np.int8)
 
     if hom_active:
         # One interfering pair per cycle: the first pulse-0 photon routed
         # long against the first pulse-1 photon routed short.
-        a_mask = (stream.pulse_index == 0) & long_path
-        b_mask = (stream.pulse_index == 1) & ~long_path
-        a_pairs, a_first = np.unique(stream.pair_index[a_mask], return_index=True)
-        b_pairs, b_first = np.unique(stream.pair_index[b_mask], return_index=True)
-        common, ia, ib = np.intersect1d(a_pairs, b_pairs, return_indices=True)
-        a_idx = np.flatnonzero(a_mask)[a_first[ia]]
-        b_idx = np.flatnonzero(b_mask)[b_first[ib]]
-        bunch = rng.random(len(common)) < overlap
-        port = (rng.random(len(common)) < 0.5).astype(np.int64)
+        pulse = stream.pulse_index
+        a_idx, a_pairs = _first_per_pair(stream.pair_index, (pulse == 0) & long_path)
+        b_idx, b_pairs = _first_per_pair(stream.pair_index, (pulse == 1) & ~long_path)
+        pos = np.searchsorted(b_pairs, a_pairs)
+        hit = pos < len(b_pairs)
+        hit[hit] = b_pairs[pos[hit]] == a_pairs[hit]
+        a_idx, b_idx = a_idx[hit], b_idx[pos[hit]]
+        bunch = rng.random(len(a_idx)) < overlap
+        port = rng.random(len(a_idx)) < 0.5
         det[a_idx[bunch]] = port[bunch]
         det[b_idx[bunch]] = port[bunch]
+    slot = long_path.view(np.int8)
+    slot += stream.pulse_index
     return slot, det
 
 
 def _cluster_areas(stream: PhotonStream, slot, det):
-    """Cross-detector pair counts at same-pair slot lags 0, 1, 2."""
-    key = stream.pair_index * 3 + slot
-    size = 3 * stream.train.n_pairs
-    n0 = np.bincount(key[det == 0], minlength=size).reshape(-1, 3)
-    n1 = np.bincount(key[det == 1], minlength=size).reshape(-1, 3)
-    a0 = float(np.sum(n0 * n1))
-    a1 = float(np.sum(n0[:, :-1] * n1[:, 1:] + n1[:, :-1] * n0[:, 1:]))
-    a2 = float(np.sum(n0[:, 0] * n1[:, 2] + n1[:, 0] * n0[:, 2]))
-    return {0: a0, 1: a1, 2: a2}
+    """Cross-detector pair counts at same-pair slot lags 0, 1, 2, summed
+    over blocks of `_CHUNK_PAIRS` pairs."""
+    pair = stream.pair_index
+    n = stream.train.n_pairs
+    firsts = range(0, n, _CHUNK_PAIRS)
+    edges = np.searchsorted(pair, [*firsts, n])
+    areas = np.zeros(3, dtype=np.int64)
+    for first, lo, hi in zip(firsts, edges[:-1], edges[1:]):
+        key = pair[lo:hi] - first
+        key *= 3
+        key += slot[lo:hi]
+        size = 3 * min(_CHUNK_PAIRS, n - first)
+        n0 = np.bincount(key[det[lo:hi] == 0], minlength=size).reshape(-1, 3)
+        n1 = np.bincount(key[det[lo:hi] == 1], minlength=size).reshape(-1, 3)
+        # exact int64 dots, without product arrays
+        areas += (
+            n0.ravel() @ n1.ravel(),
+            sum(n0[:, s] @ n1[:, s + 1] + n1[:, s] @ n0[:, s + 1] for s in (0, 1)),
+            n0[:, 0] @ n1[:, 2] + n1[:, 0] @ n0[:, 2],
+        )
+    return {lag: float(area) for lag, area in enumerate(areas)}
 
 
 def pulsed_hom(
@@ -532,10 +604,9 @@ def pulsed_hom(
         raise ValueError("empty photon stream")
 
     rng_par, rng_ort = _rng(seed, _ROUTE_PARALLEL, 0), _rng(seed, _ROUTE_ORTHOGONAL, 0)
-    slot_par, det_par = _route_config(stream, rng_par, True, overlap_true)
-    areas_par = _cluster_areas(stream, slot_par, det_par)
-    slot_ort, det_ort = _route_config(stream, rng_ort, False, 0.0)
-    areas_ort = _cluster_areas(stream, slot_ort, det_ort)
+    # one configuration's routing at a time, dropped once counted
+    areas_par = _cluster_areas(stream, *_route_config(stream, rng_par, True, overlap_true))
+    areas_ort = _cluster_areas(stream, *_route_config(stream, rng_ort, False, 0.0))
 
     counts = stream.counts_per_pulse()  # int64: the dot below stays out of BLAS
     n = counts.shape[0]
@@ -574,19 +645,27 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
     """Symmetric histogram of pairwise time differences up to max_lag.
 
     Returns (bin centers, counts); each unordered pair contributes at +lag
-    and -lag, as a start-stop correlator would record it.
+    and -lag, as a start-stop correlator would record it. Sorted times are
+    used as given, others are sorted first; the differences are taken for
+    `_CHUNK_PAIRS` start tags at a time.
     """
-    times = np.sort(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
+    if not np.all(times[1:] >= times[:-1]):
+        times = np.sort(times)
+    m = len(times)
     edges = np.arange(0.0, max_lag + bin_width, bin_width)
     pos = np.zeros(len(edges) - 1, dtype=np.int64)
-    k = 1
-    while k < len(times):
-        diffs = times[k:] - times[:-k]
-        close = diffs[diffs <= max_lag]
-        if len(close) == 0:
-            break
-        pos += np.histogram(close, bins=edges)[0]
-        k += 1
+    for start in range(0, m, _CHUNK_PAIRS):
+        stop = min(start + _CHUNK_PAIRS, m)
+        # differences grow with the lag k for every start tag, so a block
+        # is done at the first lag with none within max_lag
+        for k in range(1, m - start):
+            count = min(stop, m - k) - start
+            diffs = times[start + k : start + k + count] - times[start : start + count]
+            close = diffs[diffs <= max_lag]
+            if len(close) == 0:
+                break
+            pos += np.histogram(close, bins=edges)[0]
     centers_pos = (edges[:-1] + edges[1:]) / 2.0
     centers = np.concatenate([-centers_pos[::-1], centers_pos])
     counts = np.concatenate([pos[::-1], pos])

@@ -37,6 +37,9 @@ from .hom import HomSetup
 from .spectrum import SpectralResponse
 
 TWO_PI = 2.0 * math.pi
+# Largest circuit.n_phi. A `fig fig3e` run holds about 220 bytes per phase
+# point (two fringe tables, their fits and the CSV), so about 57 MB here.
+_MAX_PHI_POINTS = 1 << 18
 
 
 class SchemaError(ValueError):
@@ -205,6 +208,8 @@ class CircuitBlock:
         for r in (r1, r2):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"coupler reflectivity must lie in (0, 1), got {r!r}")
+        if self.n_phi > _MAX_PHI_POINTS:
+            raise ValueError(f"n_phi must be at most {_MAX_PHI_POINTS}, got {self.n_phi}")
         return r1, r2, check_phi_grid(np.linspace(0.0, self.phi_span_rad, self.n_phi))
 
 

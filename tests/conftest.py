@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from cohscat.emitter import HBAR_UEV_NS, DriveField, EmitterParams, IntegrationError, PulseTrain, steady_state
 from cohscat.fock import CircuitElement
-from cohscat.pulsed import _CHUNK_PAIRS, _STREAM, PhotonStream, _rng
+from cohscat.pulsed import _CHUNK_PAIRS, _SPLITTER_RATIO, _STREAM, PhotonStream, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
 from cohscat.spectrum import GridError, SpectralResponse, SpectrumTrace, _uniform_spacing, lorentzian
 
@@ -531,6 +532,52 @@ def synthetic_stream(
     )
 
 
+def cluster_areas_whole_stream(stream: PhotonStream, rng, hom_active, overlap):
+    """One `pulsed_hom` configuration's cluster areas, routed and counted
+    on the whole stream at once with np.unique and np.intersect1d, the way
+    it was done before the blocks. rng is that configuration's generator."""
+    m = stream.n_tags
+    long_path = rng.random(m) < _SPLITTER_RATIO
+    slot = stream.pulse_index + long_path.astype(np.int64)
+    det = (rng.random(m) < 0.5).astype(np.int64)
+    if hom_active:
+        a_mask = (stream.pulse_index == 0) & long_path
+        b_mask = (stream.pulse_index == 1) & ~long_path
+        a_pairs, a_first = np.unique(stream.pair_index[a_mask], return_index=True)
+        b_pairs, b_first = np.unique(stream.pair_index[b_mask], return_index=True)
+        common, ia, ib = np.intersect1d(a_pairs, b_pairs, return_indices=True)
+        a_idx = np.flatnonzero(a_mask)[a_first[ia]]
+        b_idx = np.flatnonzero(b_mask)[b_first[ib]]
+        bunch = rng.random(len(common)) < overlap
+        port = (rng.random(len(common)) < 0.5).astype(np.int64)
+        det[a_idx[bunch]] = port[bunch]
+        det[b_idx[bunch]] = port[bunch]
+    key = stream.pair_index * 3 + slot
+    size = 3 * stream.train.n_pairs
+    n0 = np.bincount(key[det == 0], minlength=size).reshape(-1, 3)
+    n1 = np.bincount(key[det == 1], minlength=size).reshape(-1, 3)
+    return {
+        0: float(np.sum(n0 * n1)),
+        1: float(np.sum(n0[:, :-1] * n1[:, 1:] + n1[:, :-1] * n0[:, 1:])),
+        2: float(np.sum(n0[:, 0] * n1[:, 2] + n1[:, 0] * n0[:, 2])),
+    }
+
+
+def coincidence_counts_whole_array(times, max_lag, bin_width):
+    """Positive-lag counts of ``coincidence_histogram``, one lag at a time
+    over the whole sorted array."""
+    times = np.sort(np.asarray(times, dtype=float))
+    edges = np.arange(0.0, max_lag + bin_width, bin_width)
+    pos = np.zeros(len(edges) - 1, dtype=np.int64)
+    for k in range(1, len(times)):
+        diffs = times[k:] - times[:-k]
+        close = diffs[diffs <= max_lag]
+        if len(close) == 0:
+            break
+        pos += np.histogram(close, bins=edges)[0]
+    return pos
+
+
 # ---------------------------------------------------------------------------
 # Few-photon Fock engine: states over (mode, internal label) occupation
 # configurations, evolved element by element by creation-operator monomial
@@ -974,6 +1021,17 @@ def stream_csv_per_tag(stream: PhotonStream, csv_path) -> None:
         lines.append(f"{pair},{pulse},{t:.12g}")
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the memory that tracemalloc saw allocated
+    during the call, in bytes; it counts the result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

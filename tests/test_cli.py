@@ -149,21 +149,21 @@ def test_schema_error_exit_code(tmp_path, capsys):
         assert "unknown key" in err and key in err
 
 
-@pytest.mark.parametrize("config, out_is_file", [("absent.json", False), (".", False), (None, True)],
-                         ids=["missing-config", "config-is-a-directory", "out-is-a-file"])
-def test_unusable_config_or_out_exit_code(tmp_path, capsys, config, out_is_file):
-    out = tmp_path / "o"
-    args = ["fig", "fig1d", "--out", str(out)]
+@pytest.mark.parametrize("config, out", [("absent.json", "o"), (".", "o"), (None, "file"), (None, "file/o")],
+                         ids=["missing-config", "config-is-a-directory", "out-is-a-file", "out-under-a-file"])
+def test_unusable_config_or_out_exit_code(tmp_path, capsys, monkeypatch, config, out):
+    # each fails before the runner starts: no Monte Carlo stream is simulated
+    monkeypatch.setattr(pulsed, "simulate_stream", lambda *args, **kwargs: pytest.fail("the runner started"))
+    (tmp_path / "file").write_text("kept\n")
+    args = ["fig", "fig3b", "--out", str(tmp_path / out)]
     if config is not None:
         args += ["--config", str(tmp_path / config)]
-    if out_is_file:
-        out.write_text("kept\n")
-    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    before = sorted(tmp_path.rglob("*"))
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert "scenario error" in err and "Traceback" not in err
-    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
-    assert out.exists() == out_is_file
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):
@@ -225,6 +225,9 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
      (["fig", "fig2b"], {"spectral": {"instrument_fwhm_uev": -1}}, "spectral widths must be >= 0"),
      (["fig", "fig3e"], {"circuit": {"n_phi": 0}}, "phi grid must hold at least two points"),
      (["fig", "fig3e"], {"circuit": {"phi_span_rad": 0}}, "phi grid must cover at least 2*pi"),
+     # n_phi phase points are allocated while the scenario loads
+     (["fig", "fig3d"], {"circuit": {"n_phi": 2 ** 63}}, "n_phi must be at most"),
+     (["fig", "fig3d"], {"circuit": {"n_phi": 10 ** 9}}, "n_phi must be at most"),
      *[(command, config, message) for command in (["fig", "fig1d"], ["fig", "fig2a"], ["sim", "steady"])
        for config, message in (({"gating": {"contrast": 0}}, "contrast must be > 0"),
                                ({"gating": {"rabi_per_sqrt_power": 0}}, "rabi_per_sqrt_power must be > 0"),
@@ -240,7 +243,7 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
        for config, message in (({"drive": {"rabi_ghz": -1}}, "rabi must be >= 0"),
                                ({"blinking": {"timescale_ns": 0}}, "blinking timescale must be > 0"))]],
     ids=["pulse-area", "pulse-fwhm", "pulse-cycle", "pulse-shape", "splitter-ratio", "hom-delay",
-         "timing-fwhm", "instrument-fwhm", "n-phi", "phi-span",
+         "timing-fwhm", "instrument-fwhm", "n-phi", "phi-span", "n-phi-int64-overflow", "n-phi-huge",
          *[f"{command}-{case}" for command in ("fig1d", "fig2a", "steady")
            for case in ("contrast", "knee-scale", "coherence-ratio")],
          "huge-linewidth", "occupation", "negative-linewidth", "zero-efficiency",
@@ -580,7 +583,7 @@ def test_figure_outputs_match_value_by_value_oracles(tmp_path, fig):
 def _help_with_default_formatter(argv):
     """argv's --help text from a parser whose help formatter is argparse's
     own, sized to the terminal when it is made."""
-    parser = cli._build_parser()
+    parser = cli._build_parser(argv)
     for name in argv[:-1]:
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         parser = subparsers.choices[name]
@@ -602,6 +605,30 @@ def test_help_text_matches_argparse_default(monkeypatch, capsys, argv):
     assert lines[0] > lines[1]  # the width reached the formatter
 
 
+@pytest.mark.parametrize("argv, listing",
+                         [(["--help"], "{fig,sim}"), (["sim", "--help"], "{" + ",".join(cli._SIMS) + "}")],
+                         ids=["top", "sim"])
+def test_help_lists_every_command(capsys, argv, listing):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 0
+    assert listing in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["sim"], ["sim", "bogus"], ["sim", "hbt", "--input", "dual"],
+                                  ["fig", "fig3b", "--pairs", "10"]],
+                         ids=["no-sim", "unknown-sim", "other-sims-flag", "sim-flag-on-fig"])
+def test_usage_errors_exit_code(capsys, argv):
+    # the parser holds only the requested command's flags
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    if argv[1:] == ["bogus"]:
+        assert all(repr(name) in err for name in cli._SIMS)
+
+
 def test_parser_measures_the_terminal_once(monkeypatch):
     calls = []
     measure = shutil.get_terminal_size
@@ -611,7 +638,7 @@ def test_parser_measures_the_terminal_once(monkeypatch):
         return measure(*args, **kwargs)
 
     monkeypatch.setattr(shutil, "get_terminal_size", counted)
-    cli._build_parser()
+    cli._build_parser(["sim"])  # every command
     assert len(calls) == 1
 
 

@@ -10,14 +10,17 @@ from scipy.linalg import expm
 import cohscat as cs
 from cohscat import cli, pulsed
 from cohscat.emitter import _expm
-from cohscat.scenario import EmitterBlock
+from cohscat.scenario import EmitterBlock, PulseTrainBlock
 from conftest import (
+    cluster_areas_whole_stream,
+    coincidence_counts_whole_array,
     liouvillian_reference,
     pair_moment_oracle,
     rabi_curve_per_area,
     simulate_stream_flips,
     stream_csv_per_tag,
     synthetic_stream,
+    traced_peak,
 )
 
 PARAMS = EmitterBlock().resolve()  # t1 = 0.1072 ns, t2 = 2*t1
@@ -452,6 +455,33 @@ def test_out_of_range_seed_raises_value_error(seed):
         pulsed.pulsed_hom(stream, 0.9, seed)
 
 
+def test_pulsed_hom_blocks_match_whole_stream_routing(monkeypatch):
+    # Small blocks, so the draws, the first photons and the cluster counts
+    # all cross block boundaries; pairs with two photons in a pulse make
+    # the first-photon choice matter.
+    monkeypatch.setattr(pulsed, "_CHUNK_PAIRS", 1000)
+    stream = synthetic_stream(PARAMS, make_train(0.71, PARAMS.t1 / 1000.0, 5500), mean_per_pulse=0.8,
+                              g_target=0.3, seed=3)
+    report = pulsed.pulsed_hom(stream, 0.9, seed=12345)
+    par = cluster_areas_whole_stream(stream, pulsed._rng(12345, pulsed._ROUTE_PARALLEL, 0), True, 0.9)
+    ort = cluster_areas_whole_stream(stream, pulsed._rng(12345, pulsed._ROUTE_ORTHOGONAL, 0), False, 0.0)
+    assert report.peak_areas == par
+    assert report.aux["areas_orthogonal"] == ort
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "unsorted"])
+def test_coincidence_histogram_blocks_match_whole_array(monkeypatch, rng, shuffle):
+    # blocks of 7 start tags; repeated times give zero lags
+    monkeypatch.setattr(pulsed, "_CHUNK_PAIRS", 7)
+    times = np.sort(np.round(rng.uniform(0.0, 30.0, 200), 1))
+    if shuffle:
+        rng.shuffle(times)
+    centers, counts = pulsed.coincidence_histogram(times, max_lag=2.5, bin_width=0.3)
+    expected = coincidence_counts_whole_array(times, 2.5, 0.3)
+    assert np.array_equal(counts, np.concatenate([expected[::-1], expected]))
+    assert len(centers) == len(counts)
+
+
 def test_coincidence_histogram_pairs():
     times = np.array([0.0, 0.1, 5.0])
     centers, counts = pulsed.coincidence_histogram(times, max_lag=1.0, bin_width=0.2)
@@ -476,3 +506,65 @@ def test_export_stream_matches_per_tag_oracle(tmp_path, monkeypatch, scale):
     assert cli.main(["sim", "stream", "--threads", "1", "--out", str(tmp_path / "o")]) == 0
     stream_csv_per_tag(stream, tmp_path / "oracle.csv")
     assert (tmp_path / "o" / "stream.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# The dense train of bench/dense.json: about three tags per pair.
+DENSE_TRAIN_PARAMS = EmitterBlock(coherence_ratio=0.5).resolve()
+
+
+def dense_train(n_pairs):
+    return PulseTrainBlock(pulse_area_pi=3.0, pulse_fwhm_ns=0.4, n_pairs=n_pairs).resolve()
+
+
+def stream_bytes(stream):
+    return stream.times.nbytes + stream.pair_index.nbytes + stream.pulse_index.nbytes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunk_merge_equals_a_global_stable_sort(monkeypatch, threads):
+    # Two chunks, each sorted on its own; the oracle sorts the same records
+    # the way one global stable argsort over all of them would.
+    records = {}
+    tags = pulsed._ChunkState.tags
+
+    def kept(state, first_pair, pair_period):
+        counts = [len(i) for i in state.tag_idx]
+        records[first_pair] = (np.concatenate(state.tag_idx) + first_pair, np.concatenate(state.tag_time),
+                               np.repeat(state.tag_pulse, counts))
+        return tags(state, first_pair, pair_period)
+
+    monkeypatch.setattr(pulsed._ChunkState, "tags", kept)
+    train = dense_train(70000)
+    stream = pulsed.simulate_stream(DENSE_TRAIN_PARAMS, train, seed=12345, workers=threads)
+    assert sorted(records) == [0, pulsed._CHUNK_PAIRS]
+    pair, t_local, pulse = (np.concatenate(column) for column in zip(*(records[k] for k in sorted(records))))
+    times = pair * train.pair_period + t_local
+    order = np.argsort(times, kind="stable")
+    assert stream.times.tobytes() == times[order].tobytes()
+    assert stream.pair_index.tobytes() == pair[order].tobytes()
+    assert stream.pulse_index.tobytes() == pulse[order].astype(np.int64).tobytes()
+
+
+@pytest.fixture(scope="module")
+def dense_streams():
+    """{pairs: (stream, simulate_stream's traced peak)} at 2^16 and 2^17 pairs."""
+    return {n: traced_peak(pulsed.simulate_stream, DENSE_TRAIN_PARAMS, dense_train(n), 12345)
+            for n in (1 << 16, 1 << 17)}
+
+
+def test_stream_peak_above_its_tags_does_not_grow_with_the_train(dense_streams):
+    # one chunk's working set, which does not grow with the train
+    excess = {n: peak - stream_bytes(stream) for n, (stream, peak) in dense_streams.items()}
+    assert excess[1 << 17] <= 1.2 * excess[1 << 16]
+
+
+def test_pulsed_hom_peak_is_bounded_by_blocks(dense_streams):
+    stream = dense_streams[1 << 17][0]
+    _, peak = traced_peak(pulsed.pulsed_hom, stream, 0.9, 12345)
+    assert peak <= 1.5 * stream_bytes(stream)
+
+
+def test_coincidence_histogram_peak_is_bounded_by_blocks(dense_streams):
+    stream = dense_streams[1 << 17][0]
+    _, peak = traced_peak(pulsed.coincidence_histogram, stream.times, 3.2 * stream.train.pair_period, 0.05)
+    assert peak <= 0.5 * stream_bytes(stream)
