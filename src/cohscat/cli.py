@@ -32,7 +32,7 @@ from ._svg import render_lines
 from .correlations import TimingResponse, apply_blinking, convolve_timing, g1, g2
 from .emitter import IntegrationError
 from .fock import fit_fringe, mzi_fringes
-from .hom import hom_pair, hom_visibility, solve_timing_for_visibility, visibility
+from .hom import _timing_for_visibility, hom_pair, hom_visibility, visibility
 from .scenario import Scenario, SchemaError
 from .spectrum import GridError, emission_spectrum, lorentzian
 
@@ -261,12 +261,13 @@ def _fig2e(scenario: Scenario, args, threads: int) -> _Output:
     params = scenario.emitter.resolve()
     rabi = scenario.drive.resolve()
     setup = scenario.hom.resolve()
-    irf_fwhm = solve_timing_for_visibility(
-        params.with_coherence_ratio(1.0), rabi, setup, _HOM_TAUS, target=0.89
-    )
+    # the ratio-1.0 pair sets the IRF and, convolved with it, the last trace
+    par, perp = hom_pair(params.with_coherence_ratio(1.0), rabi, setup, _HOM_TAUS)
+    irf_fwhm = _timing_for_visibility(par, perp, target=0.89)
     ratios = [0.3, 0.5, 0.8, 1.0]
     irf = TimingResponse(fwhm_ns=irf_fwhm)
-    traces = [hom_visibility(params.with_coherence_ratio(r), rabi, setup, _HOM_TAUS, irf) for r in ratios]
+    traces = [hom_visibility(params.with_coherence_ratio(r), rabi, setup, _HOM_TAUS, irf) for r in ratios[:-1]]
+    traces.append(visibility(convolve_timing(par, irf), convolve_timing(perp, irf)))
     peak = float(np.max(traces[-1].values))
     return _Output(
         "fig2e.csv", "tau_ns," + ",".join(f"v_ratio{r:g}" for r in ratios),

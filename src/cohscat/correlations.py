@@ -21,6 +21,23 @@ from .emitter import EmitterParams, _check_rabi, _expm, _generator, bloch_system
 _EVEN_TOL = 1e-9
 
 
+# Grid checks run on every trace built, so they compare directly instead of
+# through np.allclose's per-call overhead; each returns np.allclose's boolean.
+def _grids_match(x: np.ndarray, y: np.ndarray, atol: float) -> bool:
+    """np.allclose(x, y, rtol=0, atol=atol) for same-shape x and y."""
+    with np.errstate(invalid="ignore"):  # inf - inf where both hold one infinity
+        close = np.abs(x - y) <= atol
+    return bool(close.all()) or bool((close | (x == y)).all())
+
+
+def _evenly_spaced(d: np.ndarray) -> bool:
+    """np.allclose(d, d[0], rtol=1e-9, atol=1e-12) for non-empty steps d."""
+    d0 = float(d[0])
+    if math.isfinite(d0):
+        return bool((np.abs(d - d0) <= 1e-12 + 1e-9 * abs(d0)).all())
+    return bool((d == d0).all())
+
+
 @dataclass(frozen=True)
 class BlinkingParams:
     """Classical intermittency envelope (1 + amplitude * exp(-|tau|/timescale_ns))."""
@@ -84,13 +101,13 @@ class CorrelationTrace:
         # so evenness in tau is enforced by folding whenever the grid is
         # sign-symmetric (a no-op for already-even data).
         rev = -self.tau_grid[::-1]
-        if self.tau_grid.size and np.allclose(self.tau_grid, rev, atol=1e-12, rtol=0):
+        if self.tau_grid.size and _grids_match(self.tau_grid, rev, 1e-12):
             return (vals + vals[::-1]) / 2.0
         return vals
 
     def is_uniform(self) -> bool:
         d = np.diff(self.tau_grid)
-        return len(d) > 0 and np.allclose(d, d[0], rtol=1e-9, atol=1e-12)
+        return len(d) > 0 and _evenly_spaced(d)
 
 
 # Above this eigenvector condition number the eigen path loses more than

@@ -337,10 +337,11 @@ def _propagate(params, drive, x0, t_grid, scale=1.0) -> np.ndarray:
     exponential of the generator. Across a gaussian, each of N steps of
     length h applies exp(G0 h/2) R exp(G0 h/2), G0 the drive-free generator
     and R the exact rotation of (v, w) by Omega(t + h/2) h. The step is
-    symmetric, so its error expands in even powers of h: the Richardson
-    value (4 x_2N - x_N) / 3 is fourth order, and N doubles until that
-    value's change over the last doubling, divided by 15 (its error
-    estimate), is below ``_SPLIT_TOL``.
+    symmetric, so its error expands in h^2, h^4, h^6, ...: the Richardson
+    value R1_2N = (4 x_2N - x_N) / 3 is fourth order and the Romberg value
+    R2_2N = (16 R1_2N - R1_N) / 15 sixth order. N doubles until R2's change
+    over the last doubling, divided by 63 (its error estimate), is below
+    ``_SPLIT_TOL``; the first such estimate needs three doublings.
     """
     x0 = np.asarray(x0, dtype=float)
     cols = x0.reshape(len(x0), -1)  # (dim, columns)
@@ -363,22 +364,24 @@ def _propagate(params, drive, x0, t_grid, scale=1.0) -> np.ndarray:
         stepped = np.zeros(len(lo), dtype=bool)
         rate = drive.omega(0.5 * (lo + hi))
     on_grid = np.isin(knots, t_grid)
-    # one generator per interval and column: G0 where stepped
+    # one generator per interval and column, and its exponential over the
+    # interval, which every doubling reuses (the identity where stepped)
     gens = g0 + np.multiply.outer(np.multiply.outer(rate, scale), d_gen)
+    exact = _expm(gens * np.where(stepped, 0.0, hi - lo)[:, None, None, None])
     widths = np.where(stepped, hi - lo, 0.0)
     base = np.ceil(_MIN_STEPS * widths / (widths.sum() or 1.0)).astype(int)
 
     def march(doublings: int) -> np.ndarray:
         steps = base << doublings
-        dt = np.where(stepped, widths / np.maximum(steps, 1) / 2.0, hi - lo)
-        exps = _expm(gens * dt[:, None, None, None])  # exp(G0 h/2) where stepped
+        h = widths / np.maximum(steps, 1)
+        halves = _expm(np.multiply.outer(h / 2.0, g0))  # exp(G0 h/2) per interval
         x = cols
         out = [x]
         for j, n in enumerate(steps):
             if n:
-                x = _split_steps(x, drive, scale, lo[j], 2.0 * dt[j], n, exps[j, 0])
+                x = _split_steps(x, drive, scale, lo[j], h[j], n, halves[j])
             else:
-                x = np.einsum("cij,jc->ic", exps[j], x)
+                x = np.einsum("cij,jc->ic", exact[j], x)
             if on_grid[j + 1]:
                 out.append(x)
         return np.stack(out, axis=-1).reshape(x0.shape + (len(out),))
@@ -386,32 +389,39 @@ def _propagate(params, drive, x0, t_grid, scale=1.0) -> np.ndarray:
     coarse = march(0)
     if not stepped.any():
         return coarse
-    richardson = None
+    fourth = sixth = None
     for doublings in range(1, _MAX_DOUBLINGS + 1):
         fine = march(doublings)
-        previous, richardson = richardson, (4.0 * fine - coarse) / 3.0
-        if previous is not None and np.max(np.abs(richardson - previous)) / 15.0 < _SPLIT_TOL:
-            return richardson
+        fourth_before, fourth = fourth, (4.0 * fine - coarse) / 3.0
+        if fourth_before is not None:
+            sixth_before, sixth = sixth, (16.0 * fourth - fourth_before) / 15.0
+            if sixth_before is not None and np.max(np.abs(sixth - sixth_before)) / 63.0 < _SPLIT_TOL:
+                return sixth
         coarse = fine
     raise IntegrationError(f"split steps did not reach tol {_SPLIT_TOL} at {_MIN_STEPS << _MAX_DOUBLINGS} steps")
 
 
 def _split_steps(x, drive, scale, t_start, h, steps, half) -> np.ndarray:
     """``steps`` split steps of length h from t_start on the (dim, columns)
-    state x; half = exp(G0 h/2)."""
-    full = half @ half
-    free = half  # the first step opens with half a free step
+    state x; half = exp(G0 h/2). The state is stepped as its (columns, dim)
+    transpose, so each column's (v, w) is one complex number v + i w, which
+    the drive rotates by exp(i Omega h)."""
+    free = half.T  # the first step opens with half a free step
+    full = free @ free
+    bufs = np.empty((2, x.shape[1], x.shape[0]))
+    outs = (bufs[0], bufs[1])
+    vws = tuple(bufs[:, :, 1:3].view(complex)[..., 0])
+    x = x.T
+    k = 0
     for first in range(0, steps, _ANGLE_BLOCK):
         t_mid = t_start + (np.arange(first, min(first + _ANGLE_BLOCK, steps)) + 0.5) * h
-        theta = np.multiply.outer(drive.omega(t_mid) * h, scale)
-        for cos, sin in zip(np.cos(theta), np.sin(theta)):
-            x = free @ x
+        rotations = np.exp(np.multiply.outer(drive.omega(t_mid) * h, 1j * scale))
+        for rotation in rotations:
+            x = np.dot(x, free, out=outs[k])
+            np.multiply(vws[k], rotation, out=vws[k])
             free = full
-            v, w = x[1], x[2]
-            v_rot = v * cos - w * sin
-            x[2] = v * sin + w * cos
-            x[1] = v_rot
-    return half @ x
+            k ^= 1
+    return (x @ half.T).T
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlations import CorrelationTrace, TimingResponse, convolve_timing, g1, g2
+from .correlations import CorrelationTrace, TimingResponse, _grids_match, convolve_timing, g1, g2
 from .emitter import EmitterParams
 
 PARALLEL = "parallel"
@@ -87,8 +87,8 @@ def hom_pair(
 def visibility(parallel: CorrelationTrace, orthogonal: CorrelationTrace) -> CorrelationTrace:
     """Pointwise (g2_perp - g2_par)/g2_perp; zero (and flagged) where the
     orthogonal trace vanishes."""
-    if parallel.tau_grid.shape != orthogonal.tau_grid.shape or not np.allclose(
-        parallel.tau_grid, orthogonal.tau_grid, rtol=0, atol=1e-12
+    if parallel.tau_grid.shape != orthogonal.tau_grid.shape or not _grids_match(
+        parallel.tau_grid, orthogonal.tau_grid, 1e-12
     ):
         raise ValueError("visibility requires identical tau grids")
     denom = orthogonal.values
@@ -121,19 +121,27 @@ def solve_timing_for_visibility(
 ) -> float:
     """Detector-response FWHM (ns) at which the peak visibility equals target.
 
+    The IRF only smooths the two traces, so they are built once (without
+    IRF) and `_timing_for_visibility` brackets the width on them.
+    """
+    return _timing_for_visibility(*hom_pair(params, rabi, setup, tau_grid), target)
+
+
+def _timing_for_visibility(par: CorrelationTrace, perp: CorrelationTrace, target: float) -> float:
+    """IRF FWHM (ns) at which the peak visibility of the IRF-free traces
+    (par, perp), each convolved with that IRF, equals target.
+
     Peak visibility falls monotonically from 1 as the IRF smears the
     parallel dip, so a scalar bracket suffices: the width doubles from the
     grid spacing until the visibility drops below target, and a width past
-    `_IRF_FWHM_MAX` raises ValueError. The IRF only smooths the two traces,
-    so they are built once and each trial width convolves them.
+    `_IRF_FWHM_MAX` raises ValueError.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target visibility must lie in (0, 1)")
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    lo = tau_grid[1] - tau_grid[0]
-    if not lo > 0:
+    tau_grid = par.tau_grid
+    if len(tau_grid) < 2 or not tau_grid[1] > tau_grid[0]:
         raise ValueError("tau grid must be increasing")
-    par, perp = hom_pair(params, rabi, setup, tau_grid)
+    lo = tau_grid[1] - tau_grid[0]
 
     def peak(fwhm: float) -> float:
         irf = TimingResponse(fwhm_ns=fwhm)

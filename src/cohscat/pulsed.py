@@ -138,8 +138,8 @@ def rabi_curve(
     columns of one (5, n_areas) state under the unit-area pulse scaled per
     column (see ``emitter._propagate``): a square pulse and the decay tail
     are one matrix exponential each, and a gaussian pulse takes split steps
-    whose count doubles until the estimated error is below
-    ``emitter._SPLIT_TOL``.
+    whose count doubles until the error estimate of their sixth-order
+    Romberg value is below ``emitter._SPLIT_TOL``.
     """
     areas = np.asarray(areas, dtype=float)
     if not (math.isfinite(pulse_fwhm) and pulse_fwhm > 0):
@@ -463,7 +463,7 @@ def hbt_analyze(stream: PhotonStream) -> PeakReport:
     # per call waking a second thread on a busy core.
     c0, c1 = counts[:, 0], counts[:, 1]
 
-    same_pulse = float(np.sum(counts * (counts - 1) / 2.0))
+    same_pulse = _same_pulse_pairs(counts, stream.n_tags)
     within_cross = float(c0 @ c1)
 
     center_rates = []
@@ -500,6 +500,20 @@ def hbt_analyze(stream: PhotonStream) -> PeakReport:
             "mean_per_pulse": stream.mean_per_pulse,
         },
     )
+
+
+def _same_pulse_pairs(counts: np.ndarray, n_tags: int) -> float:
+    """Photon pairs within one pulse, the sum of c (c - 1) / 2 over the
+    per-pulse counts c (which sum to n_tags): (c.c - n_tags) / 2, with one
+    exact int64 dot."""
+    flat = counts.ravel()
+    return float((flat @ flat - n_tags) // 2)
+
+
+def _mean_power(base: float, counts: np.ndarray) -> float:
+    """Mean of base ** c over the counts c, summed once per distinct count."""
+    tally = np.bincount(counts)
+    return float(np.sum(tally * base ** np.arange(len(tally)))) / len(counts)
 
 
 def _draw_below(rng, m: int, p: float) -> np.ndarray:
@@ -608,11 +622,11 @@ def pulsed_hom(
     areas_par = _cluster_areas(stream, *_route_config(stream, rng_par, True, overlap_true))
     areas_ort = _cluster_areas(stream, *_route_config(stream, rng_ort, False, 0.0))
 
-    counts = stream.counts_per_pulse()  # int64: the dot below stays out of BLAS
+    counts = stream.counts_per_pulse()  # int64: the dots below stay out of BLAS
     n = counts.shape[0]
     r = _SPLITTER_RATIO
-    p_meet_a = 1.0 - float(np.mean((1.0 - r) ** counts[:, 0]))
-    p_meet_b = 1.0 - float(np.mean(r ** counts[:, 1]))
+    p_meet_a = 1.0 - _mean_power(1.0 - r, counts[:, 0])
+    p_meet_b = 1.0 - _mean_power(r, counts[:, 1])
     s_meet = p_meet_a * p_meet_b
     if s_meet <= 0 or areas_ort[0] <= 0:
         raise ValueError("stream carries no interfering events")
@@ -622,7 +636,7 @@ def pulsed_hom(
     estimate = raw * correction
     err = 2.0 * math.sqrt(areas_par[0] + areas_ort[0]) / (n * s_meet)
 
-    m2 = float(np.sum(counts * (counts - 1) / 2.0)) / n
+    m2 = _same_pulse_pairs(counts, stream.n_tags) / n
     x = float(counts[:, 0] @ counts[:, 1]) / n
     g_est = m2 / (2.0 * x) if x > 0 else 0.0
     return PeakReport(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _regression_start
+from .correlations import _evenly_spaced, _regression_start
 from .emitter import HBAR_UEV_NS, EmitterParams, rrs_fraction
 
 # Largest relative change of a part's trapezoid sum when every other grid
@@ -74,7 +74,7 @@ def lorentzian(energy, center: float, fwhm: float):
 
 def _uniform_spacing(grid: np.ndarray) -> float:
     d = np.diff(grid)
-    if len(d) == 0 or not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
+    if len(d) == 0 or not _evenly_spaced(d):
         raise GridError("energy grid must be uniform and ascending")
     if d[0] <= 0:
         raise GridError("energy grid must be ascending")

@@ -334,6 +334,22 @@ def test_sim_hom_cw_builds_the_traces_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_fig2e_builds_each_hom_pair_once(tmp_path, monkeypatch):
+    # four coherence ratios, four pairs: the ratio-1.0 pair that sets the
+    # IRF is also the last trace
+    calls = []
+    real = hom.hom_pair
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hom, "hom_pair", counting)
+    monkeypatch.setattr(cli, "hom_pair", counting)
+    assert run_cli(["fig", "fig2e", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 4
+
+
 def test_pulsed_commands_call_the_library_through_module_globals(tmp_path, monkeypatch):
     # Wrappers bound over pulsed.simulate_stream and pulsed.pulsed_hom (as
     # the benchmark's probe binds them) must see every call the runners make.

@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import cohscat as cs
+from cohscat.correlations import _evenly_spaced, _grids_match
 from conftest import g2_resonant_closed_form, liouvillian_reference
 
 
@@ -231,3 +232,37 @@ def test_convolve_timing_rejects_nonuniform():
     trace = cs.CorrelationTrace(taus, np.ones(3), kind="G2")
     with pytest.raises(ValueError):
         cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=0.1))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_GRIDS = [
+    [0.0, 0.1, 0.2],
+    [-1.0, 0.0, 1.0],
+    [-1.0, 0.0, 1.0 + 1e-12],
+    [-1.0, 0.0, 1.0 + 3e-12],
+    [-1.0, 1e-13, 1.0],
+    [0.0, 1.0, 2.0 + 1e-9],
+    [0.0, 1.0, 2.0 + 3e-9],
+    [0.0, 1e300, 2e300],
+    [-1.7e308, 0.0, 1.7e308],
+    [-_INF, 0.0, _INF],
+    [-_INF, _INF],
+    [0.0, _INF],
+    [_INF, _INF],
+    [0.0, 1.0, _INF],
+    [-_INF, 0.0, 1.0],
+    [0.0, _NAN, 2.0],
+    [_NAN, _NAN],
+    [0.0, 0.0, 0.0],
+]
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_grid_checks_match_allclose(grid):
+    # the direct comparisons return np.allclose's boolean, also on inf and NaN
+    grid = np.array(grid)
+    with np.errstate(invalid="ignore", over="ignore"):  # both sides overflow alike
+        for other in (-grid[::-1], grid, grid + 1e-12, np.roll(grid, 1)):
+            assert _grids_match(grid, other, 1e-12) == np.allclose(grid, other, rtol=0, atol=1e-12)
+        d = np.diff(grid)
+        assert _evenly_spaced(d) == np.allclose(d, d[0], rtol=1e-9, atol=1e-12)

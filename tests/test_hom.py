@@ -186,5 +186,6 @@ def test_irf_solve_failures_raise(monkeypatch):
     monkeypatch.setattr(hom, "_IRF_FWHM_MAX", 0.05)
     with pytest.raises(ValueError, match="no IRF below"):
         cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89)
-    with pytest.raises(ValueError, match="increasing"):
-        cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS[::-1], target=0.89)
+    for grid in (TAUS[::-1], TAUS[-1:]):
+        with pytest.raises(ValueError, match="increasing"):
+            cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, grid, target=0.89)

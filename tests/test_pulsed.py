@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 import cohscat as cs
-from cohscat import cli, pulsed
-from cohscat.emitter import _expm
+from cohscat import cli, emitter, pulsed
+from cohscat.emitter import _GAUSS_REACH_SIGMAS, _WINDOW_SIGMAS, _expm, _generator, _split_steps
 from cohscat.scenario import EmitterBlock, PulseTrainBlock
 from conftest import (
     cluster_areas_whole_stream,
@@ -94,6 +94,44 @@ def test_rabi_curve_matches_per_area_oracle(params, areas, shape):
     assert batched.shape == (len(areas), 2)
     assert np.array_equal(batched[:, 0], oracle[:, 0])
     assert np.max(np.abs(batched[:, 1] - oracle[:, 1])) < 1e-8
+
+
+def test_rabi_curve_stops_at_sixth_order(monkeypatch):
+    # The Romberg estimate stops the doubling at N = 512 on the `sim rabi`
+    # grid: 16 + 32 + ... + 512 split steps, where the fourth-order stop
+    # needed 4080.
+    steps = []
+
+    def counting(x, drive, scale, t_start, h, n, half):
+        steps.append(n)
+        return _split_steps(x, drive, scale, t_start, h, n, half)
+
+    monkeypatch.setattr(emitter, "_split_steps", counting)
+    pulsed.rabi_curve(PARAMS, SIM_RABI_AREAS, SIM_RABI_FWHM)
+    assert sum(steps) <= 1008
+
+
+def test_rabi_curve_matches_fine_richardson_value():
+    # Reference: the same split steps at 2^13 and 2^14 steps, combined into
+    # their fourth-order Richardson value. The pulse window starts at 0; the
+    # steps reach _GAUSS_REACH_SIGMAS past the center, exact decay follows.
+    areas = SIM_RABI_AREAS[1:]
+    sigma = SIM_RABI_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    center = _WINDOW_SIGMAS * sigma
+    unit = cs.DriveField.from_area(1.0, "gaussian", SIM_RABI_FWHM, t0=center)
+    stepped = center + _GAUSS_REACH_SIGMAS * sigma
+    t_end = 2.0 * center + 15.0 * PARAMS.t1
+    g0 = _generator(PARAMS, 0.0)
+    x0 = np.tile([[0.0], [0.0], [-1.0], [1.0], [0.0]], len(areas))
+
+    def split(n):
+        h = stepped / n
+        return _split_steps(x0, unit, areas, 0.0, h, n, _expm(g0 * h / 2.0))
+
+    richardson = (4.0 * split(1 << 14) - split(1 << 13)) / 3.0
+    reference = (_expm(g0 * (t_end - stepped)) @ richardson)[4]
+    curve = np.array(pulsed.rabi_curve(PARAMS, SIM_RABI_AREAS, SIM_RABI_FWHM))
+    assert np.max(np.abs(curve[1:, 1] - reference)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -411,6 +449,20 @@ def test_hbt_rejects_empty_and_reports_errors():
     )
     with pytest.raises(ValueError):
         pulsed.hbt_analyze(empty)
+
+
+def test_estimator_sums_match_per_pulse_formulas():
+    # the integer pair sum and the tallied meeting probabilities are the
+    # per-pulse formulas bit for bit, here with up to 3+ photons per pulse
+    train = make_train(3.0, 0.4, 3000)
+    params = dataclasses.replace(PARAMS, t2=PARAMS.t1)
+    stream = pulsed.simulate_stream(params, train, seed=7)
+    counts = stream.counts_per_pulse()
+    assert counts.max() >= 3
+    assert pulsed._same_pulse_pairs(counts, stream.n_tags) == float(np.sum(counts * (counts - 1) / 2.0))
+    r = pulsed._SPLITTER_RATIO
+    for base, col in ((1.0 - r, 0), (r, 1)):
+        assert pulsed._mean_power(base, counts[:, col]) == float(np.mean(base ** counts[:, col]))
 
 
 @pytest.mark.parametrize("overlap_true,g,tol", [(1.0, 0.0, 0.01), (0.0, 0.0, 0.01)])
