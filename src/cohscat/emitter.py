@@ -280,38 +280,52 @@ def _generator(params: EmitterParams, rabi: float) -> np.ndarray:
     return gen
 
 
-# Degree-13 Pade coefficients (b0 = 1, so exp(0) = I exactly) and the
-# 1-norm up to which they give double precision (Higham, SIAM J. Matrix
-# Anal. Appl. 26, 1179 (2005)).
-_PADE13 = [
-    math.factorial(26 - k) * math.factorial(13)
-    / (math.factorial(26) * math.factorial(k) * math.factorial(13 - k))
-    for k in range(14)
-]
-_THETA13 = 5.371920351148152
+# Pade coefficients b_k of degree m (b_0 = 1, so exp(0) = I exactly) and
+# the 1-norm theta_m up to which degree m gives double precision (Higham,
+# SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
+_PADE = {
+    m: [
+        math.factorial(2 * m - k) * math.factorial(m)
+        / (math.factorial(2 * m) * math.factorial(k) * math.factorial(m - k))
+        for k in range(m + 1)
+    ]
+    for m in (3, 5, 7, 9, 13)
+}
+_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068,
+    13: 5.371920351148152,
+}
 
 
 def _expm(m) -> np.ndarray:
-    """Matrix exponentials of a real or complex (..., k, k) stack, by
-    scaling and squaring: each matrix is halved s times until its 1-norm is
-    at most theta_13, exponentiated by the Pade approximant p(a) / p(-a)
-    and squared s times."""
+    """Matrix exponentials of a real or complex (..., k, k) stack by the
+    Pade approximant p(a) / p(-a). The stack's largest 1-norm picks the
+    degree: the lowest of 3, 5, 7, 9 whose theta it does not exceed. Above
+    theta_9 the degree is 13, with scaling and squaring: each matrix is
+    halved s times until its 1-norm is at most theta_13, exponentiated and
+    squared s times."""
     m = np.asarray(m)
     k = m.shape[-1]
     a = m.reshape(-1, k, k)
     norms = np.abs(a).sum(axis=1).max(axis=1)
+    top = norms.max(initial=0.0)
+    degree = next((d for d in (3, 5, 7, 9) if top <= _THETA[d]), 13)
     s = np.zeros(len(a), dtype=int)
-    big = norms > _THETA13
-    s[big] = np.ceil(np.log2(norms[big] / _THETA13))
+    big = norms > _THETA[13]
+    s[big] = np.ceil(np.log2(norms[big] / _THETA[13]))
     a = a / np.ldexp(1.0, s)[:, None, None]
     power = np.broadcast_to(np.eye(k), a.shape)
     even = odd = 0.0
-    for j, b in enumerate(_PADE13):
+    for j, b in enumerate(_PADE[degree]):
+        if j:
+            power = power @ a
         if j % 2:
             odd = odd + b * power
         else:
             even = even + b * power
-        power = power @ a
     r = np.linalg.solve(even - odd, even + odd)
     for i in range(s.max(initial=0)):
         r[s > i] = r[s > i] @ r[s > i]

@@ -25,7 +25,12 @@ table segment [a, b) at a time. Every trajectory then aims at the same
 boundary b: a pass moves all of them to b with one 4x4 product and tests the
 trace there. Those that stay above their threshold are done with the
 segment; the others locate their click by binary search on the
-non-increasing trace, re-anchor there and go round again.
+non-increasing trace, re-anchor there and go round again. Later passes carry
+only the clicking trajectories, and write the state of one back only where
+it ends. Every trajectory enters the first pulse window in the ground state,
+so there the first pass searches one precomputed survival column instead.
+The step exponentials have 1-norms near 0.01, where ``emitter._expm`` takes
+the degree-3 Pade approximant.
 
 Randomness comes from the counter-based Philox generator, keyed by
 `_rng(seed, purpose, index)` (Salmon et al., SC'11 (2011)). Pairs fall into
@@ -199,7 +204,12 @@ class _WindowTables:
     - reset[:, k]: the ground state (0, 0, -1, 1) mapped by the inverse of
       C_k, which is the identity at a segment start;
     - decay[i]: expm(L0 gaps[i]) at zero drive, over the drive-free gaps
-      after pulse i (the ground state is its fixed point).
+      after pulse i (the ground state is its fixed point);
+    - ground_trace[j]: tr(C_j g) from the ground state g = (0, 0, -1, 1)
+      for j in the first segment [0, b], non-increasing once clipped at 1.
+      Every trajectory enters the first pulse window in g, so its first
+      click boundary there is one ``np.searchsorted`` on this column
+      (``ground_crossing``).
 
     A trajectory anchored at boundary k of segment [a, b) with state x
     carries y, with x = C_k y (y = x at a, y = reset[:, k] after a click at
@@ -234,6 +244,7 @@ class _WindowTables:
         # tables are several times faster than from stacked ones.
         self.trace_row = [np.ascontiguousarray(c[:, 3, l]) for l in range(4)]
         self.reset = np.ascontiguousarray(reset.T)
+        self.ground_trace = self.trace_at(np.arange(self.bounds[1] + 1), _GROUND[:, None])
         self.gaps = (train.separation - 2.0 * half, train.pair_period - train.separation - 2.0 * half)
         self.decay = _expm(np.multiply.outer(self.gaps, free))
 
@@ -244,6 +255,17 @@ class _WindowTables:
         row = self.trace_row
         return row[0].take(j) * y[0] + row[1].take(j) * y[1] + row[2].take(j) * y[2] + row[3].take(j) * y[3]
 
+    def ground_crossing(self, u):
+        """``_crossing`` for trajectories anchored in the ground state g at
+        the window start, whose thresholds u in [0, 1) lie above tr(C_b g)
+        at the end b of the first segment: one search of ``ground_trace``,
+        with the comparisons of the binary search."""
+        # Clipped at 1, above every threshold: no comparison with a
+        # threshold in [0, 1) changes, and the rounding that lifts the
+        # trace a few ulp above 1 early in a pulse no longer breaks its order.
+        hi = np.searchsorted(-np.minimum(self.ground_trace[:-1], 1.0), -u, side="right")
+        return hi, _click_steps(hi, self.ground_trace.take(hi - 1), self.ground_trace.take(hi), u)
+
 
 class _ChunkState:
     """Mutable per-chunk trajectory arrays (one trajectory per pulse pair).
@@ -253,7 +275,6 @@ class _ChunkState:
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
-        self.n = n
         self.rng = rng
         self.x = np.repeat(_GROUND[:, None], n, axis=1)
         self.thresh = rng.random(n)
@@ -286,19 +307,29 @@ class _ChunkState:
         return [times.take(order), pair.take(order), pulse.take(order)]
 
 
-def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx):
+def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx, from_ground=False):
     """Carry all trajectories through one pulse window, recording clicks.
 
     The law is that of marching step by step: after each step tr(x) is
     tested against the threshold; below it, the emitter clicks at that
     boundary (the tag time interpolates log-linearly within the step) and
     resets to the ground state. The window runs one table segment [a, b)
-    at a time, and a segment in passes. A pass moves every trajectory still
-    in the segment to b with the segment's product C_b (state.x then holds
+    at a time, and a segment in passes. The first pass moves every
+    trajectory to b with the segment's product C_b (state.x then holds
     where it ends unless it clicks first) and tests the trace there. Those
     that stay above their threshold are done; the others find their first
-    boundary below it by binary search (tr(x) does not increase between
-    clicks), click there, re-anchor and take part in the next pass.
+    boundary below it (tr(x) does not increase between clicks), click
+    there, re-anchor and take part in the next pass. A pass carries only
+    its clicking trajectories (index, boundary, threshold) and writes
+    state.x only where one ends: the ground state after a click at b, or
+    C_b y when it stays above its new threshold after re-anchoring
+    (``_reanchor``). Anchored states and their products live only inside
+    the helper that uses them, so a window holds little beyond state.x.
+
+    The click boundary comes from a binary search, except where every
+    trajectory starts the window in the ground state (``from_ground``):
+    the first pass of the first segment then searches the precomputed
+    column tr(C_j g) (``_WindowTables.ground_crossing``).
 
     Draw order: the trajectories of a pass are kept in ascending order, so
     its clicks draw their new thresholds in that order, and the draws of
@@ -306,33 +337,69 @@ def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx
     """
     for a, b, end in zip(tab.bounds[:-1], tab.bounds[1:], tab.ends):
         y = state.x  # C_a = I at a segment start
-        idx, k, s_anchor = np.arange(state.n), np.full(state.n, a), y[3]
         state.x = np.einsum("ij,jn->in", end, y)  # no BLAS threads
+        idx = np.flatnonzero(state.x[3] < state.thresh)
+        if not len(idx):
+            continue
+        u = state.thresh.take(idx)
+        if from_ground and a == 0:
+            del y  # every state is the ground state, whose traces are tabulated
+            hi, steps = tab.ground_crossing(u)
+        else:
+            y = y.take(idx, axis=1)
+            hi, steps = _crossing(tab, a, b, y, y[3], u)
+            del y  # later passes anchor in the reset states
         while True:
-            # state.x[:, idx] = C_b y
-            jp = np.flatnonzero(state.x[3].take(idx) < state.thresh.take(idx))
-            if not len(jp):
+            state.record(idx, t_start + steps * tab.dt, pulse_idx)
+            u = state.rng.random(len(idx))
+            state.thresh[idx] = u
+            at_b = hi == b
+            if at_b.any():
+                state.x[:, idx[at_b]] = _GROUND[:, None]  # a click at b leaves the ground state there
+                go = np.flatnonzero(~at_b)
+                idx, hi, u = idx.take(go), hi.take(go), u.take(go)
+            idx, k, u = _reanchor(state, tab, end, idx, hi, u)
+            if not len(idx):
                 break
-            idx, k, y, s_anchor = idx.take(jp), k.take(jp), y.take(jp, axis=1), s_anchor.take(jp)
-            # The last boundary lo in [k, b) with tr(C_lo y) >= u, in binary
-            # steps of falling size; a candidate past b is clamped to b,
-            # where the trace is below u, so it is never taken.
-            u = state.thresh.take(idx)
-            lo = k
-            for shift in reversed(range(int(b - k.min() - 1).bit_length())):
-                cand = np.minimum(lo + (1 << shift), b)
-                lo = lo + (cand - lo) * (tab.trace_at(cand, y) >= u)
-            hi = lo + 1
-            s0 = np.where(lo == k, s_anchor, tab.trace_at(lo, y))
-            # a trace below a tiny threshold can round to <= 0
-            s1 = np.maximum(tab.trace_at(hi, y), np.finfo(float).tiny)
-            frac = np.log(s0 / u) / np.log(s0 / s1)
-            state.record(idx, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * tab.dt, pulse_idx)
-            state.reset_ground(idx)  # a click at b leaves the ground state there
-            go = np.flatnonzero(hi < b)
-            idx, k = idx.take(go), hi.take(go)
-            y, s_anchor = tab.reset[:, k], np.ones(len(k))
-            state.x[:, idx] = np.einsum("ij,jn->in", end, y)
+            hi, steps = _crossing(tab, k, b, tab.reset.take(k, axis=1), 1.0, u)
+
+
+def _crossing(tab: _WindowTables, k, b, y, s_anchor, u):
+    """The first boundary hi in (k, b] with tr(C_hi y) < u for states y
+    anchored at boundary k, whose trace there is s_anchor >= u and at b is
+    below u, and the click time in steps (``_click_steps``).
+
+    The last boundary lo = hi - 1 with tr(C_lo y) >= u comes in binary
+    steps of falling size; a candidate past b is clamped to b, where the
+    trace is below u, so it is never taken."""
+    lo = np.broadcast_to(k, u.shape)
+    for shift in reversed(range(int(b - np.min(k) - 1).bit_length())):
+        cand = np.minimum(lo + (1 << shift), b)
+        lo = lo + (cand - lo) * (tab.trace_at(cand, y) >= u)
+    hi = lo + 1
+    return hi, _click_steps(hi, np.where(lo == k, s_anchor, tab.trace_at(lo, y)), tab.trace_at(hi, y), u)
+
+
+def _click_steps(hi, s0, s1, u):
+    """Click times in steps from the window start: within step hi - 1,
+    where the trace falls from s0 to s1 across u, interpolated
+    log-linearly."""
+    # a trace below a tiny threshold can round to <= 0
+    frac = np.log(s0 / u) / np.log(s0 / np.maximum(s1, np.finfo(float).tiny))
+    return hi - 1 + np.clip(frac, 0.0, 1.0)
+
+
+def _reanchor(state: _ChunkState, tab: _WindowTables, end, idx, k, u):
+    """Anchor the trajectories idx, which clicked at boundaries k before
+    the segment's end b, in the ground state there. Those whose trace at b
+    stays above their new threshold u are done: their state there is
+    written. Returns (idx, k, u) of the others, which click again."""
+    x_b = np.einsum("ij,jn->in", end, tab.reset.take(k, axis=1))
+    clicks = x_b[3] < u
+    stay = np.flatnonzero(~clicks)
+    state.x[:, idx.take(stay)] = x_b.take(stay, axis=1)
+    again = np.flatnonzero(clicks)
+    return idx.take(again), k.take(again), u.take(again)
 
 
 def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, decay):
@@ -357,7 +424,7 @@ def _simulate_chunk(params, train, tables, rng, n_chunk, first_pair):
     # `separation`; the cycle ends where the next cycle's window begins.
     half = train._half_window()
     for pulse, center in enumerate((0.0, train.separation)):
-        _run_pulse_window(state, tables, center - half, pulse)
+        _run_pulse_window(state, tables, center - half, pulse, from_ground=pulse == 0)
         _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, tables.decay[pulse])
     return state.tags(first_pair, train.pair_period)
 
@@ -569,26 +636,36 @@ def _route_config(stream: PhotonStream, rng, hom_active, overlap):
 
 def _cluster_areas(stream: PhotonStream, slot, det):
     """Cross-detector pair counts at same-pair slot lags 0, 1, 2, summed
-    over blocks of `_CHUNK_PAIRS` pairs."""
+    over blocks of pairs (``_slot_products``): p[s, s']
+    pairs slot s at detector 0 with slot s' at detector 1, so lag l sums
+    the entries with |s - s'| = l."""
     pair = stream.pair_index
     n = stream.train.n_pairs
-    firsts = range(0, n, _CHUNK_PAIRS)
+    # Half-chunk blocks: a block's tally (six int64 counts per pair) then
+    # fits in the memory a chunk's trajectory state (four floats per pair)
+    # freed, rather than adding to the peak.
+    size = max(_CHUNK_PAIRS // 2, 1)
+    firsts = range(0, n, size)
     edges = np.searchsorted(pair, [*firsts, n])
-    areas = np.zeros(3, dtype=np.int64)
+    p = np.zeros((3, 3), dtype=np.int64)
     for first, lo, hi in zip(firsts, edges[:-1], edges[1:]):
-        key = pair[lo:hi] - first
-        key *= 3
-        key += slot[lo:hi]
-        size = 3 * min(_CHUNK_PAIRS, n - first)
-        n0 = np.bincount(key[det[lo:hi] == 0], minlength=size).reshape(-1, 3)
-        n1 = np.bincount(key[det[lo:hi] == 1], minlength=size).reshape(-1, 3)
-        # exact int64 dots, without product arrays
-        areas += (
-            n0.ravel() @ n1.ravel(),
-            sum(n0[:, s] @ n1[:, s + 1] + n1[:, s] @ n0[:, s + 1] for s in (0, 1)),
-            n0[:, 0] @ n1[:, 2] + n1[:, 0] @ n0[:, 2],
-        )
+        p += _slot_products(pair[lo:hi], slot[lo:hi], det[lo:hi], first, min(size, n - first))
+    areas = (np.trace(p), p[0, 1] + p[1, 0] + p[1, 2] + p[2, 1], p[0, 2] + p[2, 0])
     return {lag: float(area) for lag, area in enumerate(areas)}
+
+
+def _slot_products(pair, slot, det, first: int, n_pairs: int) -> np.ndarray:
+    """The 3x3 int64 product of the detector-0 and detector-1 slot counts
+    of pairs first ... first + n_pairs - 1, from one tally of the photons
+    per (pair, slot, detector). Its arrays die with the call, so blocks
+    never overlap in memory."""
+    key = pair - first
+    key *= 3
+    key += slot
+    key *= 2
+    key += det
+    counts = np.bincount(key, minlength=6 * n_pairs).reshape(-1, 3, 2)
+    return counts[:, :, 0].T @ counts[:, :, 1]  # exact, no BLAS
 
 
 def pulsed_hom(

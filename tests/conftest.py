@@ -13,7 +13,16 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from cohscat.emitter import HBAR_UEV_NS, DriveField, EmitterParams, IntegrationError, PulseTrain, steady_state
+from cohscat.emitter import (
+    _PADE,
+    _THETA,
+    HBAR_UEV_NS,
+    DriveField,
+    EmitterParams,
+    IntegrationError,
+    PulseTrain,
+    steady_state,
+)
 from cohscat.fock import CircuitElement
 from cohscat.pulsed import _CHUNK_PAIRS, _SPLITTER_RATIO, _STREAM, PhotonStream, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
@@ -214,6 +223,32 @@ def pair_moment_oracle(params, train, reset_points=51, tol=1e-10):
 # are no flips, and both engines follow the same step-by-step law and draw
 # the same random numbers in the same order, provided their tables re-anchor
 # at the same boundaries (segment_t1 = 9 matches cohscat.pulsed at t2 = 2 t1).
+
+
+def expm_degree13(m) -> np.ndarray:
+    """``cohscat.emitter._expm`` as it was before it chose the Pade degree
+    from the norm: degree 13 for every stack, each matrix halved until its
+    1-norm is at most theta_13."""
+    m = np.asarray(m)
+    k = m.shape[-1]
+    a = m.reshape(-1, k, k)
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    s = np.zeros(len(a), dtype=int)
+    big = norms > _THETA[13]
+    s[big] = np.ceil(np.log2(norms[big] / _THETA[13]))
+    a = a / np.ldexp(1.0, s)[:, None, None]
+    power = np.broadcast_to(np.eye(k), a.shape)
+    even = odd = 0.0
+    for j, b in enumerate(_PADE[13]):
+        if j % 2:
+            odd = odd + b * power
+        else:
+            even = even + b * power
+        power = power @ a
+    r = np.linalg.solve(even - odd, even + odd)
+    for i in range(s.max(initial=0)):
+        r[s > i] = r[s > i] @ r[s > i]
+    return r.reshape(m.shape)
 
 
 def _expm_2x2(m: np.ndarray) -> np.ndarray:
@@ -561,6 +596,39 @@ def cluster_areas_whole_stream(stream: PhotonStream, rng, hom_active, overlap):
         1: float(np.sum(n0[:, :-1] * n1[:, 1:] + n1[:, :-1] * n0[:, 1:])),
         2: float(np.sum(n0[:, 0] * n1[:, 2] + n1[:, 0] * n0[:, 2])),
     }
+
+
+def window_reference(state, tab, t_start, pulse_idx):
+    """``cohscat.pulsed._run_pulse_window`` as it was before its compact
+    passes: every pass carries full-length index arrays, the binary search
+    serves every pass, and each click writes the ground state and a new
+    threshold through ``state.reset_ground``. Same tables, same law, same
+    draws."""
+    for a, b, end in zip(tab.bounds[:-1], tab.bounds[1:], tab.ends):
+        y = state.x  # C_a = I at a segment start
+        n = len(state.thresh)
+        idx, k, s_anchor = np.arange(n), np.full(n, a), y[3]
+        state.x = np.einsum("ij,jn->in", end, y)
+        while True:
+            jp = np.flatnonzero(state.x[3].take(idx) < state.thresh.take(idx))
+            if not len(jp):
+                break
+            idx, k, y, s_anchor = idx.take(jp), k.take(jp), y.take(jp, axis=1), s_anchor.take(jp)
+            u = state.thresh.take(idx)
+            lo = k
+            for shift in reversed(range(int(b - k.min() - 1).bit_length())):
+                cand = np.minimum(lo + (1 << shift), b)
+                lo = lo + (cand - lo) * (tab.trace_at(cand, y) >= u)
+            hi = lo + 1
+            s0 = np.where(lo == k, s_anchor, tab.trace_at(lo, y))
+            s1 = np.maximum(tab.trace_at(hi, y), np.finfo(float).tiny)
+            frac = np.log(s0 / u) / np.log(s0 / s1)
+            state.record(idx, t_start + (hi - 1 + np.clip(frac, 0.0, 1.0)) * tab.dt, pulse_idx)
+            state.reset_ground(idx)
+            go = np.flatnonzero(hi < b)
+            idx, k = idx.take(go), hi.take(go)
+            y, s_anchor = tab.reset[:, k], np.ones(len(k))
+            state.x[:, idx] = np.einsum("ij,jn->in", end, y)
 
 
 def coincidence_counts_whole_array(times, max_lag, bin_width):

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+import mpmath
 from scipy.linalg import expm
 
 import cohscat as cs
 from cohscat import emitter
 from cohscat.emitter import _expm, _generator, _propagate, bloch_system, leakage_for_contrast
 from cohscat.scenario import EmitterBlock
-from conftest import _bloch_rhs, _evolve_array
+from conftest import _bloch_rhs, _evolve_array, expm_degree13
 
 GROUND = [0.0, 0.0, -1.0, 1.0, 0.0]  # (u, v, w, tr, n); see emitter._generator
 
@@ -226,6 +227,60 @@ def test_expm_matches_scipy(rng):
             ref = expm(m)
             assert np.max(np.abs(e - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
     assert np.array_equal(_expm(np.zeros((4, 4))), np.eye(4))
+
+
+def _expm_stacks(rng, count=12):
+    """Real 4x4, complex 3x3 and Bloch-generator 5x5 stacks."""
+    params = cs.EmitterParams(t1=0.3, t2=0.5, detuning=2.0)
+    return [
+        rng.normal(size=(count, 4, 4)),
+        rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3)),
+        np.array([_generator(params, rabi) for rabi in rng.uniform(0.0, 30.0, count)]),
+    ]
+
+
+def _largest_norm(stack) -> float:
+    return float(np.abs(stack).sum(axis=-2).max())
+
+
+@pytest.mark.parametrize("degree", [3, 5, 7, 9])
+def test_expm_degree_follows_the_norm(monkeypatch, rng, degree):
+    used = []
+
+    class Recording(dict):
+        def __getitem__(self, m):
+            used.append(m)
+            return super().__getitem__(m)
+
+    monkeypatch.setattr(emitter, "_PADE", Recording(emitter._PADE))
+    theta = emitter._THETA[degree]
+    following = {3: 5, 5: 7, 7: 9, 9: 13}[degree]
+    for stack in _expm_stacks(rng):
+        # one matrix just below theta, the others spread beneath it
+        stack = stack * (theta / _largest_norm(stack)) * rng.uniform(0.1, 1.0, len(stack))[:, None, None]
+        stack[0] *= theta * (1.0 - 1e-12) / _largest_norm(stack[0])
+        got = _expm(stack)
+        assert used.pop() == degree
+        # the tolerance of test_step_exponentials_match_expm
+        with mpmath.workdps(30):
+            for m, e in zip(stack, got):
+                exact = np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=stack.dtype)
+                np.testing.assert_allclose(e, exact, rtol=0, atol=1e-14)
+        _expm(stack * (1.0 + 1e-9))
+        assert used.pop() == following
+
+
+def test_expm_above_theta_9_is_the_degree_13_evaluation(rng):
+    theta = emitter._THETA[9]
+    stacks = [stack * (theta / _largest_norm(stack)) * (1.0 + 1e-12) for stack in _expm_stacks(rng)]
+    stacks += [stack * 50.0 for stack in _expm_stacks(rng)]
+    # generators over long times, like the drive-free decay and the exact
+    # intervals: norms up to 2^13 theta_13, densely, so every squaring count
+    params = cs.EmitterParams(t1=0.1072, t2=0.2144)
+    stacks.append(np.multiply.outer(np.geomspace(1e-4, 300.0, 400), _generator(params, 7.0)))
+    for stack in stacks:
+        assert _largest_norm(stack) > theta
+        assert _expm(stack).tobytes() == expm_degree13(stack).tobytes()
 
 
 def test_drive_field_areas_match_quadrature():

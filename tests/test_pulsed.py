@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -21,6 +22,7 @@ from conftest import (
     stream_csv_per_tag,
     synthetic_stream,
     traced_peak,
+    window_reference,
 )
 
 PARAMS = EmitterBlock().resolve()  # t1 = 0.1072 ns, t2 = 2*t1
@@ -566,6 +568,70 @@ DENSE_TRAIN_PARAMS = EmitterBlock(coherence_ratio=0.5).resolve()
 
 def dense_train(n_pairs):
     return PulseTrainBlock(pulse_area_pi=3.0, pulse_fwhm_ns=0.4, n_pairs=n_pairs).resolve()
+
+
+def window_train(name):
+    """(params, train) of the default, dense and segmented trains."""
+    return {
+        "default": (PARAMS, make_train(0.71, 0.057, 20000)),
+        "dense": (DENSE_TRAIN_PARAMS, dense_train(20000)),
+        "segmented": (SEGMENTED,
+                      cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")),
+    }[name]
+
+
+def state_twin(state):
+    """A copy of a chunk's state with the same generator state and no tags."""
+    twin = copy.copy(state)
+    twin.rng = copy.deepcopy(state.rng)
+    twin.x, twin.thresh = state.x.copy(), state.thresh.copy()
+    twin.tag_idx, twin.tag_time, twin.tag_pulse = [], [], []
+    return twin
+
+
+@pytest.mark.parametrize("name", ["default", "dense", "segmented"])
+def test_pulse_window_matches_reference(name):
+    # Each window starts both engines from the same state, tables and
+    # generator state; the compact passes must click the same trajectories
+    # in the same passes and draw the same thresholds.
+    params, train = window_train(name)
+    tab = pulsed._WindowTables(params, train, pulsed._STEPS_PER_PULSE)
+    state = pulsed._ChunkState(train.n_pairs, pulsed._rng(12345, pulsed._STREAM, 0))
+    half = train._half_window()
+    for pulse, center in enumerate((0.0, train.separation)):
+        new, ref = state_twin(state), state_twin(state)
+        pulsed._run_pulse_window(new, tab, center - half, pulse, from_ground=pulse == 0)
+        window_reference(ref, tab, center - half, pulse)
+        assert len(new.tag_idx) == len(ref.tag_idx) >= 2  # clicks after re-anchoring too
+        for got, expected in zip(new.tag_idx, ref.tag_idx):
+            assert np.array_equal(got, expected)
+        assert new.tag_pulse == ref.tag_pulse == [pulse] * len(ref.tag_idx)
+        assert np.array_equal(new.thresh, ref.thresh)
+        assert repr(new.rng.bit_generator.state) == repr(ref.rng.bit_generator.state)
+        np.testing.assert_allclose(np.concatenate(new.tag_time), np.concatenate(ref.tag_time), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(new.x, ref.x, rtol=0, atol=1e-13)
+        state = new
+        pulsed._run_free_decay(state, center + half, tab.gaps[pulse], pulse, params, tab.decay[pulse])
+
+
+@pytest.mark.parametrize("name", ["default", "dense", "segmented"])
+def test_ground_crossing_matches_binary_search(rng, name):
+    params, train = window_train(name)
+    tab = pulsed._WindowTables(params, train, pulsed._STEPS_PER_PULSE)
+    b = tab.bounds[1]
+    col = tab.ground_trace
+    assert len(col) == b + 1
+    # the column searched: clipped at 1, above every threshold
+    assert np.all(np.diff(np.minimum(col, 1.0)) <= 0.0)
+    # thresholds that click within the first segment, at and beside every
+    # value of the column
+    u = np.concatenate([rng.uniform(col[b], 1.0, 20000), col, np.nextafter(col, 0.0), np.nextafter(col, 1.0)])
+    u = u[(u > col[b]) & (u < 1.0)]
+    ground = np.broadcast_to(pulsed._GROUND[:, None], (4, len(u)))
+    hi, steps = pulsed._crossing(tab, 0, b, ground, 1.0, u)
+    got_hi, got_steps = tab.ground_crossing(u)
+    assert np.array_equal(got_hi, hi)
+    assert got_steps.tobytes() == steps.tobytes()
 
 
 def stream_bytes(stream):
