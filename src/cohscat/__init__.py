@@ -2,18 +2,21 @@
 
 Library layout:
 
-- emitter       parameters, the Bloch equations and their pulse propagator
-                (behind `pulsed.rabi_curve`), steady state, coherent fraction,
-                saturation/gating intensity model, the pulse train
-- correlations  g1/g2 via the regression theorem, blinking envelope,
-                detector timing response
-- spectrum      coherent + incoherent emission spectrum
+- emitter       parameters, the Bloch generator on (u, v, w, tr) with its
+                closed-form steady state, the pulse propagator (behind
+                `pulsed.rabi_curve`), coherent fraction, saturation/gating
+                intensity model, the pulse train
+- correlations  g1/g2 by the regression theorem on that generator, blinking
+                envelope, detector timing response
+- spectrum      coherent + incoherent emission spectrum (the resolvent of the
+                same generator)
 - hom           CW two-photon interference in a delay interferometer
 - pulsed        Rabi curves, quantum-jump photon streams, coincidence-peak
                 analysis, click-level pulsed interference; not re-exported
                 here, so importing the package does not load the engine:
                 use `from cohscat import pulsed`
-- fock          few-photon linear optics with partial distinguishability
+- fock          closed-form two-photon fringes of a two-coupler
+                interferometer with partial distinguishability, and their fit
 - scenario/cli  JSON-configured figure-reproducing command line
 """
 
@@ -37,13 +40,11 @@ from .emitter import (
     IntegrationError,
     PulseTrain,
     default_bulk_params,
-    derive_cavity_params,
     rrs_fraction,
     saturation_curve,
     steady_state,
 )
 from .fock import (
-    CircuitElement,
     FringeTable,
     SourceModel,
     fit_fringe,

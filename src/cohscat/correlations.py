@@ -1,12 +1,15 @@
 """First- and second-order correlation functions of the CW-driven emitter.
 
-g2 follows from evolving the Bloch equations out of the ground state after a
-detection event; g1 from the regression theorem, which evolves the operator
-s- rho_ss under the same Bloch generator. Both propagate through the
-eigen-decomposition of the generator, or through exact matrix exponentials
-when the generator is (nearly) defective. `_regression_start` sets up g1's
-generator and start state once; the emission spectrum solves the resolvent
-of the same generator.
+g2, g1 and the incoherent spectrum (in `spectrum`) all follow from the
+quantum regression theorem on one generator (Mollow, Phys. Rev. 188, 1969
+(1969)): G = ``_generator(params, rabi)[:4, :4]`` on the Bloch coordinates
+(u, v, w, tr) that `rabi_curve` and the jump engine use, tr the trace of
+the evolved operator, with the closed-form ``steady_state`` as its
+stationary vector. g2 evolves the ground state (the post-emission state)
+and reads rho_ee = (w + tr)/2; g1 evolves s- rho_ss and reads its
+rho_ge = (u - iv)/2. Both propagate through the eigen-decomposition of G,
+or through exact matrix exponentials when G is (nearly) defective; the
+spectrum solves the resolvent of G.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emitter import EmitterParams, _check_rabi, _expm, _generator, bloch_system, steady_state
+from .emitter import EmitterParams, _expm, _generator, steady_state
 
 _EVEN_TOL = 1e-9
 
@@ -116,88 +119,71 @@ class CorrelationTrace:
 # take over.
 _COND_MAX = 1e4
 
-
-def _propagate_modes(gen: np.ndarray, x0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(gen * tau) @ x0 for every tau >= 0, via eigen-decomposition, or
-    one matrix exponential per distinct tau when the eigenvectors are
-    ill-conditioned."""
-    evals, vecs = np.linalg.eig(gen.astype(complex))
-    if np.linalg.cond(vecs) < _COND_MAX:
-        y0 = np.linalg.solve(vecs, x0.astype(complex))
-        phases = np.exp(np.multiply.outer(taus, evals))
-        return (phases * y0) @ vecs.T
-    uniq, inverse = np.unique(taus, return_inverse=True)
-    return (_expm(np.multiply.outer(uniq, gen)) @ x0.astype(complex))[inverse]
+# Read-outs of a vector (u, v, w, tr): rho_ee = (w + tr)/2, rho_ge = (u - iv)/2.
+_READ_EE = np.array([0.0, 0.0, 0.5, 0.5])
+_READ_GE = np.array([0.5, -0.5j, 0.0, 0.0])
 
 
-# Density-matrix coordinates (rho_ee, rho_eg, rho_ge, rho_gg) of an
-# operator, from its complex Bloch coordinates (u, v, w, tr):
-# rho_eg = (u + iv)/2, rho_ge = (u - iv)/2, rho_ee/gg = (tr +- w)/2.
-_RHO_FROM_BLOCH = 0.5 * np.array(
-    [[0, 0, 1, 1], [1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, -1, 1]], dtype=complex
-)
-_BLOCH_FROM_RHO = np.array(
-    [[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1], [1, 0, 0, 1]], dtype=complex
-)
-
-
-def _require_cw(params: EmitterParams, rabi: float):
-    _check_rabi(rabi)
+def _regression_setup(params: EmitterParams, rabi: float):
+    """The CW generator G on (u, v, w, tr) and its stationary vector
+    (u, v, w, 1) from the closed-form ``steady_state``."""
+    ss = steady_state(params, rabi)
     if rabi == 0.0:
         raise ValueError("correlation functions require a nonzero CW drive")
+    return _generator(params, rabi)[:4, :4], np.array([ss.u, ss.v, ss.w, 1.0])
+
+
+def _propagate_modes(gen: np.ndarray, x0: np.ndarray, taus: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """read . exp(gen |tau|) x0 for every tau, once per distinct |tau|: via
+    eigen-decomposition, or by matrix exponentials when the eigenvectors
+    are ill-conditioned."""
+    uniq, inverse = np.unique(np.abs(taus), return_inverse=True)
+    x0 = x0.astype(complex)
+    evals, vecs = np.linalg.eig(gen.astype(complex))
+    if np.linalg.cond(vecs) < _COND_MAX:
+        weights = (read @ vecs) * np.linalg.solve(vecs, x0)
+        # summed row by row, not by a BLAS product, which threads on long grids
+        out = (weights[:, None] * np.exp(np.multiply.outer(evals, uniq))).sum(axis=0)
+    else:
+        out = _expm(np.multiply.outer(uniq, gen)) @ x0 @ read
+    return out[inverse]
 
 
 def g2(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     """Normalized intensity autocorrelation g2(tau) of the driven emitter.
 
-    Evolves the Bloch vector from the ground state (the post-emission state)
-    and normalizes the regrowth of rho_ee by its steady-state value. Even in
+    Evolves the ground state (0, 0, -1, 1), the post-emission state, and
+    normalizes the regrowth of rho_ee by its steady-state value. Even in
     tau by construction.
     """
-    _require_cw(params, rabi)
+    gen, x_ss = _regression_setup(params, rabi)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    a_mat, b_vec = bloch_system(params, rabi)
-    x_ss = np.linalg.solve(a_mat, -b_vec)
-    rho_ss = (1.0 + x_ss[2]) / 2.0
-    x0 = np.array([0.0, 0.0, -1.0]) - x_ss
-    abs_tau = np.abs(tau_grid)
-    modes = _propagate_modes(a_mat, x0, abs_tau)
-    w = modes[:, 2].real + x_ss[2]
-    vals = (1.0 + w) / 2.0 / rho_ss
+    rho_ee = _READ_EE @ x_ss
+    vals = _propagate_modes(gen, np.array([0.0, 0.0, -1.0, 1.0]), tau_grid, _READ_EE).real / rho_ee
     return CorrelationTrace(tau_grid=tau_grid, values=np.clip(vals, 0.0, None), kind="G2")
 
 
-def _regression_start(params: EmitterParams, rabi: float):
-    """g1's generator and vectors in density-matrix coordinates
-    (rho_ee, rho_eg, rho_ge, rho_gg): the Bloch generator of
-    ``bloch_system`` (its affine form on (u, v, w, tr), tr the conserved
-    trace) under an exact change of basis, the regression-theorem start
-    state s- rho_ss = (0, 0, rho_ee, <s->), and the stationary state rho_ss.
-    """
-    _require_cw(params, rabi)
-    ss = steady_state(params, rabi)
-    rho_ee = ss.rho_ee()
-    c_ss = (ss.u + 1j * ss.v) / 2.0
-    gen = _RHO_FROM_BLOCH @ _generator(params, rabi)[:4, :4] @ _BLOCH_FROM_RHO
-    x0 = np.array([0.0, 0.0, rho_ee, c_ss], dtype=complex)
-    rho = np.array([rho_ee, c_ss, np.conj(c_ss), 1.0 - rho_ee], dtype=complex)
-    return gen, x0, rho
+def _g1_start(x_ss: np.ndarray) -> np.ndarray:
+    """s- rho_ss for the stationary vector x_ss: (rho_ee, i rho_ee, -<s->, <s->)."""
+    rho_ee = _READ_EE @ x_ss
+    s_minus = (x_ss[0] + 1j * x_ss[1]) / 2.0
+    return np.array([rho_ee, 1j * rho_ee, -s_minus, s_minus])
 
 
 def g1(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     """First-order coherence g1(tau) = <s+(t+tau) s-(t)> / rho_ee.
 
     By the regression theorem the operator s- rho_ss evolves under the
-    Bloch generator like a state, and <s+> of it is its rho_ge (see
-    ``_regression_start``). The constant coherent part |<s->|^2 / rho_ee
-    is stored as coherent_offset and equals the coherently scattered
-    fraction. Negative taus are filled by conjugate symmetry.
+    Bloch generator like a state, and <s+> of it is its rho_ge. The
+    constant coherent part |<s->|^2 / rho_ee is stored as coherent_offset
+    and equals the coherently scattered fraction. Negative taus are filled
+    by conjugate symmetry.
     """
-    gen, x0, _ = _regression_start(params, rabi)
+    gen, x_ss = _regression_setup(params, rabi)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    rho_ee = float(x0[2].real)
-    modes = _propagate_modes(gen, x0, np.abs(tau_grid))
-    vals = modes[:, 2] / rho_ee
+    x0 = _g1_start(x_ss)
+    rho_ee = float(x0[0].real)
+    vals = _propagate_modes(gen, x0, tau_grid, _READ_GE) / rho_ee
     vals = np.where(tau_grid < 0, np.conj(vals), vals)
     mag = np.abs(vals)
     vals = np.where(mag > 1.0, vals / np.maximum(mag, 1.0), vals)  # trim roundoff

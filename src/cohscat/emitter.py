@@ -37,7 +37,7 @@ class EmitterParams:
     detuning : laser-transition detuning (rad/ns)
 
     A cavity enters only through these numbers: the Purcell-shortened t1
-    and the coherence ratio t2/(2*t1) (see ``derive_cavity_params``).
+    and the coherence ratio t2/(2*t1).
     """
 
     t1: float
@@ -64,11 +64,6 @@ class EmitterParams:
         """Homogeneous FWHM linewidth 2*hbar/t2 in µeV."""
         return 2.0 * HBAR_UEV_NS / self.t2
 
-    @property
-    def gamma_phi(self) -> float:
-        """Pure-dephasing rate 1/t2 - 1/(2*t1) (1/ns), zero at t2 = 2*t1."""
-        return max(0.0, 1.0 / self.t2 - 0.5 / self.t1)
-
     def with_coherence_ratio(self, ratio: float) -> "EmitterParams":
         """Same lifetime, coherence time set to ratio * 2 * t1."""
         if not 0 < ratio <= 1:
@@ -79,18 +74,6 @@ class EmitterParams:
 def default_bulk_params() -> EmitterParams:
     """Typical non-cavity emitter: t1 = 1 ns, t2 = 0.6 ns."""
     return EmitterParams(t1=1.0, t2=0.6)
-
-
-def derive_cavity_params(t1_bulk: float, purcell_factor: float, coherence_ratio: float) -> EmitterParams:
-    """Lifetime-reduced parameters: t1 = t1_bulk/purcell, t2 = ratio * 2 * t1."""
-    if t1_bulk <= 0:
-        raise ValueError("t1_bulk must be positive")
-    if purcell_factor < 1:
-        raise ValueError("purcell_factor must be >= 1")
-    if not 0 < coherence_ratio <= 1:
-        raise ValueError(f"coherence_ratio must lie in (0, 1], got {coherence_ratio}")
-    t1 = t1_bulk / purcell_factor
-    return EmitterParams(t1=t1, t2=coherence_ratio * 2.0 * t1)
 
 
 @dataclass(frozen=True)

@@ -19,53 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_UNITARY_TOL = 1e-12
 _FIT_HARMONICS = 3
-
-
-@dataclass(frozen=True)
-class CircuitElement:
-    """Directional coupler or single-mode phase shifter.
-
-    The coupler unitary on its two modes is [[sqrt(R), i sqrt(1-R)],
-    [i sqrt(1-R), sqrt(R)]].
-    """
-
-    kind: str
-    modes: tuple[int, ...]
-    reflectivity: float | None = None
-    phi: float | None = None
-
-    @classmethod
-    def coupler(cls, reflectivity: float, mode_a: int, mode_b: int) -> "CircuitElement":
-        if not 0.0 < reflectivity < 1.0:
-            raise ValueError("coupler reflectivity must lie in (0, 1)")
-        if mode_a == mode_b:
-            raise ValueError("coupler needs two distinct modes")
-        return cls(kind="coupler", modes=(mode_a, mode_b), reflectivity=reflectivity)
-
-    @classmethod
-    def phase(cls, phi: float, mode: int) -> "CircuitElement":
-        return cls(kind="phase", modes=(mode,), phi=phi)
-
-    def matrix(self, n_modes: int) -> np.ndarray:
-        """Element unitary embedded in the identity on n_modes."""
-        if max(self.modes) >= n_modes:
-            raise ValueError(f"element touches mode {max(self.modes)} of {n_modes}")
-        u = np.eye(n_modes, dtype=complex)
-        if self.kind == "coupler":
-            a, b = self.modes
-            r = math.sqrt(self.reflectivity)
-            t = 1j * math.sqrt(1.0 - self.reflectivity)
-            u[a, a] = r
-            u[b, b] = r
-            u[a, b] = t
-            u[b, a] = t
-        else:
-            u[self.modes[0], self.modes[0]] = np.exp(1j * self.phi)
-        if not np.allclose(u @ u.conj().T, np.eye(n_modes), atol=_UNITARY_TOL):
-            raise ValueError("element matrix is not unitary")
-        return u
 
 
 @dataclass(frozen=True)
@@ -102,9 +56,15 @@ class FringeTable:
 
 
 def _mzi_unitary(r1: float, r2: float, phi: np.ndarray) -> np.ndarray:
-    """Mode matrices U(phi) = B2 diag(e^{i phi}, 1) B1, shape (len(phi), 2, 2)."""
-    b1 = CircuitElement.coupler(r1, 0, 1).matrix(2)
-    b2 = CircuitElement.coupler(r2, 0, 1).matrix(2)
+    """Mode matrices U(phi) = B2 diag(e^{i phi}, 1) B1, shape (len(phi), 2, 2),
+    of couplers B = [[sqrt(R), i sqrt(1-R)], [i sqrt(1-R), sqrt(R)]]."""
+    for r in (r1, r2):
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"coupler reflectivity must lie in (0, 1), got {r!r}")
+    b1, b2 = (
+        np.array([[math.sqrt(r), 1j * math.sqrt(1.0 - r)], [1j * math.sqrt(1.0 - r), math.sqrt(r)]])
+        for r in (r1, r2)
+    )
     phase = np.exp(1j * phi)[:, None, None]
     return phase * np.outer(b2[:, 0], b1[0, :]) + np.outer(b2[:, 1], b1[1, :])
 

@@ -3,10 +3,10 @@
 The spectrum splits into a coherent line at the laser energy (weight equal
 to the coherently scattered fraction, shape set by the laser linewidth) and
 an incoherent part: the Fourier transform of the decaying component of g1,
-taken in closed form as the resolvent of g1's generator (Mollow 1969). Both
-instrument and laser lines are modeled as Lorentzians, so instrument
-convolution is exact: Lorentzian widths add, and the instrument line shifts
-the resolvent's argument by half its width.
+taken in closed form as the resolvent of the Bloch generator that g1
+propagates (Mollow 1969). Both instrument and laser lines are modeled as
+Lorentzians, so instrument convolution is exact: Lorentzian widths add, and
+the instrument line shifts the resolvent's argument by half its width.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _evenly_spaced, _regression_start
+from .correlations import _READ_GE, _evenly_spaced, _g1_start, _regression_setup
 from .emitter import HBAR_UEV_NS, EmitterParams, rrs_fraction
 
 # Largest relative change of a part's trapezoid sum when every other grid
@@ -108,20 +108,23 @@ def incoherent_spectrum(
     theorem it is the transform of the decaying part of g1, damped by
     exp(-w_inst |tau| / 2 hbar), which convolves in a Lorentzian instrument
     line exactly; in closed form that is one 4x4 solve per energy,
-    S(E) = Re[-(G - rho_ss 1^T + z)^-1 x_dec]_ge / (pi hbar rho_ee) with
-    z = iE/hbar - w_inst/(2 hbar). G is g1's generator and x_dec its start
-    state less the stationary part; deflating the stationary mode keeps
-    E = 0 regular, and no eigenvectors are needed, so the critical drive
-    is covered too.
+    S(E) = Re[-(G - x_ss e_tr^T + z)^-1 x_dec]_ge / (pi hbar rho_ee) with
+    z = iE/hbar - w_inst/(2 hbar). G is the Bloch generator on (u, v, w, tr),
+    x_ss its stationary vector and x_dec g1's start vector less its
+    stationary part. Subtracting x_ss from G's tr column deflates the
+    stationary mode, which keeps E = 0 regular; no eigenvectors are
+    needed, so the critical drive is covered too.
     """
     energy_grid = np.asarray(energy_grid, dtype=float)
-    gen, x0, rho = _regression_start(params, rabi)
-    trace_row = np.array([1.0, 0.0, 0.0, 1.0])
-    x_dec = x0 - rho * (trace_row @ x0)
-    deflated = gen - np.outer(rho, trace_row)
+    gen, x_ss = _regression_setup(params, rabi)
+    x0 = _g1_start(x_ss)
+    x_dec = x0 - x_ss * x0[3]
+    deflated = gen - np.outer(x_ss, [0.0, 0.0, 0.0, 1.0])
     z = (1j * energy_grid - instrument_fwhm / 2.0) / HBAR_UEV_NS
     resolvent = np.linalg.solve(deflated + z[:, None, None] * np.eye(4), -x_dec)
-    return resolvent[:, 2].real / (math.pi * HBAR_UEV_NS * rho[0].real)
+    # einsum, not a BLAS product, which threads on long grids
+    rho_ge = np.einsum("ej,j->e", resolvent, _READ_GE)
+    return rho_ge.real / (math.pi * HBAR_UEV_NS * x0[0].real)
 
 
 def emission_spectrum(

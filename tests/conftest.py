@@ -23,7 +23,6 @@ from cohscat.emitter import (
     PulseTrain,
     steady_state,
 )
-from cohscat.fock import CircuitElement
 from cohscat.pulsed import _CHUNK_PAIRS, _SPLITTER_RATIO, _STREAM, PhotonStream, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
 from cohscat.spectrum import GridError, SpectralResponse, SpectrumTrace, _uniform_spacing, lorentzian
@@ -330,7 +329,7 @@ class _WindowTables:
         self.g11 = np.abs(c01) ** 2 + np.abs(c11) ** 2
         self.g01 = c00.conj() * c01 + c10.conj() * c11
         self.bounds = list(range(0, steps, seg)) + [steps]
-        gamma_phi = params.gamma_phi
+        gamma_phi = 1.0 / params.t2 - 0.5 / params.t1  # pure dephasing; <= 0 is none
         self.flip_p = -math.expm1(-0.5 * gamma_phi * dt) if gamma_phi > 0 else 0.0
 
     def norm(self, j, p0, p1, q):
@@ -466,8 +465,9 @@ def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params):
     # Jumped trajectories sit in the ground state (ce = 0), so a blanket
     # decay factor is a no-op for them.
     state.ce *= np.exp(-(1j * params.detuning + gamma / 2.0) * length)
-    if params.gamma_phi > 0:
-        p_odd = 0.5 * (1.0 - math.exp(-params.gamma_phi * length))
+    gamma_phi = 1.0 / params.t2 - 0.5 / params.t1
+    if gamma_phi > 0:
+        p_odd = 0.5 * (1.0 - math.exp(-gamma_phi * length))
         flips = state.rng.random(state.n) < p_odd
         state.cg[flips] = -state.cg[flips]
 
@@ -651,6 +651,51 @@ def coincidence_counts_whole_array(times, max_lag, bin_width):
 # configurations, evolved element by element by creation-operator monomial
 # expansion. Photons with different labels never interfere. It shares no
 # code with the closed-form fringes of cohscat.fock.
+
+
+@dataclass(frozen=True)
+class CircuitElement:
+    """Directional coupler or single-mode phase shifter.
+
+    The coupler unitary on its two modes is [[sqrt(R), i sqrt(1-R)],
+    [i sqrt(1-R), sqrt(R)]].
+    """
+
+    kind: str
+    modes: tuple[int, ...]
+    reflectivity: float | None = None
+    phi: float | None = None
+
+    @classmethod
+    def coupler(cls, reflectivity: float, mode_a: int, mode_b: int) -> "CircuitElement":
+        if not 0.0 < reflectivity < 1.0:
+            raise ValueError("coupler reflectivity must lie in (0, 1)")
+        if mode_a == mode_b:
+            raise ValueError("coupler needs two distinct modes")
+        return cls(kind="coupler", modes=(mode_a, mode_b), reflectivity=reflectivity)
+
+    @classmethod
+    def phase(cls, phi: float, mode: int) -> "CircuitElement":
+        return cls(kind="phase", modes=(mode,), phi=phi)
+
+    def matrix(self, n_modes: int) -> np.ndarray:
+        """Element unitary embedded in the identity on n_modes."""
+        if max(self.modes) >= n_modes:
+            raise ValueError(f"element touches mode {max(self.modes)} of {n_modes}")
+        u = np.eye(n_modes, dtype=complex)
+        if self.kind == "coupler":
+            a, b = self.modes
+            r = math.sqrt(self.reflectivity)
+            t = 1j * math.sqrt(1.0 - self.reflectivity)
+            u[a, a] = r
+            u[b, b] = r
+            u[a, b] = t
+            u[b, a] = t
+        else:
+            u[self.modes[0], self.modes[0]] = np.exp(1j * self.phi)
+        if not np.allclose(u @ u.conj().T, np.eye(n_modes), atol=1e-12):
+            raise ValueError("element matrix is not unitary")
+        return u
 
 
 def _config_norm(config: Config) -> float:

@@ -333,27 +333,6 @@ def test_bloch_system_steady_state_consistency():
     assert np.allclose(a_mat @ x + b_vec, 0.0, atol=1e-13)
 
 
-def test_derive_cavity_params():
-    params = cs.derive_cavity_params(1.0, 10.0, 1.0)
-    assert params.t1 == pytest.approx(0.1, abs=1e-15)
-    assert params.t2 == pytest.approx(0.2, abs=1e-15)
-    # Lifetime-limited linewidth grows threefold over the (1 ns, 0.6 ns)
-    # dephased emitter: 6.582 µeV vs 2.194 µeV.
-    bulk = cs.default_bulk_params()
-    assert params.linewidth_uev() == pytest.approx(6.582119, abs=1e-6)
-    assert bulk.linewidth_uev() == pytest.approx(2.1940397, abs=1e-6)
-    assert params.linewidth_uev() / bulk.linewidth_uev() == pytest.approx(3.0, abs=1e-12)
-
-    measured = cs.derive_cavity_params(1.072006, 10.0, 1.0)
-    assert measured.linewidth_uev() == pytest.approx(6.14, abs=1e-4)
-
-    assert cs.derive_cavity_params(1.0, 1.0, 0.5).t1 == 1.0
-    with pytest.raises(ValueError):
-        cs.derive_cavity_params(1.0, 10.0, 1.2)
-    with pytest.raises(ValueError):
-        cs.derive_cavity_params(1.0, 0.5, 1.0)
-
-
 def test_saturation_curve_gate_off_is_linear():
     params = cs.EmitterParams(t1=1.0, t2=0.6)
     gating = cs.GatingModel(charge_occupation=0.9, laser_leakage=12.5, collection_efficiency=0.1)

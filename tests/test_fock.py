@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import cohscat as cs
-from cohscat.fock import CircuitElement, FringeTable, single_photon_visibility
+from cohscat.fock import FringeTable, single_photon_visibility
 from conftest import (
+    CircuitElement,
     FockState,
     apply_circuit,
     apply_element,
@@ -234,6 +235,14 @@ def test_fringe_fit_guards():
         cs.fit_fringe(table, harmonic=3)
     with pytest.raises(ValueError):
         cs.mzi_fringes(cs.SourceModel(overlap=1.0), 0.5, 0.5, np.linspace(0, 1.0, 9))
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
+def test_mzi_fringes_reject_reflectivity_outside_unit_interval(bad):
+    phi = np.linspace(0.0, 2.0 * math.pi, 33)
+    for r1, r2 in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(ValueError, match="coupler reflectivity must lie in"):
+            cs.mzi_fringes(cs.SourceModel(), r1, r2, phi)
 
 
 @pytest.mark.parametrize("input_kind, harmonic, column",

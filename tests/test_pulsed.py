@@ -381,7 +381,7 @@ def test_stream_draws_one_deviate_per_trajectory_and_click(monkeypatch):
     monkeypatch.setattr(pulsed, "_rng", lambda seed, purpose, index: Counting(keyed(seed, purpose, index)))
     train = make_train(3.0, 0.4, 5000)
     stream = pulsed.simulate_stream(DENSE, train, seed=5)
-    assert DENSE.gamma_phi > 0 and stream.n_tags > train.n_pairs
+    assert 1.0 / DENSE.t2 - 0.5 / DENSE.t1 > 0 and stream.n_tags > train.n_pairs
     assert sum(draws) == train.n_pairs + stream.n_tags
 
 
