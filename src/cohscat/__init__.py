@@ -4,8 +4,9 @@ Library layout:
 
 - emitter       parameters, the Bloch generator on (u, v, w, tr) with its
                 closed-form steady state, the pulse propagator (behind
-                `pulsed.rabi_curve`), coherent fraction, saturation/gating
-                intensity model, the pulse train
+                `pulsed.rabi_curve`), coherent fraction, the pulse train and
+                its window rule, and GatingModel: the gated detection model
+                of fig1d, which is also the scenario's `gating` block
 - correlations  g1/g2 by the regression theorem on that generator, blinking
                 envelope, detector timing response
 - spectrum      coherent + incoherent emission spectrum (the resolvent of the
@@ -41,7 +42,6 @@ from .emitter import (
     PulseTrain,
     default_bulk_params,
     rrs_fraction,
-    saturation_curve,
     steady_state,
 )
 from .fock import (

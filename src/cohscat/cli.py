@@ -32,7 +32,7 @@ from ._svg import render_lines
 from .correlations import TimingResponse, apply_blinking, convolve_timing, g1, g2
 from .emitter import IntegrationError
 from .fock import fit_fringe, mzi_fringes
-from .hom import _timing_for_visibility, hom_pair, hom_visibility, visibility
+from .hom import hom_pair, hom_visibility, solve_timing_for_visibility, visibility
 from .scenario import Scenario, SchemaError
 from .spectrum import GridError, emission_spectrum, lorentzian
 
@@ -178,15 +178,13 @@ def _fringe_columns(table) -> list:
 
 
 def _fig1d(scenario: Scenario, args, threads: int) -> _Output:
-    params = scenario.emitter.resolve()
-    gating = scenario.gating.resolve(params)
-    k = scenario.gating.rabi_per_sqrt_power
-    p_knee = em.knee_power(params, k)
+    params, gating = scenario.emitter.resolve(), scenario.gating
+    p_knee = gating.knee_power(params)
     powers = np.linspace(0.0, 5.0 * p_knee, 101)
-    gated = [c for _, c in em.saturation_curve(params, gating, powers, k, gate_on=True)]
-    laser = [c for _, c in em.saturation_curve(params, gating, powers, k, gate_on=False)]
-    knee = em.saturation_curve(params, gating, [p_knee], k)[0][1]
-    leak = gating.laser_leakage * p_knee
+    gated = gating.counts(params, powers, gate_on=True)
+    laser = gating.counts(params, powers, gate_on=False)
+    leak = gating.leakage(params) * p_knee
+    knee = gating.counts(params, p_knee)
     return _Output(
         "fig1d.csv", "power_nw,counts_gated,counts_laser_only", [powers, gated, laser],
         {"power_knee_nw": p_knee, "emission_to_laser_at_knee": (knee - leak) / leak},
@@ -228,8 +226,8 @@ def _fig2c(scenario: Scenario, args, threads: int) -> _Output:
     omegas = 2.0 * math.pi * freqs
     s = em.saturation_parameter(params_cavity, omegas)
     i_total = s / (1.0 + s)
-    frac_1 = [em.rrs_fraction(params_cavity, w) for w in omegas]
-    frac_03 = [em.rrs_fraction(params_bulk, w) for w in omegas]
+    frac_1 = em.rrs_fraction(params_cavity, omegas)
+    frac_03 = em.rrs_fraction(params_bulk, omegas)
     series = {
         "I_total (norm.)": (freqs, i_total),
         "coherent fraction, ratio 1.0": (freqs, frac_1),
@@ -263,7 +261,7 @@ def _fig2e(scenario: Scenario, args, threads: int) -> _Output:
     setup = scenario.hom.resolve()
     # the ratio-1.0 pair sets the IRF and, convolved with it, the last trace
     par, perp = hom_pair(params.with_coherence_ratio(1.0), rabi, setup, _HOM_TAUS)
-    irf_fwhm = _timing_for_visibility(par, perp, target=0.89)
+    irf_fwhm = solve_timing_for_visibility(par, perp, target=0.89)
     ratios = [0.3, 0.5, 0.8, 1.0]
     irf = TimingResponse(fwhm_ns=irf_fwhm)
     traces = [hom_visibility(params.with_coherence_ratio(r), rabi, setup, _HOM_TAUS, irf) for r in ratios[:-1]]

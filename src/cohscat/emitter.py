@@ -53,7 +53,7 @@ class EmitterParams:
             )
         if not math.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
-        # knee_power divides by t1*t2; saturation_parameter squares detuning*t2
+        # GatingModel.knee_power divides by t1*t2; saturation_parameter squares detuning*t2
         scale = self.t1 * self.t2
         if not (scale > 0 and math.isfinite(1.0 / scale)):
             raise ValueError(f"saturation scale 1/(t1*t2) must be finite, got t1={self.t1}, t2={self.t2}")
@@ -165,17 +165,24 @@ class PulseTrain:
             raise ValueError("pulse windows overlap; reduce pulse_fwhm")
 
     def _half_window(self) -> float:
-        if self.shape == "square":
-            return self.pulse_fwhm / 2.0
-        sigma = self.pulse_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        return _WINDOW_SIGMAS * sigma
+        return _half_width(self.shape, self.pulse_fwhm)
 
     def drive(self, center: float = 0.0) -> DriveField:
-        if self.shape == "square":
-            return DriveField.from_area(
-                self.pulse_area, "square", self.pulse_fwhm, t0=center - self.pulse_fwhm / 2.0
-            )
-        return DriveField.from_area(self.pulse_area, "gaussian", self.pulse_fwhm, t0=center)
+        return _centered_pulse(self.pulse_area, self.shape, self.pulse_fwhm, center)
+
+
+def _half_width(shape: str, fwhm: float) -> float:
+    """Half the window of one pulse of ``PulseTrain`` or ``pulsed.rabi_curve``:
+    half the square pulse, or _WINDOW_SIGMAS sigma of a gaussian."""
+    if shape == "square":
+        return fwhm / 2.0
+    sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    return _WINDOW_SIGMAS * sigma
+
+
+def _centered_pulse(area: float, shape: str, fwhm: float, center: float) -> DriveField:
+    """Pulse of the given area whose window is centered at ``center``."""
+    return DriveField.from_area(area, shape, fwhm, t0=center - fwhm / 2.0 if shape == "square" else center)
 
 
 _BLOCH_BALL_TOL = 1e-9
@@ -217,10 +224,10 @@ def bloch_system(params: EmitterParams, rabi: float):
     return a_mat, b_vec
 
 
-def _check_rabi(rabi: float):
-    if not math.isfinite(rabi):
+def _check_rabi(rabi):  # a Rabi frequency or an array of them
+    if not np.all(np.isfinite(rabi)):
         raise ValueError(f"rabi must be finite, got {rabi}")
-    if rabi < 0:
+    if np.any(rabi < 0):
         raise ValueError(f"rabi must be >= 0, got {rabi}")
 
 
@@ -241,8 +248,9 @@ def steady_state(params: EmitterParams, rabi: float) -> BlochState:
     return BlochState(u=u, v=v, w=w)
 
 
-def rrs_fraction(params: EmitterParams, rabi: float) -> float:
-    """Fraction of the emitted light that is coherently (elastically) scattered.
+def rrs_fraction(params: EmitterParams, rabi):
+    """Fraction of the emitted light that is coherently (elastically)
+    scattered, at a Rabi frequency or an array of them.
 
     Equals T2 / (2*T1*(1 + W^2*T1*T2)) on resonance and, identically, the
     steady-state ratio |<sigma>|^2 / rho_ee.
@@ -423,72 +431,60 @@ def _split_steps(x, drive, scale, t_start, h, steps, half) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GatingModel:
-    """Charge-occupation gate plus scalar laser leakage.
+    """Charge-occupation gate plus scalar laser leakage; the scenario's `gating` block.
 
     charge_occupation : probability the emitter is in its active charge state
-    laser_leakage     : detected laser counts/s per nW of incident power
     collection_efficiency : detected counts per emitted photon
+    laser_leakage : detected laser counts/s per nW of incident power (None: see ``leakage``)
+    rabi_per_sqrt_power : drive W = rabi_per_sqrt_power * sqrt(P), in rad/ns per sqrt(nW)
+    contrast : emission over leaked laser at the saturation knee
     """
 
-    charge_occupation: float
-    laser_leakage: float
-    collection_efficiency: float
+    charge_occupation: float = 1.0
+    collection_efficiency: float = 0.05
+    laser_leakage: float | None = None
+    rabi_per_sqrt_power: float = 2.0
+    contrast: float = 500.0
 
-    def __post_init__(self):
+    def knee_power(self, params: EmitterParams) -> float:
+        """Incident power (nW) of the resonant saturation knee W^2*T1*T2 = 1."""
+        k = self.rabi_per_sqrt_power
+        if not k > 0:
+            raise ValueError(f"rabi_per_sqrt_power must be > 0, got {k}")
+        return 1.0 / (k ** 2 * params.t1 * params.t2)
+
+    def leakage(self, params: EmitterParams) -> float:
+        """``laser_leakage``, or when that is None the leakage at which the emission
+        exceeds the leaked laser by ``contrast`` at the knee; checks the block against params."""
+        leak = self.laser_leakage
+        if leak is None:
+            if not self.contrast > 0:
+                raise ValueError(f"contrast must be > 0, got {self.contrast}")
+            p_knee = self.knee_power(params)
+            detected = self._detected(params, self.rabi_per_sqrt_power * math.sqrt(p_knee))
+            if not detected > 0:
+                raise ValueError(f"detected emission must be > 0 (occupation x efficiency), got {detected}")
+            leak = detected / (self.contrast * p_knee)
+        else:
+            self.knee_power(params)  # the power scale of fig1d
         if not 0.0 <= self.charge_occupation <= 1.0:
             raise ValueError("charge_occupation must lie in [0, 1]")
-        if self.laser_leakage < 0 or self.collection_efficiency < 0:
+        if leak < 0 or self.collection_efficiency < 0:
             raise ValueError("leakage and collection efficiency must be >= 0")
+        return leak
 
+    def _detected(self, params: EmitterParams, rabi):
+        """Detected emission (counts/s) at Rabi frequency (or array) rabi: occupation *
+        efficiency * rho_ee / T1, rho_ee = (1 + w) / 2 and w = -1 / (1 + s) as in ``steady_state``."""
+        _check_rabi(rabi)
+        rho = (1.0 + -1.0 / (1.0 + saturation_parameter(params, rabi))) / 2.0
+        return self.charge_occupation * self.collection_efficiency * (rho / params.t1 * NS_PER_S)
 
-def saturation_curve(
-    params: EmitterParams,
-    gating: GatingModel,
-    powers,
-    rabi_per_sqrt_power: float,
-    gate_on: bool = True,
-) -> list[tuple[float, float]]:
-    """Detected counts/s versus incident resonant power (nW).
-
-    counts = gate * occupation * efficiency * rho_ee(W(P)) / T1 + leakage * P
-    with W(P) = rabi_per_sqrt_power * sqrt(P).
-    """
-    powers = np.asarray(powers, dtype=float)
-    if np.any(powers < 0):
-        raise ValueError("powers must be >= 0")
-    out = []
-    for p in powers:
-        rabi = rabi_per_sqrt_power * math.sqrt(p)
-        rho = steady_state(params, rabi).rho_ee()
-        emitted = rho / params.t1 * NS_PER_S
-        counts = float(gate_on) * gating.charge_occupation * gating.collection_efficiency * emitted
-        out.append((float(p), counts + gating.laser_leakage * p))
-    return out
-
-
-def knee_power(params: EmitterParams, rabi_per_sqrt_power: float) -> float:
-    """Incident power (nW) of the resonant saturation knee W^2*T1*T2 = 1,
-    for the drive W = rabi_per_sqrt_power * sqrt(P)."""
-    if not rabi_per_sqrt_power > 0:
-        raise ValueError(f"rabi_per_sqrt_power must be > 0, got {rabi_per_sqrt_power}")
-    return 1.0 / (rabi_per_sqrt_power ** 2 * params.t1 * params.t2)
-
-
-def leakage_for_contrast(
-    params: EmitterParams,
-    occupation: float,
-    collection_efficiency: float,
-    rabi_per_sqrt_power: float,
-    contrast: float = 500.0,
-) -> float:
-    """Laser leakage such that emission exceeds leaked laser by ``contrast``
-    at the saturation knee (``knee_power``)."""
-    if not contrast > 0:
-        raise ValueError(f"contrast must be > 0, got {contrast}")
-    p_knee = knee_power(params, rabi_per_sqrt_power)
-    rabi = rabi_per_sqrt_power * math.sqrt(p_knee)
-    emitted = steady_state(params, rabi).rho_ee() / params.t1 * NS_PER_S
-    detected = occupation * collection_efficiency * emitted
-    if not detected > 0:
-        raise ValueError(f"detected emission must be > 0 (occupation x efficiency), got {detected}")
-    return detected / (contrast * p_knee)
+    def counts(self, params: EmitterParams, powers, gate_on: bool = True):
+        """Detected counts/s at incident resonant powers (nW):
+        gate * occupation * efficiency * rho_ee(W(P)) / T1 + leakage * P."""
+        powers = np.asarray(powers, dtype=float)
+        if np.any(powers < 0):
+            raise ValueError("powers must be >= 0")
+        detected = self._detected(params, self.rabi_per_sqrt_power * np.sqrt(powers))
+        return float(gate_on) * detected + self.leakage(params) * powers

@@ -112,29 +112,16 @@ def hom_visibility(
     return visibility(par, perp)
 
 
-def solve_timing_for_visibility(
-    params: EmitterParams,
-    rabi: float,
-    setup: HomSetup,
-    tau_grid,
-    target: float = 0.89,
-) -> float:
-    """Detector-response FWHM (ns) at which the peak visibility equals target.
+def solve_timing_for_visibility(par: CorrelationTrace, perp: CorrelationTrace, target: float = 0.89) -> float:
+    """Detector-response FWHM (ns) at which the peak visibility of the
+    IRF-free traces (par, perp) of ``hom_pair``, each convolved with that
+    IRF, equals target.
 
-    The IRF only smooths the two traces, so they are built once (without
-    IRF) and `_timing_for_visibility` brackets the width on them.
-    """
-    return _timing_for_visibility(*hom_pair(params, rabi, setup, tau_grid), target)
-
-
-def _timing_for_visibility(par: CorrelationTrace, perp: CorrelationTrace, target: float) -> float:
-    """IRF FWHM (ns) at which the peak visibility of the IRF-free traces
-    (par, perp), each convolved with that IRF, equals target.
-
-    Peak visibility falls monotonically from 1 as the IRF smears the
-    parallel dip, so a scalar bracket suffices: the width doubles from the
-    grid spacing until the visibility drops below target, and a width past
-    `_IRF_FWHM_MAX` raises ValueError.
+    The IRF only smooths the two traces, so they are built once, by the
+    caller. Peak visibility falls monotonically from 1 as the IRF smears
+    the parallel dip, so a scalar bracket suffices: the width doubles from
+    the grid spacing until the visibility drops below target, and a width
+    past `_IRF_FWHM_MAX` raises ValueError.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target visibility must lie in (0, 1)")

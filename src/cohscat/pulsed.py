@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
-from .emitter import _WINDOW_SIGMAS, DriveField, EmitterParams, PulseTrain, _expm, _generator, _propagate
+from .emitter import EmitterParams, PulseTrain, _centered_pulse, _expm, _generator, _half_width, _propagate
 
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
 _STREAM, _ROUTE_PARALLEL, _ROUTE_ORTHOGONAL = range(3)  # Philox key purposes
@@ -138,13 +138,15 @@ def rabi_curve(
     photon number of the jump unraveling. Approaches sin^2(area/2) for
     pulse_fwhm << t1.
 
-    Every area shares the envelope shape, window and end time; only the
-    peak Rabi rate differs. So all nonzero areas propagate together as the
-    columns of one (5, n_areas) state under the unit-area pulse scaled per
-    column (see ``emitter._propagate``): a square pulse and the decay tail
-    are one matrix exponential each, and a gaussian pulse takes split steps
-    whose count doubles until the error estimate of their sixth-order
-    Romberg value is below ``emitter._SPLIT_TOL``.
+    The pulse fills the window that ``PulseTrain`` gives it, from 0 to
+    twice ``emitter._half_width``. Every area shares the envelope shape,
+    window and end time; only the peak Rabi rate differs. So all nonzero
+    areas propagate together as the columns of one (5, n_areas) state under
+    the unit-area pulse scaled per column (see ``emitter._propagate``): a
+    square pulse and the decay tail are one matrix exponential each, and a
+    gaussian pulse takes split steps whose count doubles until the error
+    estimate of their sixth-order Romberg value is below
+    ``emitter._SPLIT_TOL``.
     """
     areas = np.asarray(areas, dtype=float)
     if not (math.isfinite(pulse_fwhm) and pulse_fwhm > 0):
@@ -158,15 +160,9 @@ def rabi_curve(
     photons = np.zeros(len(areas))
     driven = areas > 0.0
     if np.any(driven):
-        if shape == "gaussian":
-            sigma = pulse_fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-            t0 = _WINDOW_SIGMAS * sigma
-            t_pulse_end = 2.0 * t0
-        else:
-            t0 = 0.0
-            t_pulse_end = pulse_fwhm
-        unit = DriveField.from_area(1.0, shape, pulse_fwhm, t0=t0)
-        t_end = t_pulse_end + 15.0 * params.t1
+        half = _half_width(shape, pulse_fwhm)
+        unit = _centered_pulse(1.0, shape, pulse_fwhm, half)
+        t_end = 2.0 * half + 15.0 * params.t1
         x0 = np.tile([[0.0], [0.0], [-1.0], [1.0], [0.0]], np.count_nonzero(driven))
         x = _propagate(params, unit, x0, np.array([0.0, t_end]), scale=areas[driven])
         photons[driven] = x[4, :, -1]
@@ -733,12 +729,15 @@ def pulsed_hom(
 
 
 def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
-    """Symmetric histogram of pairwise time differences up to max_lag.
+    """Symmetric histogram of pairwise time differences.
 
-    Returns (bin centers, counts); each unordered pair contributes at +lag
-    and -lag, as a start-stop correlator would record it. Sorted times are
-    used as given, others are sorted first; the differences are taken for
-    `_CHUNK_PAIRS` start tags at a time.
+    The bins of width bin_width run from 0 to the first edge at or past
+    max_lag, and count every lag up to that last edge, so the outermost
+    bins are as full as their neighbours. Returns (bin centers, counts);
+    each unordered pair contributes at +lag and -lag, as a start-stop
+    correlator would record it. Sorted times are used as given, others are
+    sorted first; the differences are taken for `_CHUNK_PAIRS` start tags
+    at a time.
     """
     times = np.asarray(times, dtype=float)
     if not np.all(times[1:] >= times[:-1]):
@@ -749,11 +748,11 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
     for start in range(0, m, _CHUNK_PAIRS):
         stop = min(start + _CHUNK_PAIRS, m)
         # differences grow with the lag k for every start tag, so a block
-        # is done at the first lag with none within max_lag
+        # is done at the first lag with none up to the last edge
         for k in range(1, m - start):
             count = min(stop, m - k) - start
             diffs = times[start + k : start + k + count] - times[start : start + count]
-            close = diffs[diffs <= max_lag]
+            close = diffs[diffs <= edges[-1]]
             if len(close) == 0:
                 break
             pos += np.histogram(close, bins=edges)[0]

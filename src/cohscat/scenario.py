@@ -6,14 +6,15 @@ to its outputs, so a manifest can be fed back as the config of a later run.
 
 One loader reads the document: each key must name a field, each value must
 have the field's type (numbers finite), and each block is an object loaded
-the same way. Four blocks are the library's own value classes, which check
+the same way. Five blocks are the library's own value classes. Four check
 their values when built: `blinking` (BlinkingParams), `timing`
 (TimingResponse), `spectral` (SpectralResponse) and `source_model`
-(SourceModel). The other blocks derive something and resolve to it:
-`emitter` to EmitterParams, `drive` to a Rabi frequency, `gating` to a
-GatingModel (against the resolved emitter), `hom` to HomSetup,
-`pulse_train` to PulseTrain and `circuit` to its couplers and phases.
-A scenario is valid if and only if every block builds and resolves.
+(SourceModel). The fifth, `gating` (GatingModel), is checked against the
+resolved emitter, by the same call that solves its laser leakage when
+that is left None. The other blocks derive something and resolve to it:
+`emitter` to EmitterParams, `drive` to a Rabi frequency, `hom` to
+HomSetup, `pulse_train` to PulseTrain and `circuit` to its couplers and
+phases. A scenario is valid if and only if every block builds and resolves.
 `Scenario.__post_init__` resolves them all, so every way of making a
 Scenario (a config, `dataclasses.replace` with a flag's value) passes the
 same check, and a failure is a SchemaError that names its block.
@@ -136,33 +137,6 @@ class DriveBlock:
 
 
 @dataclass(frozen=True)
-class GatingBlock:
-    charge_occupation: float = 1.0
-    collection_efficiency: float = 0.05
-    laser_leakage: float | None = None  # counts/s per nW; None solves for `contrast`
-    rabi_per_sqrt_power: float = 2.0  # rad/ns per sqrt(nW)
-    contrast: float = 500.0
-
-    def resolve(self, params: em.EmitterParams) -> em.GatingModel:
-        leak = self.laser_leakage
-        if leak is None:
-            leak = em.leakage_for_contrast(
-                params,
-                self.charge_occupation,
-                self.collection_efficiency,
-                self.rabi_per_sqrt_power,
-                self.contrast,
-            )
-        else:
-            em.knee_power(params, self.rabi_per_sqrt_power)  # the power scale of fig1d
-        return em.GatingModel(
-            charge_occupation=self.charge_occupation,
-            laser_leakage=leak,
-            collection_efficiency=self.collection_efficiency,
-        )
-
-
-@dataclass(frozen=True)
 class HomBlock:
     delay_ns: float = 10.4
     splitter_ratio: float = 0.5
@@ -217,7 +191,7 @@ class CircuitBlock:
 class Scenario:
     emitter: EmitterBlock = field(default_factory=EmitterBlock)
     drive: DriveBlock = field(default_factory=DriveBlock)
-    gating: GatingBlock = field(default_factory=GatingBlock)
+    gating: em.GatingModel = field(default_factory=em.GatingModel)
     blinking: BlinkingParams = field(default_factory=BlinkingParams)
     timing: TimingResponse = field(default_factory=TimingResponse)
     spectral: SpectralResponse = field(default_factory=SpectralResponse)
@@ -231,14 +205,14 @@ class Scenario:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise SchemaError("seed must be a 64-bit unsigned integer")
-        params = None  # the emitter resolves first; gating resolves against it
+        params = None  # the emitter resolves first; gating is checked against it
         for f in dataclasses.fields(self):
             block = getattr(self, f.name)
             try:
                 if f.name == "emitter":
                     params = block.resolve()
                 elif f.name == "gating":
-                    block.resolve(params)
+                    block.leakage(params)
                 elif hasattr(block, "resolve"):
                     block.resolve()
             except (ValueError, ArithmeticError) as exc:
@@ -265,5 +239,5 @@ class Scenario:
         params = self.emitter.resolve()
         out["emitter"]["t1_ns"] = params.t1
         out["emitter"]["t2_ns"] = params.t2
-        out["gating"]["laser_leakage"] = self.gating.resolve(params).laser_leakage
+        out["gating"]["laser_leakage"] = self.gating.leakage(params)
         return out

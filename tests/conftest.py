@@ -633,13 +633,13 @@ def window_reference(state, tab, t_start, pulse_idx):
 
 def coincidence_counts_whole_array(times, max_lag, bin_width):
     """Positive-lag counts of ``coincidence_histogram``, one lag at a time
-    over the whole sorted array."""
+    over the whole sorted array, up to the last bin edge."""
     times = np.sort(np.asarray(times, dtype=float))
     edges = np.arange(0.0, max_lag + bin_width, bin_width)
     pos = np.zeros(len(edges) - 1, dtype=np.int64)
     for k in range(1, len(times)):
         diffs = times[k:] - times[:-k]
-        close = diffs[diffs <= max_lag]
+        close = diffs[diffs <= edges[-1]]
         if len(close) == 0:
             break
         pos += np.histogram(close, bins=edges)[0]

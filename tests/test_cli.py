@@ -130,13 +130,16 @@ def test_stream_byte_determinism(tmp_path):
 
 
 def test_manifest_roundtrip(tmp_path):
-    a = tmp_path / "a"
-    assert run_cli(["sim", "stream", "--pairs", "2000", "--seed", "3",
-                    "--threads", "1", "--out", str(a)]) == 0
-    b = tmp_path / "b"
-    assert run_cli(["sim", "stream", "--config", str(a / "manifest.json"),
-                    "--threads", "1", "--out", str(b)]) == 0
-    assert (a / "stream.csv").read_bytes() == (b / "stream.csv").read_bytes()
+    # fig1d's manifest carries the solved gating.laser_leakage explicitly
+    for command, flags, csv in ((["sim", "stream"], ["--pairs", "2000", "--seed", "3"], "stream.csv"),
+                                (["fig", "fig1d"], [], "fig1d.csv")):
+        a, b = tmp_path / csv / "a", tmp_path / csv / "b"
+        assert run_cli([*command, *flags, "--threads", "1", "--out", str(a)]) == 0
+        assert json.loads((a / "manifest.json").read_text())["scenario"]["gating"]["laser_leakage"] is not None
+        assert run_cli([*command, "--config", str(a / "manifest.json"), "--threads", "1", "--out", str(b)]) == 0
+        assert (a / csv).read_bytes() == (b / csv).read_bytes()
+        results = [json.loads((d / "manifest.json").read_text())["results"] for d in (a, b)]
+        assert results[0] == results[1]
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""CW outputs of the default scenario against a stored digest.
+"""Command outputs of the default scenario against a stored digest.
 
 ``data/cw_digest.json`` holds, for each command below, its manifest results
-and every 100th data row of its CSV. The test reruns the command and
-compares at 1e-10 relative with a 1e-12 absolute floor: a refactor that
-keeps the numbers passes whatever kernel or summation order it uses, and
-one that moves them fails. Rewrite the digest only for a deliberate change
-of the outputs:
+and about 40 evenly strided data rows of its CSV. The test reruns the command and
+compares numbers at 1e-10 relative with a 1e-12 absolute floor, and text
+cells (such as ``steady.csv``'s labels) as text: a refactor that keeps the
+numbers passes whatever kernel or summation order it uses, and one that
+moves them fails. The Monte Carlo commands run at 5000 pairs on one
+thread. Rewrite the digest only for a deliberate change of the outputs:
 
     PYTHONPATH=src python tests/test_cw_digest.py
 """
@@ -20,24 +21,36 @@ import pytest
 from cohscat import cli
 
 DIGEST = Path(__file__).parent / "data" / "cw_digest.json"
+_PULSED = ["--pairs", "5000", "--threads", "1"]
 COMMANDS = {
+    "fig1d": ["fig", "fig1d"],
     "fig2a": ["fig", "fig2a"],
     "fig2b": ["fig", "fig2b"],
     "fig2d": ["fig", "fig2d"],
+    "fig2c": ["fig", "fig2c"],
     "fig2e": ["fig", "fig2e"],
+    "fig3d": ["fig", "fig3d"],
+    "fig3e": ["fig", "fig3e"],
+    "sim steady": ["sim", "steady"],
     "sim g1": ["sim", "g1"],
     "sim g2": ["sim", "g2"],
     "sim hom-cw": ["sim", "hom-cw"],
     "sim spectrum": ["sim", "spectrum"],
+    "sim rabi": ["sim", "rabi"],
+    "sim noon single": ["sim", "noon", "--input", "single"],
+    "sim noon dual": ["sim", "noon", "--input", "dual"],
+    "sim stream": ["sim", "stream", *_PULSED],
+    "sim hbt": ["sim", "hbt", *_PULSED],
+    "sim hom-pulsed": ["sim", "hom-pulsed", *_PULSED],
 }
-_ROW_STRIDE = 100
+_ROWS = 40  # data rows kept per command, about
 _RTOL = 1e-10
 _ATOL = 1e-12
 
 
 def digest_of(argv, out: Path) -> dict:
-    """The manifest results, the CSV header and every _ROW_STRIDE-th data
-    row of one run into ``out``."""
+    """The manifest results, the CSV header and every n-th data row of one
+    run into ``out``, n chosen to keep about _ROWS of them."""
     assert cli.main([*argv, "--out", str(out)]) == 0
     [csv] = out.glob("*.csv")
     lines = csv.read_text().splitlines()
@@ -45,12 +58,19 @@ def digest_of(argv, out: Path) -> dict:
         "results": json.loads((out / "manifest.json").read_text())["results"],
         "header": lines[0],
         "n_rows": len(lines) - 1,
-        "rows": lines[1::_ROW_STRIDE],
+        "rows": lines[1 :: -(-(len(lines) - 1) // _ROWS)],
     }
 
 
-def _floats(rows) -> np.ndarray:
-    return np.array([[float(cell) for cell in row.split(",")] for row in rows])
+def _cells(rows) -> tuple[np.ndarray, list[str]]:
+    """The numeric cells of CSV rows as floats, and the others as text."""
+    numbers, text = [], []
+    for cell in (cell for row in rows for cell in row.split(",")):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            text.append(cell)
+    return np.array(numbers), text
 
 
 def _flat(value, path=""):
@@ -66,7 +86,9 @@ def test_cw_outputs_match_digest(name, tmp_path):
     got = digest_of(COMMANDS[name], tmp_path / "out")
     assert got["header"] == want["header"]
     assert got["n_rows"] == want["n_rows"]
-    np.testing.assert_allclose(_floats(got["rows"]), _floats(want["rows"]), rtol=_RTOL, atol=_ATOL)
+    (got_numbers, got_text), (want_numbers, want_text) = _cells(got["rows"]), _cells(want["rows"])
+    assert got_text == want_text
+    np.testing.assert_allclose(got_numbers, want_numbers, rtol=_RTOL, atol=_ATOL)
     got_results, want_results = _flat(got["results"]), _flat(want["results"])
     assert got_results.keys() == want_results.keys()
     for key, expected in want_results.items():

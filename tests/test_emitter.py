@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.linalg import expm
 
 import cohscat as cs
 from cohscat import emitter
-from cohscat.emitter import _expm, _generator, _propagate, bloch_system, leakage_for_contrast
+from cohscat.emitter import _expm, _generator, _propagate, bloch_system
 from cohscat.scenario import EmitterBlock
 from conftest import _bloch_rhs, _evolve_array, expm_degree13
 
@@ -335,30 +336,41 @@ def test_bloch_system_steady_state_consistency():
 
 def test_saturation_curve_gate_off_is_linear():
     params = cs.EmitterParams(t1=1.0, t2=0.6)
-    gating = cs.GatingModel(charge_occupation=0.9, laser_leakage=12.5, collection_efficiency=0.1)
+    gating = cs.GatingModel(charge_occupation=0.9, laser_leakage=12.5, collection_efficiency=0.1,
+                            rabi_per_sqrt_power=1.0)
     powers = np.linspace(0.0, 50.0, 11)
-    curve = cs.saturation_curve(params, gating, powers, rabi_per_sqrt_power=1.0, gate_on=False)
-    for p, counts in curve:
-        assert counts == pytest.approx(12.5 * p, rel=1e-12)
-    assert curve[0] == (0.0, 0.0)
+    counts = gating.counts(params, powers, gate_on=False)
+    assert counts == pytest.approx(12.5 * powers, rel=1e-12)
+    assert counts[0] == 0.0
 
 
 def test_saturation_curve_occupation_zero_kills_emission():
     params = cs.EmitterParams(t1=1.0, t2=0.6)
-    gating = cs.GatingModel(charge_occupation=0.0, laser_leakage=3.0, collection_efficiency=0.1)
-    curve = cs.saturation_curve(params, gating, [4.0], rabi_per_sqrt_power=1.0, gate_on=True)
-    assert curve[0][1] == pytest.approx(3.0 * 4.0, rel=1e-12)
+    gating = cs.GatingModel(charge_occupation=0.0, laser_leakage=3.0, collection_efficiency=0.1,
+                            rabi_per_sqrt_power=1.0)
+    assert gating.counts(params, 4.0, gate_on=True) == pytest.approx(3.0 * 4.0, rel=1e-12)
+    # with no leakage given, none can be solved for a contrast
+    with pytest.raises(ValueError, match="detected emission must be > 0"):
+        dataclasses.replace(gating, laser_leakage=None).leakage(params)
 
 
 def test_saturation_curve_monotone_and_contrast():
     params = EmitterBlock().resolve()
     k = 2.0
-    leak = leakage_for_contrast(params, 1.0, 0.05, k, contrast=500.0)
-    gating = cs.GatingModel(charge_occupation=1.0, laser_leakage=leak, collection_efficiency=0.05)
+    gating = cs.GatingModel(charge_occupation=1.0, collection_efficiency=0.05, rabi_per_sqrt_power=k,
+                            contrast=500.0)
     p_knee = 1.0 / (k ** 2 * params.t1 * params.t2)
+    assert gating.knee_power(params) == p_knee
     powers = np.linspace(0.0, 5.0 * p_knee, 200)
-    counts = np.array([c for _, c in cs.saturation_curve(params, gating, powers, k)])
+    counts = gating.counts(params, powers)
     assert np.all(np.diff(counts) >= -1e-9)
-    gated = cs.saturation_curve(params, gating, [p_knee], k, gate_on=True)[0][1]
-    laser = cs.saturation_curve(params, gating, [p_knee], k, gate_on=False)[0][1]
+    gated = gating.counts(params, p_knee, gate_on=True)
+    laser = gating.counts(params, p_knee, gate_on=False)
     assert (gated - laser) / laser == pytest.approx(500.0, rel=0.01)
+    # the solved leakage, given explicitly, leaves the counts as they are
+    explicit = dataclasses.replace(gating, laser_leakage=gating.leakage(params))
+    assert np.array_equal(explicit.counts(params, powers), counts)
+    # point by point the closed-form steady state
+    rho = np.array([cs.steady_state(params, k * math.sqrt(p)).rho_ee() for p in powers])
+    expected = 0.05 * rho / params.t1 * 1e9 + gating.leakage(params) * powers
+    assert counts == pytest.approx(expected, rel=1e-14)

@@ -131,7 +131,7 @@ def test_family_ordering_near_zero_lag():
 
 
 def test_irf_solution_reproduces_peak_visibility():
-    fwhm = cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89)
+    fwhm = cs.solve_timing_for_visibility(*cs.hom_pair(PARAMS, RABI, SETUP, TAUS), target=0.89)
     vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm_ns=fwhm))
     assert float(np.max(vis.values)) == pytest.approx(0.89, abs=0.005)
 
@@ -144,7 +144,7 @@ def _peak_minus_target(fwhm, target=0.89):
 def test_irf_root_matches_brentq_oracle():
     from scipy.optimize import brentq
 
-    fwhm = cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89)
+    fwhm = cs.solve_timing_for_visibility(*cs.hom_pair(PARAMS, RABI, SETUP, TAUS), target=0.89)
     lo = TAUS[1] - TAUS[0]
     hi = lo
     while _peak_minus_target(hi) > 0:
@@ -172,8 +172,8 @@ def test_fig2e_irf_solve_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(hom, "convolve_timing", counted_convolve)
     sc = Scenario()
     params = sc.emitter.resolve().with_coherence_ratio(1.0)
-    cs.solve_timing_for_visibility(params, sc.drive.resolve(), sc.hom.resolve(), cli._HOM_TAUS, 0.89)
-    assert pairs == [None]  # the IRF-free traces are built once
+    cs.solve_timing_for_visibility(*hom.hom_pair(params, sc.drive.resolve(), sc.hom.resolve(), cli._HOM_TAUS), 0.89)
+    assert pairs == [None]  # the IRF-free traces are built once, by the caller
     evaluated = widths[::2]
     assert widths[1::2] == evaluated  # both traces at each trial width
     assert 0 < len(evaluated) <= 15
@@ -182,10 +182,10 @@ def test_fig2e_irf_solve_evaluates_each_point_once(monkeypatch):
 
 def test_irf_solve_failures_raise(monkeypatch):
     with pytest.raises(ValueError, match="too coarse"):
-        cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, np.linspace(-25.0, 25.0, 51), target=0.89)
+        cs.solve_timing_for_visibility(*cs.hom_pair(PARAMS, RABI, SETUP, np.linspace(-25.0, 25.0, 51)), target=0.89)
     monkeypatch.setattr(hom, "_IRF_FWHM_MAX", 0.05)
     with pytest.raises(ValueError, match="no IRF below"):
-        cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, TAUS, target=0.89)
+        cs.solve_timing_for_visibility(*cs.hom_pair(PARAMS, RABI, SETUP, TAUS), target=0.89)
     for grid in (TAUS[::-1], TAUS[-1:]):
         with pytest.raises(ValueError, match="increasing"):
-            cs.solve_timing_for_visibility(PARAMS, RABI, SETUP, grid, target=0.89)
+            cs.solve_timing_for_visibility(*cs.hom_pair(PARAMS, RABI, SETUP, grid), target=0.89)

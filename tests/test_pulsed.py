@@ -536,6 +536,16 @@ def test_coincidence_histogram_blocks_match_whole_array(monkeypatch, rng, shuffl
     assert len(centers) == len(counts)
 
 
+def test_coincidence_histogram_fills_its_outer_bins(rng):
+    # the edges run to 0.45, a bin past max_lag: the last bin [0.40, 0.45]
+    # holds every lag up to its edge, as many as its neighbours on a flat
+    # lag density (about 1e6 each)
+    times = np.sort(rng.uniform(0.0, 2000.0, 200_000))
+    centers, counts = pulsed.coincidence_histogram(times, max_lag=0.42, bin_width=0.05)
+    assert centers[-1] == pytest.approx(0.425) and len(counts) == 18
+    assert counts[-1] == counts[0] == pytest.approx(counts[-2], rel=0.01)
+
+
 def test_coincidence_histogram_pairs():
     times = np.array([0.0, 0.1, 5.0])
     centers, counts = pulsed.coincidence_histogram(times, max_lag=1.0, bin_width=0.2)
