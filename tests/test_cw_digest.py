@@ -1,7 +1,9 @@
 """Command outputs of the default scenario against a stored digest.
 
 ``data/cw_digest.json`` holds, for each command below, its manifest results
-and about 40 evenly strided data rows of its CSV. The test reruns the command and
+and some data rows of its CSV: every 100th, which for the long correlation
+traces includes the tau = 0 row, and about 40 evenly strided ones, so that
+short outputs are pinned densely too. The test reruns the command and
 compares numbers at 1e-10 relative with a 1e-12 absolute floor, and text
 cells (such as ``steady.csv``'s labels) as text: a refactor that keeps the
 numbers passes whatever kernel or summation order it uses, and one that
@@ -43,22 +45,25 @@ COMMANDS = {
     "sim hbt": ["sim", "hbt", *_PULSED],
     "sim hom-pulsed": ["sim", "hom-pulsed", *_PULSED],
 }
-_ROWS = 40  # data rows kept per command, about
+_EVERY = 100  # every _EVERY-th data row is kept
+_ROWS = 40  # and about _ROWS more, evenly strided
 _RTOL = 1e-10
 _ATOL = 1e-12
 
 
 def digest_of(argv, out: Path) -> dict:
-    """The manifest results, the CSV header and every n-th data row of one
-    run into ``out``, n chosen to keep about _ROWS of them."""
+    """The manifest results, the CSV header and the data rows of one run into
+    ``out`` whose index is a multiple of _EVERY or of a stride that keeps
+    about _ROWS of them."""
     assert cli.main([*argv, "--out", str(out)]) == 0
     [csv] = out.glob("*.csv")
-    lines = csv.read_text().splitlines()
+    header, *data = csv.read_text().splitlines()
+    stride = -(-len(data) // _ROWS)
     return {
         "results": json.loads((out / "manifest.json").read_text())["results"],
-        "header": lines[0],
-        "n_rows": len(lines) - 1,
-        "rows": lines[1 :: -(-(len(lines) - 1) // _ROWS)],
+        "header": header,
+        "n_rows": len(data),
+        "rows": [row for i, row in enumerate(data) if i % _EVERY == 0 or i % stride == 0],
     }
 
 
