@@ -7,11 +7,13 @@ Library layout:
                 `pulsed.rabi_curve`), coherent fraction, the pulse train and
                 its window rule, and GatingModel: the gated detection model
                 of fig1d, which is also the scenario's `gating` block
-- correlations  g1/g2 by the regression theorem on that generator, blinking
-                envelope, detector timing response
+- correlations  g1/g2 by the regression theorem on that generator as G1 and
+                G2 traces, blinking envelope, detector timing response
 - spectrum      coherent + incoherent emission spectrum (the resolvent of the
                 same generator)
-- hom           CW two-photon interference in a delay interferometer
+- hom           CW two-photon interference in a delay interferometer: the
+                ideal-detector (parallel, orthogonal) G2 pair, its two
+                detector orderings folded in closed form, and its visibility
 - pulsed        Rabi curves, quantum-jump photon streams, coincidence-peak
                 analysis, click-level pulsed interference; not re-exported
                 here, so importing the package does not load the engine:
@@ -55,7 +57,6 @@ from .hom import (
     HomSetup,
     hom_g2,
     hom_pair,
-    hom_visibility,
     solve_timing_for_visibility,
     visibility,
 )

@@ -32,7 +32,7 @@ from ._svg import render_lines
 from .correlations import TimingResponse, apply_blinking, convolve_timing, g1, g2
 from .emitter import IntegrationError
 from .fock import fit_fringe, mzi_fringes
-from .hom import hom_pair, hom_visibility, solve_timing_for_visibility, visibility
+from .hom import hom_pair, solve_timing_for_visibility, visibility
 from .scenario import Scenario, SchemaError
 from .spectrum import GridError, emission_spectrum, lorentzian
 
@@ -148,9 +148,11 @@ def _hom_pulsed(scenario: Scenario, threads: int):
 
 
 def _hom_cw(scenario: Scenario, taus):
+    """The (parallel, orthogonal) pair as the scenario's detector records it."""
     params = scenario.emitter.resolve()
     rabi = scenario.drive.resolve()
-    return hom_pair(params, rabi, scenario.hom.resolve(), taus, scenario.timing)
+    pair = hom_pair(params, rabi, scenario.hom.resolve(), taus)
+    return tuple(convolve_timing(t, scenario.timing) for t in pair)
 
 
 def _spectrum(scenario: Scenario, grid):
@@ -259,19 +261,18 @@ def _fig2e(scenario: Scenario, args, threads: int) -> _Output:
     params = scenario.emitter.resolve()
     rabi = scenario.drive.resolve()
     setup = scenario.hom.resolve()
-    # the ratio-1.0 pair sets the IRF and, convolved with it, the last trace
-    par, perp = hom_pair(params.with_coherence_ratio(1.0), rabi, setup, _HOM_TAUS)
-    irf_fwhm = solve_timing_for_visibility(par, perp, target=0.89)
     ratios = [0.3, 0.5, 0.8, 1.0]
+    pairs = [hom_pair(params.with_coherence_ratio(r), rabi, setup, _HOM_TAUS) for r in ratios]
+    # the ratio-1.0 pair sets the IRF
+    irf_fwhm = solve_timing_for_visibility(*pairs[-1], target=0.89)
     irf = TimingResponse(fwhm_ns=irf_fwhm)
-    traces = [hom_visibility(params.with_coherence_ratio(r), rabi, setup, _HOM_TAUS, irf) for r in ratios[:-1]]
-    traces.append(visibility(convolve_timing(par, irf), convolve_timing(perp, irf)))
-    peak = float(np.max(traces[-1].values))
+    traces = [visibility(*(convolve_timing(t, irf) for t in pair)) for pair in pairs]
+    peak = float(np.max(traces[-1]))
     return _Output(
         "fig2e.csv", "tau_ns," + ",".join(f"v_ratio{r:g}" for r in ratios),
-        [_HOM_TAUS] + [t.values for t in traces],
+        [_HOM_TAUS, *traces],
         {"irf_fwhm_ns": irf_fwhm, "peak_visibility_ratio1.0": peak},
-        plot=({f"ratio {r:g}": (_HOM_TAUS, t.values) for r, t in zip(ratios, traces)},
+        plot=({f"ratio {r:g}": (_HOM_TAUS, t) for r, t in zip(ratios, traces)},
               "Interference visibility vs coherence ratio", "tau (ns)", "visibility"),
         line=f"fig2e: timing IRF {irf_fwhm:.4f} ns reproduces peak visibility {peak:.3f}",
     )
@@ -391,8 +392,8 @@ def _sim_hom_cw(scenario: Scenario, args, threads: int) -> _Output:
     par, orth = _hom_cw(scenario, taus)
     vis = visibility(par, orth)
     return _Output("hom_cw.csv", "tau_ns,g2_parallel,g2_orthogonal,visibility",
-                   [taus, par.values, orth.values, vis.values],
-                   {"peak_visibility": float(np.max(vis.values))})
+                   [taus, par.values, orth.values, vis],
+                   {"peak_visibility": float(np.max(vis))})
 
 
 def _sim_rabi(scenario: Scenario, args, threads: int) -> _Output:

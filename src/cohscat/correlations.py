@@ -9,7 +9,9 @@ stationary vector. g2 evolves the ground state (the post-emission state)
 and reads rho_ee = (w + tr)/2; g1 evolves s- rho_ss and reads its
 rho_ge = (u - iv)/2. Both propagate through the eigen-decomposition of G,
 or through exact matrix exponentials when G is (nearly) defective; the
-spectrum solves the resolvent of G.
+spectrum solves the resolvent of G. A trace is G1 or G2 and holds its
+values as computed: evenness in tau comes from the regression on |tau|,
+and the HOM layer folds its two detector orderings itself.
 """
 
 from __future__ import annotations
@@ -22,15 +24,6 @@ import numpy as np
 from .emitter import EmitterParams, _expm, _generator, steady_state
 
 _EVEN_TOL = 1e-9
-
-
-# Grid checks run on every trace built, so they compare directly instead of
-# through np.allclose's per-call overhead; each returns np.allclose's boolean.
-def _grids_match(x: np.ndarray, y: np.ndarray, atol: float) -> bool:
-    """np.allclose(x, y, rtol=0, atol=atol) for same-shape x and y."""
-    with np.errstate(invalid="ignore"):  # inf - inf where both hold one infinity
-        close = np.abs(x - y) <= atol
-    return bool(close.all()) or bool((close | (x == y)).all())
 
 
 def _evenly_spaced(d: np.ndarray) -> bool:
@@ -71,15 +64,13 @@ class CorrelationTrace:
     """Sampled correlation function on a tau grid (ns).
 
     kind is "G1" (complex values, with the constant coherent part recorded
-    in coherent_offset), "G2" (real, non-negative, even) or "VISIBILITY"
-    (real, in [0, 1]; flagged marks points where the denominator vanished).
+    in coherent_offset) or "G2" (real, stored as given, clipped at 0).
     """
 
     tau_grid: np.ndarray
     values: np.ndarray
     kind: str
     coherent_offset: float | None = None
-    flagged: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
@@ -87,26 +78,15 @@ class CorrelationTrace:
             object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
             if np.any(np.abs(self.values) > 1.0 + _EVEN_TOL):
                 raise ValueError("|g1| must not exceed 1")
-        elif self.kind in ("G2", "VISIBILITY"):
+        elif self.kind == "G2":
             vals = np.asarray(self.values, dtype=float)
             if np.any(vals < -_EVEN_TOL):
-                raise ValueError(f"{self.kind} values must be >= 0")
-            if self.tau_grid.shape != vals.shape:
-                raise ValueError("tau_grid and values must have matching shapes")
-            object.__setattr__(self, "values", np.clip(self._folded(vals), 0.0, None))
+                raise ValueError("G2 values must be >= 0")
+            object.__setattr__(self, "values", np.clip(vals, 0.0, None))
         else:
             raise ValueError(f"unknown correlation kind {self.kind!r}")
         if self.tau_grid.shape != self.values.shape:
             raise ValueError("tau_grid and values must have matching shapes")
-
-    def _folded(self, vals):
-        # Intensity correlations are recorded with both detector orderings,
-        # so evenness in tau is enforced by folding whenever the grid is
-        # sign-symmetric (a no-op for already-even data).
-        rev = -self.tau_grid[::-1]
-        if self.tau_grid.size and _grids_match(self.tau_grid, rev, 1e-12):
-            return (vals + vals[::-1]) / 2.0
-        return vals
 
     def is_uniform(self) -> bool:
         d = np.diff(self.tau_grid)
@@ -200,30 +180,26 @@ def apply_blinking(trace: CorrelationTrace, blinking: BlinkingParams) -> Correla
 
 
 def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> CorrelationTrace:
-    """Convolve a trace with the Gaussian detector response.
+    """Convolve a G2 trace with the Gaussian detector response.
 
-    Requires a uniform tau grid. The kernel is unit-normalized on the grid,
-    so the integral is preserved provided the trace has settled to a
-    constant within a kernel width of the grid edges (edge bins are
-    replicated outward).
+    An ideal detector (fwhm 0) returns the trace; otherwise the tau grid
+    must be uniform. The kernel is unit-normalized on the grid, so the
+    integral is preserved provided the trace has settled to a constant
+    within a kernel width of the grid edges (edge bins are replicated
+    outward).
     """
+    if trace.kind != "G2":
+        raise ValueError("timing convolution applies to G2 traces only")
+    if irf.fwhm_ns == 0.0:
+        return trace
     if not trace.is_uniform():
         raise ValueError("convolve_timing requires a uniform tau grid")
-    if irf.fwhm_ns == 0.0:
-        return replace(trace)
     dt = float(trace.tau_grid[1] - trace.tau_grid[0])
     sigma = irf.fwhm_ns / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     half = max(1, int(math.ceil(6.0 * sigma / dt)))
     x = np.arange(-half, half + 1) * dt
     kernel = np.exp(-0.5 * (x / sigma) ** 2)
     kernel /= kernel.sum()
-
-    def smooth(arr):
-        padded = np.concatenate([np.full(half, arr[0]), arr, np.full(half, arr[-1])])
-        return np.convolve(padded, kernel, mode="valid")
-
-    if trace.kind == "G1":
-        vals = smooth(trace.values.real) + 1j * smooth(trace.values.imag)
-    else:
-        vals = smooth(trace.values)
-    return replace(trace, values=vals)
+    vals = trace.values
+    padded = np.concatenate([np.full(half, vals[0]), vals, np.full(half, vals[-1])])
+    return replace(trace, values=np.convolve(padded, kernel, mode="valid"))

@@ -465,6 +465,8 @@ class GatingModel:
             if not detected > 0:
                 raise ValueError(f"detected emission must be > 0 (occupation x efficiency), got {detected}")
             leak = detected / (self.contrast * p_knee)
+            if not math.isfinite(leak):
+                raise ValueError(f"solved laser leakage must be finite, got {leak}")
         else:
             self.knee_power(params)  # the power scale of fig1d
         if not 0.0 <= self.charge_occupation <= 1.0:

@@ -49,11 +49,6 @@ class FringeTable:
     p_out1: np.ndarray
     p_coincidence: np.ndarray
 
-    def column(self, name: str) -> np.ndarray:
-        return {"p_out0": self.p_out0, "p_out1": self.p_out1, "p_coincidence": self.p_coincidence}[
-            name
-        ]
-
 
 def _mzi_unitary(r1: float, r2: float, phi: np.ndarray) -> np.ndarray:
     """Mode matrices U(phi) = B2 diag(e^{i phi}, 1) B1, shape (len(phi), 2, 2),
@@ -144,7 +139,7 @@ def fit_fringe(table: FringeTable, harmonic: int) -> FringeFit:
     if harmonic not in (1, 2):
         raise ValueError("harmonic must be 1 or 2")
     phi = table.phi
-    y = table.column("p_coincidence" if harmonic == 2 else "p_out0")
+    y = table.p_coincidence if harmonic == 2 else table.p_out0
     span = phi[-1] - phi[0]
     pts_per_period = len(phi) / (span / (2.0 * math.pi / harmonic))
     if pts_per_period < 8:

@@ -3,8 +3,12 @@
 Photons emitted one path-delay apart meet at the output coupler; the
 post-selected autocorrelation decomposes into three delayed copies of the
 source g2 plus, for parallel polarizations, an interference term carrying
-|g1|^2. Beat-note terms between the two paths are dropped (the delay far
-exceeds the correlation times of interest).
+|g1|^2 (Legero et al., Appl. Phys. B 77, 797 (2003)). Beat-note terms
+between the two paths are dropped (the delay far exceeds the correlation
+times of interest). A trace records both detector orderings, so the
+ordered R^2/T^2 side weights enter folded, as their mean at -+delay.
+`hom_pair` gives the traces of an ideal detector; a caller smears them
+with `correlations.convolve_timing`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlations import CorrelationTrace, TimingResponse, _grids_match, convolve_timing, g1, g2
+from .correlations import CorrelationTrace, TimingResponse, convolve_timing, g1, g2
 from .emitter import EmitterParams
 
 PARALLEL = "parallel"
@@ -46,7 +50,8 @@ def _pair_values(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid: 
     center = g2(params, rabi, tau_grid).values
     minus = g2(params, rabi, tau_grid - setup.delay).values
     plus = g2(params, rabi, tau_grid + setup.delay).values
-    perp = 2.0 * r * t * center + r ** 2 * minus + t ** 2 * plus
+    # both detector orderings: the side weights r^2 and t^2 fold into their mean
+    perp = 2.0 * r * t * center + (r ** 2 + t ** 2) / 2.0 * (minus + plus)
     coh = np.abs(g1(params, rabi, tau_grid).values) ** 2
     par = np.clip(perp - 2.0 * r * t * coh, 0.0, None)
     return par, perp
@@ -56,9 +61,8 @@ def hom_g2(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> Cor
     """Post-selected autocorrelation at one interferometer output.
 
     Requires the grid to reach at least twice the path delay so that the
-    side structure is contained. The trace records both detector orderings,
-    so for an unbalanced splitter the ordered R^2/T^2 side weights fold
-    into their mean at -+delay.
+    side structure is contained. The side dips at -+delay both have the
+    folded depth (R^2 + T^2)/2, on any grid.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.max(np.abs(tau_grid)) < 2.0 * setup.delay:
@@ -69,47 +73,25 @@ def hom_g2(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> Cor
 
 
 def hom_pair(
-    params: EmitterParams,
-    rabi: float,
-    setup: HomSetup,
-    tau_grid,
-    irf: TimingResponse | None = None,
+    params: EmitterParams, rabi: float, setup: HomSetup, tau_grid
 ) -> tuple[CorrelationTrace, CorrelationTrace]:
-    """(parallel, orthogonal) traces, optionally smeared by the detector IRF."""
+    """(parallel, orthogonal) traces of an ideal detector."""
     par = hom_g2(params, rabi, replace(setup, polarization=PARALLEL), tau_grid)
     perp = hom_g2(params, rabi, replace(setup, polarization=ORTHOGONAL), tau_grid)
-    if irf is not None and irf.fwhm_ns > 0.0:
-        par = convolve_timing(par, irf)
-        perp = convolve_timing(perp, irf)
     return par, perp
 
 
-def visibility(parallel: CorrelationTrace, orthogonal: CorrelationTrace) -> CorrelationTrace:
-    """Pointwise (g2_perp - g2_par)/g2_perp; zero (and flagged) where the
+def visibility(parallel: CorrelationTrace, orthogonal: CorrelationTrace) -> np.ndarray:
+    """Pointwise (g2_perp - g2_par)/g2_perp in [0, 1]; zero where the
     orthogonal trace vanishes."""
-    if parallel.tau_grid.shape != orthogonal.tau_grid.shape or not _grids_match(
-        parallel.tau_grid, orthogonal.tau_grid, 1e-12
+    if parallel.tau_grid.shape != orthogonal.tau_grid.shape or not np.allclose(
+        parallel.tau_grid, orthogonal.tau_grid, rtol=0, atol=1e-12
     ):
         raise ValueError("visibility requires identical tau grids")
     denom = orthogonal.values
     bad = denom < 1e-12
-    safe = np.where(bad, 1.0, denom)
-    vals = np.where(bad, 0.0, (denom - parallel.values) / safe)
-    vals = np.clip(vals, 0.0, 1.0)
-    return CorrelationTrace(
-        tau_grid=parallel.tau_grid, values=vals, kind="VISIBILITY", flagged=bad
-    )
-
-
-def hom_visibility(
-    params: EmitterParams,
-    rabi: float,
-    setup: HomSetup,
-    tau_grid,
-    irf: TimingResponse | None = None,
-) -> CorrelationTrace:
-    par, perp = hom_pair(params, rabi, setup, tau_grid, irf)
-    return visibility(par, perp)
+    vals = np.where(bad, 0.0, (denom - parallel.values) / np.where(bad, 1.0, denom))
+    return np.clip(vals, 0.0, 1.0)
 
 
 def solve_timing_for_visibility(par: CorrelationTrace, perp: CorrelationTrace, target: float = 0.89) -> float:
@@ -132,7 +114,7 @@ def solve_timing_for_visibility(par: CorrelationTrace, perp: CorrelationTrace, t
 
     def peak(fwhm: float) -> float:
         irf = TimingResponse(fwhm_ns=fwhm)
-        return float(np.max(visibility(convolve_timing(par, irf), convolve_timing(perp, irf)).values))
+        return float(np.max(visibility(convolve_timing(par, irf), convolve_timing(perp, irf))))
 
     hi, f_hi = lo, peak(lo) - target
     if f_hi < 0:

@@ -483,8 +483,10 @@ class PeakReport:
     peak_areas maps the integer pair-period lag to the total coincidence
     count of that cluster (lag 0 holds all same-pair photon pairs).
     g_metric is the same-pulse two-photon rate over the uncorrelated
-    two-single-photon rate; g2_zero the per-pulse analogue. overlap is only
-    set by the two-photon-interference estimator.
+    two-single-photon rate; g2_zero the per-pulse analogue. overlap and aux
+    (the orthogonal areas, the multi-photon correction and the unclipped
+    overlap with its error) are only set by the two-photon-interference
+    estimator.
     """
 
     peak_areas: dict[int, float]
@@ -527,11 +529,9 @@ def hbt_analyze(stream: PhotonStream) -> PeakReport:
     c0, c1 = counts[:, 0], counts[:, 1]
 
     same_pulse = _same_pulse_pairs(counts, stream.n_tags)
-    within_cross = float(c0 @ c1)
-
     center_rates = []
     all_rates = []
-    peak_areas = {0: same_pulse + within_cross}
+    peak_areas = {0: same_pulse + float(c0 @ c1)}
     tot = c0 + c1
     for d in range(1, min(_MAX_SIDE_LAG, n - 1) + 1):
         area = float(tot[:-d] @ tot[d:])
@@ -557,11 +557,6 @@ def hbt_analyze(stream: PhotonStream) -> PeakReport:
         g2_zero=g2_zero,
         g_metric_err=g_err,
         g2_zero_err=g2_err,
-        aux={
-            "same_pulse_pairs": same_pulse,
-            "within_pair_cross": within_cross,
-            "mean_per_pulse": stream.mean_per_pulse,
-        },
     )
 
 
@@ -719,11 +714,9 @@ def pulsed_hom(
         overlap=min(max(estimate, 0.0), 1.0),
         aux={
             "areas_orthogonal": areas_ort,
-            "raw_dip": raw,
             "correction": correction,
             "overlap_raw": estimate,
             "overlap_err": err,
-            "meeting_probability": s_meet,
         },
     )
 

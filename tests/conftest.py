@@ -917,7 +917,7 @@ def fit_fringe_curve_fit(table, harmonic: int, column: str):
     y = c + a cos(f phi + theta) with f free. Returns (visibility,
     frequency, offset, amplitude)."""
     phi = table.phi
-    y = table.column(column)
+    y = getattr(table, column)
     design = np.column_stack([np.ones_like(phi), np.cos(harmonic * phi), np.sin(harmonic * phi)])
     c0, cc, cs = np.linalg.lstsq(design, y, rcond=None)[0]
     amp0 = math.hypot(cc, cs)

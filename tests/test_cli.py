@@ -239,6 +239,8 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
      (["fig", "fig1d"], {"gating": {"charge_occupation": 2}}, "charge_occupation must lie in [0, 1]"),
      (["fig", "fig1d"], {"emitter": {"linewidth_uev": -1}}, "linewidth_uev must be > 0"),
      (["fig", "fig1d"], {"gating": {"collection_efficiency": 0}}, "detected emission must be > 0"),
+     # the detected emission at the knee overflows; sim steady never uses gating
+     (["sim", "steady"], {"gating": {"collection_efficiency": 1e300}}, "solved laser leakage must be finite"),
      (["fig", "fig1d"], {"emitter": {"linewidth_uev": 1e300}}, "saturation scale 1/(t1*t2) must be finite"),
      (["fig", "fig1d"], {"emitter": {"detuning_rad_ns": 1e300}}, "detuning factor (detuning*t2)^2 must be finite"),
      (["sim", "stream"], {"pulse_train": {"pulse_area_pi": math.nan}}, "pulse_area_pi: expected float"),
@@ -249,7 +251,7 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
          "timing-fwhm", "instrument-fwhm", "n-phi", "phi-span", "n-phi-int64-overflow", "n-phi-huge",
          *[f"{command}-{case}" for command in ("fig1d", "fig2a", "steady")
            for case in ("contrast", "knee-scale", "coherence-ratio")],
-         "huge-linewidth", "occupation", "negative-linewidth", "zero-efficiency",
+         "huge-linewidth", "occupation", "negative-linewidth", "zero-efficiency", "steady-overflowing-leakage",
          "extreme-linewidth", "extreme-detuning", "nan-area",
          *[f"{command}-{case}" for command in ("fig1d", "fig2a") for case in ("rabi", "blinking")]],
 )

@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import cohscat as cs
-from cohscat.correlations import _evenly_spaced, _grids_match
+from cohscat.correlations import _evenly_spaced
 from conftest import g2_resonant_closed_form, liouvillian_reference
 
 
@@ -145,9 +145,9 @@ def test_g1_offset_matches_rrs_for_random_draws(rng):
 
 def test_trace_construction_guards():
     taus = np.linspace(-1.0, 1.0, 5)
-    # both detector orderings are folded together, forcing evenness
-    folded = cs.CorrelationTrace(taus, [0.0, 1.0, 0.5, 1.0, 2.0], kind="G2")
-    assert np.array_equal(folded.values, [1.0, 1.0, 0.5, 1.0, 1.0])
+    # G2 values are stored as given, an uneven trace too, with roundoff below 0 clipped
+    stored = cs.CorrelationTrace(taus, [0.0, 1.0, 0.5, -1e-12, 2.0], kind="G2")
+    assert np.array_equal(stored.values, [0.0, 1.0, 0.5, 0.0, 2.0])
     with pytest.raises(ValueError):
         cs.CorrelationTrace(taus, -np.ones(5), kind="G2")
     with pytest.raises(ValueError):
@@ -234,6 +234,13 @@ def test_convolve_timing_rejects_nonuniform():
         cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=0.1))
 
 
+def test_convolve_timing_rejects_g1():
+    g1 = cs.g1(cs.EmitterParams(t1=1.0, t2=2.0), 3.0, np.linspace(-5.0, 5.0, 101))
+    for fwhm in (0.0, 0.1):
+        with pytest.raises(ValueError, match="G2 traces only"):
+            cs.convolve_timing(g1, cs.TimingResponse(fwhm_ns=fwhm))
+
+
 _NAN, _INF = float("nan"), float("inf")
 _GRIDS = [
     [0.0, 0.1, 0.2],
@@ -259,10 +266,8 @@ _GRIDS = [
 
 @pytest.mark.parametrize("grid", _GRIDS)
 def test_grid_checks_match_allclose(grid):
-    # the direct comparisons return np.allclose's boolean, also on inf and NaN
+    # the direct comparison returns np.allclose's boolean, also on inf and NaN
     grid = np.array(grid)
     with np.errstate(invalid="ignore", over="ignore"):  # both sides overflow alike
-        for other in (-grid[::-1], grid, grid + 1e-12, np.roll(grid, 1)):
-            assert _grids_match(grid, other, 1e-12) == np.allclose(grid, other, rtol=0, atol=1e-12)
         d = np.diff(grid)
         assert _evenly_spaced(d) == np.allclose(d, d[0], rtol=1e-9, atol=1e-12)

@@ -95,15 +95,30 @@ def test_side_structure_against_independent_route():
     assert perp.values[i_minus] == pytest.approx(1.0 - depth, abs=1e-6)
 
 
+def test_unbalanced_side_dips_fold_on_an_asymmetric_grid():
+    # The fold is part of the closed form, so it needs no sign-symmetric
+    # grid: both side dips of an r = 0.3 splitter have depth (R^2 + T^2)/2,
+    # not the ordered R^2 and T^2.
+    r = 0.3
+    setup = HomSetup(delay=10.4, splitter_ratio=r)
+    taus = np.linspace(-25.0, 30.0, 2201)
+    par, perp = cs.hom_pair(PARAMS, RABI, setup, taus)
+    depth = (r ** 2 + (1.0 - r) ** 2) / 2.0
+    for tau in (-setup.delay, setup.delay):
+        i = int(np.argmin(np.abs(taus - tau)))
+        assert perp.values[i] == pytest.approx(1.0 - depth, abs=1e-6)
+    assert np.array_equal(par.tau_grid, taus) and np.all(par.values <= perp.values)
+
+
 def test_visibility_peak_and_tail():
     par, perp = cs.hom_pair(PARAMS, RABI, SETUP, TAUS)
     vis = cs.visibility(par, perp)
     mid = len(TAUS) // 2
-    assert vis.values[mid] == pytest.approx(1.0, abs=1e-6)
-    assert np.all((vis.values >= 0.0) & (vis.values <= 1.0))
-    assert np.max(np.abs(vis.values - vis.values[::-1])) < 1e-12
+    assert vis[mid] == pytest.approx(1.0, abs=1e-6)
+    assert np.all((vis >= 0.0) & (vis <= 1.0))
+    assert np.max(np.abs(vis - vis[::-1])) < 1e-12
     offset = cs.g1(PARAMS, RABI, np.array([0.0])).coherent_offset
-    tail = vis.values[int(np.argmin(np.abs(TAUS - 24.0)))]
+    tail = vis[int(np.argmin(np.abs(TAUS - 24.0)))]
     assert tail == pytest.approx(offset ** 2 / 2.0, abs=1e-6)
 
 
@@ -111,34 +126,37 @@ def test_visibility_grid_mismatch_and_flags():
     par, perp = cs.hom_pair(PARAMS, RABI, SETUP, TAUS)
     with pytest.raises(ValueError):
         cs.visibility(par, cs.hom_g2(PARAMS, RABI, SETUP, TAUS + 1e-3))
+    # points where the orthogonal trace vanishes read 0
     zero = cs.CorrelationTrace(TAUS, np.zeros_like(TAUS), kind="G2")
-    vis = cs.visibility(zero, zero)
-    assert np.all(vis.values == 0.0)
-    assert vis.flagged.all()
+    assert np.all(cs.visibility(zero, zero) == 0.0)
 
 
 def test_fully_incoherent_source_shows_no_visibility():
     par, perp = cs.hom_pair(PARAMS, RABI, SETUP, TAUS)
     vis = cs.visibility(perp, perp)  # parallel == orthogonal when g1 = 0
-    assert np.all(vis.values == 0.0)
+    assert np.all(vis == 0.0)
 
 
 def test_family_ordering_near_zero_lag():
-    traces = [cs.hom_visibility(PARAMS.with_coherence_ratio(r), RABI, SETUP, TAUS) for r in (0.3, 1.0)]
+    traces = [cs.visibility(*cs.hom_pair(PARAMS.with_coherence_ratio(r), RABI, SETUP, TAUS)) for r in (0.3, 1.0)]
     band = (np.abs(TAUS) > 1e-9) & (np.abs(TAUS) < 0.2)
-    assert np.all(traces[1].values[band] >= traces[0].values[band])
-    assert np.max(traces[1].values) == pytest.approx(1.0, abs=1e-6)
+    assert np.all(traces[1][band] >= traces[0][band])
+    assert np.max(traces[1]) == pytest.approx(1.0, abs=1e-6)
+
+
+def _smeared_visibility(fwhm):
+    irf = cs.TimingResponse(fwhm_ns=fwhm)
+    return cs.visibility(*(cs.convolve_timing(t, irf) for t in cs.hom_pair(PARAMS, RABI, SETUP, TAUS)))
 
 
 def test_irf_solution_reproduces_peak_visibility():
     fwhm = cs.solve_timing_for_visibility(*cs.hom_pair(PARAMS, RABI, SETUP, TAUS), target=0.89)
-    vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm_ns=fwhm))
-    assert float(np.max(vis.values)) == pytest.approx(0.89, abs=0.005)
+    vis = _smeared_visibility(fwhm)
+    assert float(np.max(vis)) == pytest.approx(0.89, abs=0.005)
 
 
 def _peak_minus_target(fwhm, target=0.89):
-    vis = cs.hom_visibility(PARAMS, RABI, SETUP, TAUS, cs.TimingResponse(fwhm_ns=fwhm))
-    return float(np.max(vis.values)) - target
+    return float(np.max(_smeared_visibility(fwhm))) - target
 
 
 def test_irf_root_matches_brentq_oracle():
@@ -161,7 +179,7 @@ def test_fig2e_irf_solve_evaluates_each_point_once(monkeypatch):
     real_pair, real_convolve = hom.hom_pair, hom.convolve_timing
 
     def counted_pair(*args, **kwargs):
-        pairs.append(args[4] if len(args) > 4 else kwargs.get("irf"))
+        pairs.append(args)
         return real_pair(*args, **kwargs)
 
     def counted_convolve(trace, irf):
@@ -173,7 +191,7 @@ def test_fig2e_irf_solve_evaluates_each_point_once(monkeypatch):
     sc = Scenario()
     params = sc.emitter.resolve().with_coherence_ratio(1.0)
     cs.solve_timing_for_visibility(*hom.hom_pair(params, sc.drive.resolve(), sc.hom.resolve(), cli._HOM_TAUS), 0.89)
-    assert pairs == [None]  # the IRF-free traces are built once, by the caller
+    assert len(pairs) == 1  # the IRF-free traces are built once, by the caller
     evaluated = widths[::2]
     assert widths[1::2] == evaluated  # both traces at each trial width
     assert 0 < len(evaluated) <= 15
