@@ -72,9 +72,7 @@ def hom_g2(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> Cor
     return CorrelationTrace(tau_grid=tau_grid, values=vals, kind="G2")
 
 
-def hom_pair(
-    params: EmitterParams, rabi: float, setup: HomSetup, tau_grid
-) -> tuple[CorrelationTrace, CorrelationTrace]:
+def hom_pair(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> tuple[CorrelationTrace, CorrelationTrace]:
     """(parallel, orthogonal) traces of an ideal detector."""
     par = hom_g2(params, rabi, replace(setup, polarization=PARALLEL), tau_grid)
     perp = hom_g2(params, rabi, replace(setup, polarization=ORTHOGONAL), tau_grid)
