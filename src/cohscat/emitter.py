@@ -1,6 +1,7 @@
 """Two-level emitter model: parameters, optical Bloch dynamics, steady state,
-the coherently scattered fraction, the gated saturation curve, and the
-two-pulse excitation train.
+the coherently scattered fraction, the gated saturation curve, one
+excitation pulse on its own window (``Pulse``, which the propagator
+``_propagate`` takes) and the two-pulse excitation train.
 
 Units throughout: times in ns, (angular) Rabi frequency and detuning in
 rad/ns, energies in µeV.
@@ -20,7 +21,11 @@ HBAR_UEV_NS = 0.6582119
 # counts/s.
 NS_PER_S = 1.0e9
 
+_FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # of a gaussian
 _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
+# A gaussian is stepped within this many sigma of its center (5 sigma past
+# its window); beyond, it is below e^-50 of its peak and counts as off.
+_GAUSS_REACH_SIGMAS = 10.0
 
 
 class IntegrationError(RuntimeError):
@@ -77,51 +82,49 @@ def default_bulk_params() -> EmitterParams:
 
 
 @dataclass(frozen=True)
-class DriveField:
-    """Classical pulse with peak Rabi frequency ``rabi`` (rad/ns).
+class Pulse:
+    """One excitation pulse of rotation ``area`` and width ``fwhm`` (ns; the
+    duration of a square pulse) on its own window [0, 2 * half_window]: the
+    square fills it, a gaussian is centered in it. Window times t run from 0."""
 
-    shape is "square" (needs duration) or "gaussian" (needs fwhm); t0 marks
-    the leading edge (square) or the center (gaussian).
-    """
-
-    rabi: float
-    shape: str
-    duration: float | None = None
-    fwhm: float | None = None
-    t0: float = 0.0
+    area: float
+    fwhm: float
+    shape: str = "gaussian"
 
     def __post_init__(self):
-        if not math.isfinite(self.rabi) or self.rabi < 0:
-            raise ValueError(f"rabi must be finite and >= 0, got {self.rabi}")
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
+        for name, value in (("pulse_area", self.area), ("pulse_fwhm", self.fwhm)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.area < 0:
+            raise ValueError("pulse_area must be >= 0")
+        if self.fwhm <= 0:
+            raise ValueError("pulse_fwhm must be > 0")
+        if self.shape not in ("square", "gaussian"):
+            raise ValueError(f"unknown pulse shape {self.shape!r}")
+
+    @property
+    def half_window(self) -> float:
+        """Half the window: half the square, or _WINDOW_SIGMAS sigma of a gaussian."""
         if self.shape == "square":
-            if self.duration is None or not (math.isfinite(self.duration) and self.duration > 0):
-                raise ValueError(f"square drive requires a finite duration > 0, got {self.duration}")
-        elif self.shape == "gaussian":
-            if self.fwhm is None or not (math.isfinite(self.fwhm) and self.fwhm > 0):
-                raise ValueError(f"gaussian drive requires a finite fwhm > 0, got {self.fwhm}")
-        else:
-            raise ValueError(f"unknown drive shape {self.shape!r}")
+            return self.fwhm / 2.0
+        return _WINDOW_SIGMAS * (self.fwhm / _FWHM_PER_SIGMA)
+
+    @property
+    def reach(self) -> tuple[float, float]:
+        """Where the drive is on: the square, or _GAUSS_REACH_SIGMAS sigma
+        about a gaussian's center (beyond, below e^-50 of its peak)."""
+        if self.shape == "square":
+            return 0.0, self.fwhm
+        reach = _GAUSS_REACH_SIGMAS * self.fwhm / _FWHM_PER_SIGMA
+        return self.half_window - reach, self.half_window + reach
 
     def omega(self, t):
-        """Instantaneous Rabi frequency at time(s) t."""
+        """Instantaneous Rabi frequency (rad/ns) at window time(s) t."""
         t = np.asarray(t, dtype=float)
         if self.shape == "square":
-            inside = (t >= self.t0) & (t < self.t0 + self.duration)
-            return np.where(inside, self.rabi, 0.0)
-        sigma = self.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        return self.rabi * np.exp(-0.5 * ((t - self.t0) / sigma) ** 2)
-
-    @classmethod
-    def from_area(cls, area: float, shape: str, width: float, t0: float = 0.0) -> "DriveField":
-        """Pulse of the given area; width is duration (square) or fwhm (gaussian)."""
-        if shape == "square":
-            return cls(rabi=area / width, shape="square", duration=width, t0=t0)
-        if shape == "gaussian":
-            peak = area / (width * math.sqrt(math.pi / (4.0 * math.log(2.0))))
-            return cls(rabi=peak, shape="gaussian", fwhm=width, t0=t0)
-        raise ValueError(f"from_area needs a pulsed shape, got {shape!r}")
+            return np.where((t >= 0.0) & (t < self.fwhm), self.area / self.fwhm, 0.0)
+        peak = self.area / (self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0))))
+        return peak * np.exp(-0.5 * ((t - self.half_window) / (self.fwhm / _FWHM_PER_SIGMA)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -133,9 +136,9 @@ class PulseTrain:
     separation : ns between the two pulses of a pair
     pair_period: ns between consecutive pairs
 
-    Each pulse runs in a window of width 2 * _half_window() (the square
-    pulse, or 10 sigma of a gaussian), shorter than both separation and
-    pair_period - separation: no two windows overlap, within or across cycles.
+    Each pulse runs in its ``pulse``'s window, shorter than both separation
+    and pair_period - separation: no two windows overlap, within or across
+    cycles.
     """
 
     pulse_area: float
@@ -146,43 +149,20 @@ class PulseTrain:
     shape: str = "gaussian"
 
     def __post_init__(self):
-        for name in ("pulse_area", "pulse_fwhm", "separation", "pair_period"):
+        pulse = self.pulse
+        for name in ("separation", "pair_period"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.pulse_area < 0:
-            raise ValueError("pulse_area must be >= 0")
-        if self.pulse_fwhm <= 0:
-            raise ValueError("pulse_fwhm must be > 0")
         if not self.separation < self.pair_period:
             raise ValueError("separation must be smaller than pair_period")
-        if not self.pulse_fwhm < self.separation:
-            raise ValueError("pulse_fwhm must be smaller than separation")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
-        if self.shape not in ("square", "gaussian"):
-            raise ValueError(f"unknown pulse shape {self.shape!r}")
-        if 2.0 * self._half_window() >= min(self.separation, self.pair_period - self.separation):
+        if 2.0 * pulse.half_window >= min(self.separation, self.pair_period - self.separation):
             raise ValueError("pulse windows overlap; reduce pulse_fwhm")
 
-    def _half_window(self) -> float:
-        return _half_width(self.shape, self.pulse_fwhm)
-
-    def drive(self, center: float = 0.0) -> DriveField:
-        return _centered_pulse(self.pulse_area, self.shape, self.pulse_fwhm, center)
-
-
-def _half_width(shape: str, fwhm: float) -> float:
-    """Half the window of one pulse of ``PulseTrain`` or ``pulsed.rabi_curve``:
-    half the square pulse, or _WINDOW_SIGMAS sigma of a gaussian."""
-    if shape == "square":
-        return fwhm / 2.0
-    sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    return _WINDOW_SIGMAS * sigma
-
-
-def _centered_pulse(area: float, shape: str, fwhm: float, center: float) -> DriveField:
-    """Pulse of the given area whose window is centered at ``center``."""
-    return DriveField.from_area(area, shape, fwhm, t0=center - fwhm / 2.0 if shape == "square" else center)
+    @property
+    def pulse(self) -> Pulse:
+        return Pulse(self.pulse_area, self.pulse_fwhm, self.shape)
 
 
 _BLOCH_BALL_TOL = 1e-9
@@ -323,51 +303,44 @@ def _expm(m) -> np.ndarray:
     return r.reshape(m.shape)
 
 
-# A gaussian is stepped within this many sigma of its center (5 sigma past
-# the pulse window of ``rabi_curve``); beyond, it is below e^-50 of its
-# peak and counts as off.
-_GAUSS_REACH_SIGMAS = 10.0
 _MIN_STEPS = 16  # split steps across a gaussian before the first doubling
 _MAX_DOUBLINGS = 13
 _SPLIT_TOL = 1e-10  # error estimate at which the doubling stops
 _ANGLE_BLOCK = 64  # steps whose rotation angles are computed together
 
 
-def _propagate(params, drive, x0, t_grid, scale=1.0) -> np.ndarray:
+def _propagate(params, pulse, x0, t_grid, scale=1.0) -> np.ndarray:
     """States on t_grid from x0 at t_grid[0], shape x0.shape + (len(t_grid),).
 
-    x0 holds (u, v, w, tr, n) (see ``_generator``), one column per emitter
-    when 2-D; ``scale`` multiplies the drive per column. The grid, split at
-    square edges and at a gaussian's reach, falls into intervals. Where the drive is constant an interval is one exact
-    exponential of the generator. Across a gaussian, each of N steps of
-    length h applies exp(G0 h/2) R exp(G0 h/2), G0 the drive-free generator
-    and R the exact rotation of (v, w) by Omega(t + h/2) h. The step is
-    symmetric, so its error expands in h^2, h^4, h^6, ...: the Richardson
-    value R1_2N = (4 x_2N - x_N) / 3 is fourth order and the Romberg value
-    R2_2N = (16 R1_2N - R1_N) / 15 sixth order. N doubles until R2's change
-    over the last doubling, divided by 63 (its error estimate), is below
-    ``_SPLIT_TOL``; the first such estimate needs three doublings.
+    t_grid is in the window time of ``pulse`` (a ``Pulse``). x0 holds
+    (u, v, w, tr, n) (see ``_generator``), one column per emitter when 2-D;
+    ``scale`` multiplies the drive per column. The grid, split at the ends of
+    the pulse's ``reach``, falls into intervals. Where the drive is constant
+    an interval is one exact exponential of the generator. Across a gaussian,
+    each of N steps of length h applies exp(G0 h/2) R exp(G0 h/2), G0 the
+    drive-free generator and R the exact rotation of (v, w) by Omega(t + h/2) h.
+    The step is symmetric, so its error expands in h^2, h^4, h^6, ...: the
+    Richardson value R1_2N = (4 x_2N - x_N) / 3 is fourth order and the
+    Romberg value R2_2N = (16 R1_2N - R1_N) / 15 sixth order. N doubles until
+    R2's change over the last doubling, divided by 63 (its error estimate), is
+    below ``_SPLIT_TOL``; the first such estimate needs three doublings.
     """
     x0 = np.asarray(x0, dtype=float)
     cols = x0.reshape(len(x0), -1)  # (dim, columns)
     scale = np.broadcast_to(np.asarray(scale, dtype=float), cols.shape[1:])
     g0 = _generator(params, 0.0)
     d_gen = _generator(params, 1.0) - g0  # per unit Rabi rate
-    if drive.shape == "gaussian":
-        reach = _GAUSS_REACH_SIGMAS * drive.fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        edges = (drive.t0 - reach, drive.t0 + reach)
-    else:
-        edges = (drive.t0, drive.t0 + drive.duration)
+    edges = pulse.reach
     # sorted union of grid and edges; np.union1d would import numpy.ma
     knots = np.sort(np.concatenate([t_grid, [t for t in edges if t_grid[0] < t < t_grid[-1]]]))
     knots = knots[np.concatenate([[True], knots[1:] != knots[:-1]])]
     lo, hi = knots[:-1], knots[1:]
-    if drive.shape == "gaussian":
+    if pulse.shape == "gaussian":
         stepped = (lo >= edges[0]) & (hi <= edges[1])
         rate = np.zeros(len(lo))
     else:
         stepped = np.zeros(len(lo), dtype=bool)
-        rate = drive.omega(0.5 * (lo + hi))
+        rate = pulse.omega(0.5 * (lo + hi))
     on_grid = np.isin(knots, t_grid)
     # one generator per interval and column, and its exponential over the
     # interval, which every doubling reuses (the identity where stepped)
@@ -384,7 +357,7 @@ def _propagate(params, drive, x0, t_grid, scale=1.0) -> np.ndarray:
         out = [x]
         for j, n in enumerate(steps):
             if n:
-                x = _split_steps(x, drive, scale, lo[j], h[j], n, halves[j])
+                x = _split_steps(x, pulse, scale, lo[j], h[j], n, halves[j])
             else:
                 x = np.einsum("cij,jc->ic", exact[j], x)
             if on_grid[j + 1]:
@@ -406,7 +379,7 @@ def _propagate(params, drive, x0, t_grid, scale=1.0) -> np.ndarray:
     raise IntegrationError(f"split steps did not reach tol {_SPLIT_TOL} at {_MIN_STEPS << _MAX_DOUBLINGS} steps")
 
 
-def _split_steps(x, drive, scale, t_start, h, steps, half) -> np.ndarray:
+def _split_steps(x, pulse, scale, t_start, h, steps, half) -> np.ndarray:
     """``steps`` split steps of length h from t_start on the (dim, columns)
     state x; half = exp(G0 h/2). The state is stepped as its (columns, dim)
     transpose, so each column's (v, w) is one complex number v + i w, which
@@ -420,7 +393,7 @@ def _split_steps(x, drive, scale, t_start, h, steps, half) -> np.ndarray:
     k = 0
     for first in range(0, steps, _ANGLE_BLOCK):
         t_mid = t_start + (np.arange(first, min(first + _ANGLE_BLOCK, steps)) + 0.5) * h
-        rotations = np.exp(np.multiply.outer(drive.omega(t_mid) * h, 1j * scale))
+        rotations = np.exp(np.multiply.outer(pulse.omega(t_mid) * h, 1j * scale))
         for rotation in rotations:
             x = np.dot(x, free, out=outs[k])
             np.multiply(vws[k], rotation, out=vws[k])
@@ -455,24 +428,27 @@ class GatingModel:
 
     def leakage(self, params: EmitterParams) -> float:
         """``laser_leakage``, or when that is None the leakage at which the emission
-        exceeds the leaked laser by ``contrast`` at the knee; checks the block against params."""
+        exceeds the leaked laser by ``contrast`` at the knee; checks the block against params.
+        A given leakage must be > 0 (zero is an infinite contrast), and the emission and the
+        leaked laser at the knee must be finite."""
         leak = self.laser_leakage
+        p_knee = self.knee_power(params)  # the power scale of fig1d
+        detected = self._detected(params, self.rabi_per_sqrt_power * math.sqrt(p_knee))
         if leak is None:
             if not self.contrast > 0:
                 raise ValueError(f"contrast must be > 0, got {self.contrast}")
-            p_knee = self.knee_power(params)
-            detected = self._detected(params, self.rabi_per_sqrt_power * math.sqrt(p_knee))
             if not detected > 0:
                 raise ValueError(f"detected emission must be > 0 (occupation x efficiency), got {detected}")
             leak = detected / (self.contrast * p_knee)
             if not math.isfinite(leak):
                 raise ValueError(f"solved laser leakage must be finite, got {leak}")
-        else:
-            self.knee_power(params)  # the power scale of fig1d
         if not 0.0 <= self.charge_occupation <= 1.0:
             raise ValueError("charge_occupation must lie in [0, 1]")
-        if leak < 0 or self.collection_efficiency < 0:
-            raise ValueError("leakage and collection efficiency must be >= 0")
+        if not leak > 0 or self.collection_efficiency < 0:
+            raise ValueError(f"laser_leakage must be > 0 and collection efficiency >= 0, got {leak}")
+        for name, value in (("detected emission", detected), ("leaked laser", leak * p_knee)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} at the knee must be finite, got {value}")
         return leak
 
     def _detected(self, params: EmitterParams, rabi):
@@ -488,5 +464,9 @@ class GatingModel:
         powers = np.asarray(powers, dtype=float)
         if np.any(powers < 0):
             raise ValueError("powers must be >= 0")
-        detected = self._detected(params, self.rabi_per_sqrt_power * np.sqrt(powers))
-        return float(gate_on) * detected + self.leakage(params) * powers
+        with np.errstate(over="ignore", invalid="ignore"):
+            counts = float(gate_on) * self._detected(params, self.rabi_per_sqrt_power * np.sqrt(powers))
+            counts = counts + self.leakage(params) * powers
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("gating: detected counts overflow at these powers")
+        return counts

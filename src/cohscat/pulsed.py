@@ -12,12 +12,13 @@ Between clicks a trajectory carries the unnormalized conditional density
 matrix x = (u, v, w, tr) under the no-jump generator L0 = L - J, whose trace
 is the probability of no click since the last one (Srinivas & Davies, Opt.
 Acta 28, 981 (1981)). Pure dephasing is part of L0, so it draws no random
-numbers: the click statistics are exact without unravelling it. Within a
-pulse window x evolves under per-step matrix exponentials of L0, and a
-click happens at the first step boundary where tr(x) falls below a uniform
-deviate; a click resets the emitter to the ground state, records a time tag
-and draws a new deviate. The drive-free stretches between windows take one
-exact exponential each, and their click times are solved in closed form.
+numbers: the click statistics are exact without unravelling it. Within the
+window of a pulse (the train's ``emitter.Pulse``) x evolves under per-step
+matrix exponentials of L0, and a click happens at the first step boundary
+where tr(x) falls below a uniform deviate; a click resets the emitter to the
+ground state, records a time tag and draws a new deviate. The drive-free
+stretches between windows take one exact exponential each, and their click
+times are solved in closed form.
 
 Rather than marching every trajectory through every step, the engine
 tabulates the cumulative step products once per stream and runs a window one
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
-from .emitter import EmitterParams, PulseTrain, _centered_pulse, _expm, _generator, _half_width, _propagate
+from .emitter import EmitterParams, Pulse, PulseTrain, _expm, _generator, _propagate
 
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
 _STREAM, _ROUTE_PARALLEL, _ROUTE_ORTHOGONAL = range(3)  # Philox key purposes
@@ -105,7 +106,8 @@ class PhotonStream:
         if np.any(self.pair_index[1:] < self.pair_index[:-1]):
             raise ValueError("pair indices must not decrease along the stream")
         mean = self.mean_per_pulse
-        bound = 1.0 + self.train.pulse_fwhm / self.params.t1 + 0.05
+        # at most one photon per t1 while the window drives, and one after it
+        bound = 1.0 + 2.0 * self.train.pulse.half_window / self.params.t1 + 0.05
         if mean > bound:
             raise ValueError(f"mean emissions/pulse {mean:.3f} exceeds the physical band {bound:.3f}")
 
@@ -138,9 +140,9 @@ def rabi_curve(
     photon number of the jump unraveling. Approaches sin^2(area/2) for
     pulse_fwhm << t1.
 
-    The pulse fills the window that ``PulseTrain`` gives it, from 0 to
-    twice ``emitter._half_width``. Every area shares the envelope shape,
-    window and end time; only the peak Rabi rate differs. So all nonzero
+    The pulse is ``emitter.Pulse(area, pulse_fwhm, shape)`` on its window,
+    as in ``PulseTrain``. Every area shares the envelope shape, window and
+    end time; only the peak Rabi rate differs. So all nonzero
     areas propagate together as the columns of one (5, n_areas) state under
     the unit-area pulse scaled per column (see ``emitter._propagate``): a
     square pulse and the decay tail are one matrix exponential each, and a
@@ -149,10 +151,7 @@ def rabi_curve(
     ``emitter._SPLIT_TOL``.
     """
     areas = np.asarray(areas, dtype=float)
-    if not (math.isfinite(pulse_fwhm) and pulse_fwhm > 0):
-        raise ValueError(f"pulse_fwhm must be finite and > 0, got {pulse_fwhm}")
-    if shape not in ("gaussian", "square"):
-        raise ValueError(f"unknown pulse shape {shape!r}")
+    unit = Pulse(1.0, pulse_fwhm, shape)
     if np.any(areas < 0):
         raise ValueError("areas must be >= 0")
     if not np.all(np.isfinite(areas)):
@@ -160,9 +159,7 @@ def rabi_curve(
     photons = np.zeros(len(areas))
     driven = areas > 0.0
     if np.any(driven):
-        half = _half_width(shape, pulse_fwhm)
-        unit = _centered_pulse(1.0, shape, pulse_fwhm, half)
-        t_end = 2.0 * half + 15.0 * params.t1
+        t_end = 2.0 * unit.half_window + 15.0 * params.t1
         x0 = np.tile([[0.0], [0.0], [-1.0], [1.0], [0.0]], np.count_nonzero(driven))
         x = _propagate(params, unit, x0, np.array([0.0, t_end]), scale=areas[driven])
         photons[driven] = x[4, :, -1]
@@ -213,10 +210,10 @@ class _WindowTables:
     """
 
     def __init__(self, params: EmitterParams, train: PulseTrain, steps: int):
-        half = train._half_window()
-        drive = train.drive(center=half)
+        pulse = train.pulse
+        half = pulse.half_window
         self.dt = dt = 2.0 * half / steps
-        omegas = drive.omega((np.arange(steps) + 0.5) * dt)
+        omegas = pulse.omega((np.arange(steps) + 0.5) * dt)
         free = _no_jump_generator(params, 0.0)
         per_rabi = _no_jump_generator(params, 1.0) - free
         mats = _expm((free + np.multiply.outer(omegas, per_rabi)) * dt)
@@ -418,7 +415,7 @@ def _simulate_chunk(params, train, tables, rng, n_chunk, first_pair):
     state = _ChunkState(n_chunk, rng)
     # Local timeline: pulse 0 spans [-half, half] around 0, pulse 1 around
     # `separation`; the cycle ends where the next cycle's window begins.
-    half = train._half_window()
+    half = train.pulse.half_window
     for pulse, center in enumerate((0.0, train.separation)):
         _run_pulse_window(state, tables, center - half, pulse, from_ground=pulse == 0)
         _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, tables.decay[pulse])

@@ -17,9 +17,9 @@ from cohscat.emitter import (
     _PADE,
     _THETA,
     HBAR_UEV_NS,
-    DriveField,
     EmitterParams,
     IntegrationError,
+    Pulse,
     PulseTrain,
     steady_state,
 )
@@ -118,22 +118,21 @@ def rabi_curve_per_area(params, areas, pulse_fwhm, shape="gaussian", tol=1e-10):
 # for ``_propagate`` and ``rabi_curve``.
 
 
-def _breakpoints(drive: DriveField, t_start: float, t_end: float):
-    if drive.shape == "square":
-        edges = [drive.t0, drive.t0 + drive.duration]
-        return sorted(t for t in edges if t_start < t < t_end)
+def _breakpoints(pulse: Pulse, t_start: float, t_end: float):
+    if pulse.shape == "square":
+        return [t for t in (0.0, pulse.fwhm) if t_start < t < t_end]
     return []
 
 
-def _bloch_rhs(params: EmitterParams, drive: DriveField, scale=1.0):
+def _bloch_rhs(params: EmitterParams, pulse: Pulse, scale=1.0):
     """Right-hand side f(t, x) of the Bloch equations of ``bloch_system``
-    under the drive envelope. x is (k,) or (k, n): n independent emitters,
+    under the pulse envelope (window time t). x is (k,) or (k, n): n independent emitters,
     column i driven by the envelope times scale[i] (a scalar scale drives
     all alike). A fourth component, when present, counts emitted photons:
     dn/dt = rho_ee / t1."""
 
     def rhs(t, x):
-        w_drive = float(drive.omega(t)) * scale
+        w_drive = float(pulse.omega(t)) * scale
         dx = [
             -x[0] / params.t2 + params.detuning * x[1],
             -params.detuning * x[0] - x[1] / params.t2 - w_drive * x[2],
@@ -146,7 +145,7 @@ def _bloch_rhs(params: EmitterParams, drive: DriveField, scale=1.0):
     return rhs
 
 
-def _evolve_array(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
+def _evolve_array(params, pulse, x0, t_grid, tol, scale=1.0) -> np.ndarray:
     """States on t_grid from x0 at t_grid[0], shape x0.shape + (len(t_grid),).
 
     x0 holds (u, v, w) or (u, v, w, n), one column per emitter when 2-D;
@@ -156,14 +155,14 @@ def _evolve_array(params, drive, x0, t_grid, tol, scale=1.0) -> np.ndarray:
     """
     x0 = np.array(x0, dtype=float)
     shape = x0.shape
-    rhs = _bloch_rhs(params, drive, scale)
+    rhs = _bloch_rhs(params, pulse, scale)
 
     def fun(t, y):  # solve_ivp integrates a flat state
         return rhs(t, y.reshape(shape)).ravel()
 
     # Split at envelope discontinuities so the adaptive stepper never
     # straddles a square edge.
-    pieces = [t_grid[0]] + _breakpoints(drive, t_grid[0], t_grid[-1]) + [t_grid[-1]]
+    pieces = [t_grid[0]] + _breakpoints(pulse, t_grid[0], t_grid[-1]) + [t_grid[-1]]
     x_cur = x0.ravel()
     out = np.empty((x_cur.size, len(t_grid)))
     out[:, 0] = x_cur
@@ -202,14 +201,14 @@ def pair_moment_oracle(params, train, reset_points=51, tol=1e-10):
     vanishes smoothly at both window edges, so the trapezoid rule converges
     spectrally (51 and 401 reset points agree to 1e-11).
     """
-    half = train._half_window()
-    drive = train.drive(center=half)
+    pulse = train.pulse
+    half = pulse.half_window
     t_end = 2.0 * half + 15.0 * params.t1
     grid = np.linspace(0.0, 2.0 * half, reset_points)
     ground = [0.0, 0.0, -1.0, 0.0]
-    rate = (1.0 + _evolve_array(params, drive, ground, grid, tol)[2]) / (2.0 * params.t1)
+    rate = (1.0 + _evolve_array(params, pulse, ground, grid, tol)[2]) / (2.0 * params.t1)
     n_after = [
-        _evolve_array(params, drive, ground, np.array([t, t_end]), tol)[3, -1] for t in grid
+        _evolve_array(params, pulse, ground, np.array([t, t_end]), tol)[3, -1] for t in grid
     ]
     return float(np.trapezoid(rate * np.array(n_after), grid))
 
@@ -294,11 +293,10 @@ class _WindowTables:
     """
 
     def __init__(self, params: EmitterParams, train: PulseTrain, steps: int, segment_t1: float):
-        half = train._half_window()
-        drive = train.drive(center=half)
+        half = train.pulse.half_window
         self.steps = steps
         self.dt = dt = 2.0 * half / steps
-        omegas = drive.omega((np.arange(steps) + 0.5) * dt)
+        omegas = train.pulse.omega((np.arange(steps) + 0.5) * dt)
         g_rad = 1.0 / params.t1
         gens = np.zeros((steps, 2, 2), dtype=complex)
         gens[:, 0, 0] = -1j * params.detuning - g_rad / 2.0
@@ -474,7 +472,7 @@ def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params):
 
 def _simulate_chunk(params, train, tables, rng, n_chunk):
     state = _ChunkState(n_chunk, rng)
-    half = train._half_window()
+    half = train.pulse.half_window
 
     # Local timeline: pulse 0 spans [-half, half] around 0, pulse 1 around
     # `separation`; the cycle ends where the next cycle's window begins.

@@ -218,7 +218,7 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
 @pytest.mark.parametrize(
     "command, config, message",
     [(["sim", "stream"], {"pulse_train": {"pulse_area_pi": -1}}, "pulse_area must be >= 0"),
-     (["sim", "stream"], {"pulse_train": {"pulse_fwhm_ns": 3}}, "pulse_fwhm must be smaller than separation"),
+     (["sim", "stream"], {"pulse_train": {"pulse_fwhm_ns": 3}}, "pulse windows overlap"),
      # the second pulse's window would run into the next cycle's first
      (["sim", "stream"], {"pulse_train": {"pulse_fwhm_ns": 0.4, "pair_period_ns": 2.5}}, "pulse windows overlap"),
      (["sim", "stream"], {"pulse_train": {"shape": "triangle"}}, "unknown pulse shape"),
@@ -241,6 +241,12 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
      (["fig", "fig1d"], {"gating": {"collection_efficiency": 0}}, "detected emission must be > 0"),
      # the detected emission at the knee overflows; sim steady never uses gating
      (["sim", "steady"], {"gating": {"collection_efficiency": 1e300}}, "solved laser leakage must be finite"),
+     # a given leakage: zero is an infinite contrast, and the counts at the knee must be finite
+     *[(command, config, message) for command in (["fig", "fig1d"], ["sim", "steady"])
+       for config, message in (({"gating": {"laser_leakage": 0.0}}, "laser_leakage must be > 0"),
+                               ({"gating": {"collection_efficiency": 1e300, "laser_leakage": 1.0}},
+                                "detected emission at the knee must be finite"),
+                               ({"gating": {"laser_leakage": 1e308}}, "leaked laser at the knee must be finite"))],
      (["fig", "fig1d"], {"emitter": {"linewidth_uev": 1e300}}, "saturation scale 1/(t1*t2) must be finite"),
      (["fig", "fig1d"], {"emitter": {"detuning_rad_ns": 1e300}}, "detuning factor (detuning*t2)^2 must be finite"),
      (["sim", "stream"], {"pulse_train": {"pulse_area_pi": math.nan}}, "pulse_area_pi: expected float"),
@@ -252,6 +258,8 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
          *[f"{command}-{case}" for command in ("fig1d", "fig2a", "steady")
            for case in ("contrast", "knee-scale", "coherence-ratio")],
          "huge-linewidth", "occupation", "negative-linewidth", "zero-efficiency", "steady-overflowing-leakage",
+         *[f"{command}-{case}" for command in ("fig1d", "steady")
+           for case in ("given-zero-leakage", "given-overflowing-emission", "given-overflowing-laser")],
          "extreme-linewidth", "extreme-detuning", "nan-area",
          *[f"{command}-{case}" for command in ("fig1d", "fig2a") for case in ("rabi", "blinking")]],
 )
@@ -264,6 +272,33 @@ def test_out_of_range_block_values_are_schema_errors(tmp_path, capsys, command, 
     block = next(iter(config))
     assert "scenario error" in err and message in err and block in err
     assert not out.exists()
+
+
+def test_fig1d_counts_that_overflow_above_the_knee_fail_naming_gating(tmp_path, capsys):
+    # the leaked laser is finite at the knee (1e308 counts/s) and overflows at 5x its power
+    params = Scenario().emitter.resolve()
+    leak = 1e308 / em.GatingModel().knee_power(params)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gating": {"laser_leakage": leak}}))
+    assert run_cli(["sim", "steady", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert run_cli(["fig", "fig1d", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 3
+    assert "numerical failure: gating: detected counts overflow" in capsys.readouterr().err
+
+
+def test_stream_with_re_excitation_inside_the_window_passes_the_band(tmp_path):
+    # 100 pi in 0.5 ns at t1 = 0.1 ns re-excites the emitter about six times
+    # per pulse: more than 1 + fwhm / t1 allows, as the engine drives the
+    # whole window (4.25 fwhm), within 1 + window / t1.
+    config = {"emitter": {"t1_ns": 0.1, "t2_ns": 0.2}, "pulse_train": {"pulse_area_pi": 100.0, "pulse_fwhm_ns": 0.5}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(["sim", "stream", "--pairs", "2000", "--threads", "1", "--config", str(cfg), "--out", str(out)]) == 0
+    pair, pulse = np.loadtxt(out / "stream.csv", delimiter=",", skiprows=1, usecols=(0, 1), dtype=np.int64).T
+    counts = np.bincount(2 * pair + pulse, minlength=4000)
+    [(_, expected)] = pulsed.rabi_curve(Scenario.from_json(cfg).emitter.resolve(), [100.0 * math.pi], 0.5)
+    assert expected > 1.0 + 0.5 / 0.1 + 0.05
+    assert abs(counts.mean() - expected) < 5.0 * counts.std() / math.sqrt(len(counts))
 
 
 def test_flag_overrides_pass_the_load_time_check(tmp_path, capsys):

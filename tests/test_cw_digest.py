@@ -8,12 +8,16 @@ compares numbers at 1e-10 relative with a 1e-12 absolute floor, and text
 cells (such as ``steady.csv``'s labels) as text: a refactor that keeps the
 numbers passes whatever kernel or summation order it uses, and one that
 moves them fails. The Monte Carlo commands run at 5000 pairs on one
-thread. Rewrite the digest only for a deliberate change of the outputs:
+thread. The digest cases also rerun under the OpenBLAS kernels of other
+cores, so the outputs are checked not to depend on the machine. Rewrite
+the digest only for a deliberate change of the outputs:
 
     PYTHONPATH=src python tests/test_cw_digest.py
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,6 +105,25 @@ def test_cw_outputs_match_digest(name, tmp_path):
             assert got_results[key] == expected, key
         else:
             np.testing.assert_allclose(got_results[key], expected, rtol=_RTOL, atol=_ATOL, err_msg=key)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_digest_holds_under_other_openblas_kernels(coretype):
+    # The digest cases, and only they, rerun in a fresh process whose
+    # OpenBLAS runs another core's kernels (OPENBLAS_CORETYPE, which needs
+    # a DYNAMIC_ARCH build; OPENBLAS_VERBOSE=2 reports the core it took).
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH: {blas.get('name')}")
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2")
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True)
+    if f"Core: {coretype}" not in probe.stdout + probe.stderr:
+        pytest.skip(f"OpenBLAS does not take core {coretype}: {(probe.stdout + probe.stderr).strip()!r}")
+    del env["OPENBLAS_VERBOSE"]
+    nested = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+              "tests/test_cw_digest.py::test_cw_outputs_match_digest"]
+    run = subprocess.run(nested, env=env, capture_output=True, text=True, cwd=Path(__file__).parents[1])
+    assert run.returncode == 0 and f"{len(COMMANDS)} passed" in run.stdout, run.stdout[-4000:] + run.stderr[-2000:]
 
 
 if __name__ == "__main__":

@@ -16,15 +16,15 @@ from conftest import _bloch_rhs, _evolve_array, expm_degree13
 GROUND = [0.0, 0.0, -1.0, 1.0, 0.0]  # (u, v, w, tr, n); see emitter._generator
 
 
-def _bloch_path(params, drive, x0, t_grid) -> np.ndarray:
+def _bloch_path(params, pulse, x0, t_grid) -> np.ndarray:
     """(u, v, w) from ``_propagate`` on t_grid, one row per time."""
-    return _propagate(params, drive, x0, np.asarray(t_grid, dtype=float))[:3].T
+    return _propagate(params, pulse, x0, np.asarray(t_grid, dtype=float))[:3].T
 
 
 def _constant(rabi: float, t_end: float):
     """A drive held at rabi over [0, t_end]: a square pulse from 0 that
     outlasts the grid, so every interval is one exact exponential."""
-    return cs.DriveField(rabi=rabi, shape="square", duration=2.0 * t_end)
+    return cs.Pulse(rabi * 2.0 * t_end, 2.0 * t_end, "square")
 
 
 def test_params_validation():
@@ -110,8 +110,8 @@ def test_evolve_free_decay():
 def test_evolve_impulsive_pi_pulse():
     params = cs.EmitterParams(t1=1.0, t2=2.0)
     dur = params.t1 / 1000.0
-    drive = cs.DriveField(rabi=math.pi / dur, shape="square", duration=dur)
-    w = _bloch_path(params, drive, GROUND, [0.0, dur])[-1, 2]
+    pulse = cs.Pulse(math.pi, dur, "square")
+    w = _bloch_path(params, pulse, GROUND, [0.0, dur])[-1, 2]
     assert (1.0 + w) / 2.0 >= 0.999
 
 
@@ -125,28 +125,25 @@ def test_evolve_converges_to_steady_state():
 
 def test_evolve_preserves_bloch_ball(rng):
     params = cs.EmitterParams(t1=1.0, t2=1.3)
-    drives = [
-        _constant(8.0, 4.0),
-        cs.DriveField(rabi=math.pi / 0.01, shape="square", duration=0.01),
-        cs.DriveField.from_area(2.0 * math.pi, "gaussian", 0.05, t0=0.4),
-    ]
+    pulses = [_constant(8.0, 4.0), cs.Pulse(math.pi, 0.01, "square"), cs.Pulse(2.0 * math.pi, 0.05)]
     ts = np.linspace(0.0, 4.0, 201)
-    for drive in drives:
-        states = _bloch_path(params, drive, GROUND, ts)
+    for pulse in pulses:
+        states = _bloch_path(params, pulse, GROUND, ts)
         assert np.all(np.sum(states ** 2, axis=1) <= 1.0 + 1e-7)
 
 
 @pytest.mark.parametrize("t0, duration, t_end, points", [(0.05, 0.5, 2.0, 5), (0.13, 0.3, 4.0, 201)])
 def test_evolve_square_edges_off_grid(t0, duration, t_end, points):
     # Square edges that fall between grid points split the integration;
-    # the states must match a grid that samples both edges.
+    # the states must match a grid that samples both edges. The pulse
+    # starts at window time 0, so the grid starts at -t0.
     params = cs.EmitterParams(t1=1.0, t2=2.0)
-    drive = cs.DriveField(rabi=2.0 * math.pi, shape="square", duration=duration, t0=t0)
-    ts = np.linspace(0.0, t_end, points)
-    with_edges = np.union1d(ts, [t0, t0 + duration])
+    pulse = cs.Pulse(2.0 * math.pi * duration, duration, "square")
+    ts = np.linspace(0.0, t_end, points) - t0
+    with_edges = np.union1d(ts, [0.0, duration])
     assert len(with_edges) == points + 2
-    coarse = _bloch_path(params, drive, GROUND, ts)
-    fine = _bloch_path(params, drive, GROUND, with_edges)[np.isin(with_edges, ts)]
+    coarse = _bloch_path(params, pulse, GROUND, ts)
+    fine = _bloch_path(params, pulse, GROUND, with_edges)[np.isin(with_edges, ts)]
     assert np.max(np.abs(coarse - fine)) < 1e-8
 
 
@@ -169,44 +166,48 @@ def test_bloch_rhs_matches_bloch_system(rng):
         assert flow[3] == 0.0
 
 
-GAUSSIAN = cs.DriveField.from_area(2.2 * math.pi, "gaussian", 0.3, t0=1.0)
+GAUSSIAN = cs.Pulse(2.2 * math.pi, 0.3)  # centered at window time 0.637
+SQUARE = cs.Pulse(9.0 * 0.33, 0.33, "square")
 
 
 @pytest.mark.parametrize(
-    "params, drive, t_grid",
+    "params, pulse, t_grid",
     [
-        (cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, np.linspace(0.0, 4.0, 41)),
-        (cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, [0.0, 0.5, 3.0]),
-        (cs.EmitterParams(t1=1.0, t2=2.0), cs.DriveField(rabi=9.0, shape="square", duration=0.33, t0=0.41),
-         np.linspace(0.0, 4.0, 41)),
-        (cs.EmitterParams(t1=1.0, t2=2.0, detuning=3.0), GAUSSIAN, np.linspace(0.0, 4.0, 41)),
-        (cs.EmitterParams(t1=0.7, t2=0.5), cs.DriveField(rabi=9.0, shape="square", duration=0.33, t0=0.41),
-         np.linspace(0.0, 4.0, 41)),
+        (cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, np.linspace(0.0, 4.0, 41) - 0.363),
+        (cs.EmitterParams(t1=1.0, t2=2.0), GAUSSIAN, [-0.363, 0.137, 2.637]),
+        (cs.EmitterParams(t1=1.0, t2=2.0), SQUARE, np.linspace(0.0, 4.0, 41) - 0.41),
+        (cs.EmitterParams(t1=1.0, t2=2.0, detuning=3.0), GAUSSIAN, np.linspace(0.0, 4.0, 41) - 0.363),
+        (cs.EmitterParams(t1=0.7, t2=0.5), SQUARE, np.linspace(0.0, 4.0, 41) - 0.41),
         (cs.EmitterParams(t1=0.7, t2=0.5, detuning=-1.5), _constant(4.0, 4.0), np.linspace(0.0, 4.0, 41)),
-        (EmitterBlock().resolve(), cs.DriveField.from_area(3.0 * math.pi, "gaussian", 0.057, t0=0.3),
-         np.linspace(0.0, 1.0, 101)),
+        (EmitterBlock().resolve(), cs.Pulse(3.0 * math.pi, 0.057), np.linspace(0.0, 1.0, 101) - 0.179),
     ],
     ids=["gaussian", "gaussian-coarse", "square", "detuned", "dephased", "cw", "sim-rabi-pulse"],
 )
-def test_evolve_matches_dop853_oracle(params, drive, t_grid):
-    ours = _bloch_path(params, drive, GROUND, t_grid)
-    oracle = _evolve_array(params, drive, [0.0, 0.0, -1.0], np.asarray(t_grid), 1e-12).T
+def test_evolve_matches_dop853_oracle(params, pulse, t_grid):
+    ours = _bloch_path(params, pulse, GROUND, t_grid)
+    oracle = _evolve_array(params, pulse, [0.0, 0.0, -1.0], np.asarray(t_grid), 1e-12).T
     assert np.max(np.abs(ours - oracle)) < 1e-8
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "area, fwhm, shape, message",
     [
-        dict(shape="gaussian", fwhm=float("nan")),
-        dict(shape="gaussian", fwhm=float("inf")),
-        dict(shape="square", duration=float("nan")),
-        dict(shape="gaussian", fwhm=0.1, t0=float("nan")),
+        (1.0, float("nan"), "gaussian", "pulse_fwhm must be finite"),
+        (1.0, float("inf"), "gaussian", "pulse_fwhm must be finite"),
+        (1.0, float("nan"), "square", "pulse_fwhm must be finite"),
+        (float("nan"), 0.1, "gaussian", "pulse_area must be finite"),
+        (float("inf"), 0.1, "square", "pulse_area must be finite"),
+        (-1.0, 0.1, "gaussian", "pulse_area must be >= 0"),
+        (1.0, 0.0, "square", "pulse_fwhm must be > 0"),
+        (1.0, 0.1, "cw", "unknown pulse shape"),
     ],
+    ids=["nan-fwhm", "inf-fwhm", "nan-square-fwhm", "nan-area", "inf-area", "negative-area", "zero-fwhm",
+         "unknown-shape"],
 )
-def test_drive_field_rejects_non_finite_shapes(kwargs):
-    # a NaN width or center would leave the propagator no interval to drive
-    with pytest.raises(ValueError):
-        cs.DriveField(rabi=5.0, **kwargs)
+def test_pulse_rejects_bad_values(area, fwhm, shape, message):
+    # a NaN width would leave the propagator no interval to drive
+    with pytest.raises(ValueError, match=message):
+        cs.Pulse(area, fwhm, shape)
 
 
 def test_split_steps_give_up_loudly(monkeypatch):
@@ -284,16 +285,15 @@ def test_expm_above_theta_9_is_the_degree_13_evaluation(rng):
         assert _expm(stack).tobytes() == expm_degree13(stack).tobytes()
 
 
-def test_drive_field_areas_match_quadrature():
-    for target, drive in (
-        (1.2, cs.DriveField(rabi=3.0, shape="square", duration=0.4)),
-        (0.71 * math.pi, cs.DriveField.from_area(0.71 * math.pi, "gaussian", 0.057, t0=0.5)),
-    ):
-        lo, hi = (drive.t0 - 2.0, drive.t0 + 2.0)
-        area, _ = quad(lambda t: float(drive.omega(t)), lo, hi, limit=200)
-        assert area == pytest.approx(target, abs=1e-9)
-    with pytest.raises(ValueError, match="unknown drive shape"):
-        cs.DriveField(rabi=1.0, shape="cw")
+def test_pulse_areas_match_quadrature():
+    # Over its window a square pulse holds its whole area and a gaussian
+    # the share within _WINDOW_SIGMAS of its center; over its reach, both
+    # hold the whole area.
+    gaussian_share = math.erf(emitter._WINDOW_SIGMAS / math.sqrt(2.0))
+    for pulse, share in ((cs.Pulse(1.2, 0.4, "square"), 1.0), (cs.Pulse(0.71 * math.pi, 0.057), gaussian_share)):
+        for (lo, hi), expected in (((0.0, 2.0 * pulse.half_window), share * pulse.area), (pulse.reach, pulse.area)):
+            area, _ = quad(lambda t: float(pulse.omega(t)), lo, hi, limit=200)
+            assert area == pytest.approx(expected, rel=1e-12)
 
 
 def test_rrs_fraction_examples():

@@ -48,6 +48,13 @@ def test_train_validation():
         cs.PulseTrain(pulse_area=-1.0, pulse_fwhm=0.1, separation=2.0, pair_period=13.0)
 
 
+@pytest.mark.parametrize("shape, fwhm", [("gaussian", 2.36), ("gaussian", 3.0), ("square", 2.36), ("square", 3.0)])
+def test_train_rejects_a_pulse_as_wide_as_the_separation(shape, fwhm):
+    # a window is at least the fwhm wide, so it then runs into the next pulse's
+    with pytest.raises(ValueError, match="pulse windows overlap"):
+        cs.PulseTrain(pulse_area=1.0, pulse_fwhm=fwhm, separation=2.36, pair_period=13.1, shape=shape)
+
+
 @pytest.mark.parametrize("name, value", [("pulse_area", math.nan), ("pulse_fwhm", math.nan),
                                          ("separation", math.inf), ("pair_period", math.inf),
                                          ("pulse_area", -math.inf)])
@@ -120,7 +127,7 @@ def test_rabi_curve_matches_fine_richardson_value():
     areas = SIM_RABI_AREAS[1:]
     sigma = SIM_RABI_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     center = _WINDOW_SIGMAS * sigma
-    unit = cs.DriveField.from_area(1.0, "gaussian", SIM_RABI_FWHM, t0=center)
+    unit = cs.Pulse(1.0, SIM_RABI_FWHM)  # centered in its window
     stepped = center + _GAUSS_REACH_SIGMAS * sigma
     t_end = 2.0 * center + 15.0 * PARAMS.t1
     g0 = _generator(PARAMS, 0.0)
@@ -318,8 +325,8 @@ def test_window_tables_match_sequential_products():
     ground = np.array([0.0, 0.0, -1.0, 1.0])
     for params, train in WINDOW_CASES:
         tab = pulsed._WindowTables(params, train, steps)
-        dt = 2.0 * train._half_window() / steps
-        drive = train.drive(center=train._half_window())
+        pulse = train.pulse
+        dt = 2.0 * pulse.half_window / steps
         seg = int(pulsed._SEGMENT_T * min(params.t1, params.t2) / dt)
         starts = set(range(0, steps, seg))
         assert len(starts) > 2
@@ -327,7 +334,7 @@ def test_window_tables_match_sequential_products():
         prods = [np.eye(4)]
         for j in range(1, steps + 1):
             prod = np.eye(4) if j - 1 in starts else prods[-1]
-            prods.append(expm(pulsed._no_jump_generator(params, drive.omega((j - 0.5) * dt)) * dt) @ prod)
+            prods.append(expm(pulsed._no_jump_generator(params, pulse.omega((j - 0.5) * dt)) * dt) @ prod)
         prods = np.array(prods)
         # the no-jump products over at most 9 min(t1, t2) stay well conditioned
         assert np.linalg.cond(prods).max() <= math.exp(9.0)
@@ -357,7 +364,7 @@ def test_stream_matches_flip_engine_without_dephasing(params, train):
     # Where u sits just above rho_gg its time is ill-conditioned (a click
     # 17 t1 after the pulse moved 1.2e-7 ns), but the survival factor
     # e^(-t/t1) is not, so such a click may match by that instead.
-    free_start = train._half_window() + new.pulse_index * train.separation
+    free_start = train.pulse.half_window + new.pulse_index * train.separation
     local = [s.times - s.pair_index * train.pair_period for s in (new, old)]
     survival = [np.exp(-(t - free_start) / params.t1) for t in local]
     close = np.abs(new.times - old.times) <= 1e-9
@@ -607,7 +614,7 @@ def test_pulse_window_matches_reference(name):
     params, train = window_train(name)
     tab = pulsed._WindowTables(params, train, pulsed._STEPS_PER_PULSE)
     state = pulsed._ChunkState(train.n_pairs, pulsed._rng(12345, pulsed._STREAM, 0))
-    half = train._half_window()
+    half = train.pulse.half_window
     for pulse, center in enumerate((0.0, train.separation)):
         new, ref = state_twin(state), state_twin(state)
         pulsed._run_pulse_window(new, tab, center - half, pulse, from_ground=pulse == 0)
