@@ -33,7 +33,7 @@ from .correlations import TimingResponse, apply_blinking, convolve_timing, g1, g
 from .emitter import IntegrationError
 from .fock import fit_fringe, mzi_fringes
 from .hom import hom_pair, solve_timing_for_visibility, visibility
-from .scenario import Scenario, SchemaError
+from .scenario import _MAX_PHI_POINTS, Scenario, SchemaError
 from .spectrum import GridError, emission_spectrum, lorentzian
 
 
@@ -68,6 +68,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _grid_points(text: str) -> int:
+    value = _positive_int(text)
+    if value > _MAX_PHI_POINTS:
+        raise argparse.ArgumentTypeError(f"must be at most {_MAX_PHI_POINTS}, got {value}")
     return value
 
 
@@ -456,7 +463,7 @@ _PAIRS = [_flag("--pairs", _positive_int)]
 def _grid_flags(bound: str, bound_default: float, points: int) -> list:
     """--rabi-ghz plus a grid: its bound (--tau-max or --span-uev) and --points."""
     return [_RABI_GHZ, _flag(bound, _positive_float, bound_default),
-            _flag("--points", _positive_int, points)]
+            _flag("--points", _grid_points, points)]
 
 
 # sim name -> (runner, its flags as (name, add_argument keywords))
@@ -467,7 +474,7 @@ _SIMS = {
     "spectrum": (_sim_spectrum, _grid_flags("--span-uev", 80.0, 4096)),
     "hom-cw": (_sim_hom_cw, _grid_flags("--tau-max", 25.0, 4001)),
     "rabi": (_sim_rabi, [_flag("--max-area-pi", _nonnegative_float, 3.0),
-                         _flag("--points", _positive_int, 61), _flag("--fwhm-ns", _positive_float)]),
+                         _flag("--points", _grid_points, 61), _flag("--fwhm-ns", _positive_float)]),
     "stream": (_sim_stream, _PAIRS),
     "hbt": (_sim_hbt, _PAIRS),
     "hom-pulsed": (_sim_hom_pulsed, _PAIRS),

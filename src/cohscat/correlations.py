@@ -7,15 +7,16 @@ quantum regression theorem on one generator (Mollow, Phys. Rev. 188, 1969
 the evolved operator, with the closed-form ``steady_state`` as its
 stationary vector. g2 evolves the ground state (the post-emission state)
 and reads rho_ee = (w + tr)/2; g1 evolves s- rho_ss and reads its
-rho_ge = (u - iv)/2. Both propagate through the eigen-decomposition of G,
-or through exact matrix exponentials when G is (nearly) defective; the
-spectrum solves the resolvent of G. A trace is G1 or G2 and holds its
-values as computed: evenness in tau comes from the regression on |tau|,
-and the HOM layer folds its two detector orderings itself.
+rho_ge = (u - iv)/2. `_regression_setup` caches G, its stationary vector
+and its modes per drive; g1 and g2 sum the modes, or take exact matrix
+exponentials when G is (nearly) defective. The spectrum solves the
+resolvent of G. Evenness in tau comes from the regression on |tau|; the
+HOM layer folds its two detector orderings itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -104,29 +105,42 @@ _READ_EE = np.array([0.0, 0.0, 0.5, 0.5])
 _READ_GE = np.array([0.5, -0.5j, 0.0, 0.0])
 
 
+@functools.lru_cache(maxsize=8)
 def _regression_setup(params: EmitterParams, rabi: float):
-    """The CW generator G on (u, v, w, tr) and its stationary vector
-    (u, v, w, 1) from the closed-form ``steady_state``."""
+    """(G, its stationary vector (u, v, w, 1), its modes), read-only and
+    cached per (params, rabi), rabi a float. The modes are (eigenvalues,
+    eigenvectors) from a real `eig`, or None at condition `_COND_MAX`."""
     ss = steady_state(params, rabi)
     if rabi == 0.0:
         raise ValueError("correlation functions require a nonzero CW drive")
-    return _generator(params, rabi)[:4, :4], np.array([ss.u, ss.v, ss.w, 1.0])
+    gen = _generator(params, rabi)[:4, :4]
+    x_ss = np.array([ss.u, ss.v, ss.w, 1.0])
+    evals, vecs = np.linalg.eig(gen)
+    for a in (gen, x_ss, evals, vecs):
+        a.flags.writeable = False
+    return gen, x_ss, (evals, vecs) if np.linalg.cond(vecs) < _COND_MAX else None
 
 
-def _propagate_modes(gen: np.ndarray, x0: np.ndarray, taus: np.ndarray, read: np.ndarray) -> np.ndarray:
-    """read . exp(gen |tau|) x0 for every tau, once per distinct |tau|: via
-    eigen-decomposition, or by matrix exponentials when the eigenvectors
-    are ill-conditioned."""
-    uniq, inverse = np.unique(np.abs(taus), return_inverse=True)
-    x0 = x0.astype(complex)
-    evals, vecs = np.linalg.eig(gen.astype(complex))
-    if np.linalg.cond(vecs) < _COND_MAX:
-        weights = (read @ vecs) * np.linalg.solve(vecs, x0)
-        # summed row by row, not by a BLAS product, which threads on long grids
-        out = (weights[:, None] * np.exp(np.multiply.outer(evals, uniq))).sum(axis=0)
-    else:
-        out = _expm(np.multiply.outer(uniq, gen)) @ x0 @ read
-    return out[inverse]
+def _propagate_modes(gen: np.ndarray, modes, x0: np.ndarray, taus: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """read . exp(gen |tau|) x0 for every tau, summed over the modes row by
+    row (a BLAS product threads on long grids): one real exponential per
+    real eigenvalue, one complex exponential and its conjugate per pair,
+    which a real `eig` returns adjacent with the positive imaginary part
+    first. Without modes, matrix exponentials once per distinct |tau|."""
+    t = np.abs(taus)
+    if modes is None:
+        uniq, inverse = np.unique(t, return_inverse=True)
+        return (_expm(np.multiply.outer(uniq, gen)) @ x0 @ read)[inverse]
+    evals, vecs = modes
+    weights = (read @ vecs) * np.linalg.solve(vecs, x0)
+    out = np.zeros(t.shape, dtype=complex)
+    for j, lam in enumerate(evals):
+        if lam.imag == 0.0:
+            out += weights[j] * np.exp(lam.real * t)
+        elif lam.imag > 0.0:
+            e = np.exp(lam * t)
+            out += weights[j] * e + weights[j + 1] * e.conj()
+    return out
 
 
 def g2(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
@@ -136,10 +150,10 @@ def g2(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     normalizes the regrowth of rho_ee by its steady-state value. Even in
     tau by construction.
     """
-    gen, x_ss = _regression_setup(params, rabi)
+    gen, x_ss, modes = _regression_setup(params, float(rabi))
     tau_grid = np.asarray(tau_grid, dtype=float)
     rho_ee = _READ_EE @ x_ss
-    vals = _propagate_modes(gen, np.array([0.0, 0.0, -1.0, 1.0]), tau_grid, _READ_EE).real / rho_ee
+    vals = _propagate_modes(gen, modes, np.array([0.0, 0.0, -1.0, 1.0]), tau_grid, _READ_EE).real / rho_ee
     return CorrelationTrace(tau_grid=tau_grid, values=np.clip(vals, 0.0, None), kind="G2")
 
 
@@ -159,11 +173,11 @@ def g1(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     and equals the coherently scattered fraction. Negative taus are filled
     by conjugate symmetry.
     """
-    gen, x_ss = _regression_setup(params, rabi)
+    gen, x_ss, modes = _regression_setup(params, float(rabi))
     tau_grid = np.asarray(tau_grid, dtype=float)
     x0 = _g1_start(x_ss)
     rho_ee = float(x0[0].real)
-    vals = _propagate_modes(gen, x0, tau_grid, _READ_GE) / rho_ee
+    vals = _propagate_modes(gen, modes, x0, tau_grid, _READ_GE) / rho_ee
     vals = np.where(tau_grid < 0, np.conj(vals), vals)
     mag = np.abs(vals)
     vals = np.where(mag > 1.0, vals / np.maximum(mag, 1.0), vals)  # trim roundoff

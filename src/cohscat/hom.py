@@ -46,7 +46,6 @@ class HomSetup:
 def _pair_values(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid: np.ndarray):
     r = setup.splitter_ratio
     t = 1.0 - r
-    tau_grid = np.asarray(tau_grid, dtype=float)
     center = g2(params, rabi, tau_grid).values
     minus = g2(params, rabi, tau_grid - setup.delay).values
     plus = g2(params, rabi, tau_grid + setup.delay).values

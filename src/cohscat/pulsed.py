@@ -732,9 +732,10 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
     times = np.asarray(times, dtype=float)
     if not np.all(times[1:] >= times[:-1]):
         times = np.sort(times)
-    m = len(times)
     edges = np.arange(0.0, max_lag + bin_width, bin_width)
-    pos = np.zeros(len(edges) - 1, dtype=np.int64)
+    nbins = len(edges) - 1
+    pos = np.zeros(nbins, dtype=np.int64)
+    m = len(times) if nbins else 0
     for start in range(0, m, _CHUNK_PAIRS):
         stop = min(start + _CHUNK_PAIRS, m)
         # differences grow with the lag k for every start tag, so a block
@@ -745,7 +746,11 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
             close = diffs[diffs <= edges[-1]]
             if len(close) == 0:
                 break
-            pos += np.histogram(close, bins=edges)[0]
+            # np.histogram's uniform-bin rule: truncate, then fix edge roundoff
+            idx = np.minimum((close * (nbins / edges[-1])).astype(np.intp), nbins - 1)
+            idx -= close < edges[idx]
+            idx += (close >= edges[idx + 1]) & (idx < nbins - 1)
+            pos += np.bincount(idx, minlength=nbins)
     centers_pos = (edges[:-1] + edges[1:]) / 2.0
     centers = np.concatenate([-centers_pos[::-1], centers_pos])
     counts = np.concatenate([pos[::-1], pos])

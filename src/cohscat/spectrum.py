@@ -116,7 +116,7 @@ def incoherent_spectrum(
     needed, so the critical drive is covered too.
     """
     energy_grid = np.asarray(energy_grid, dtype=float)
-    gen, x_ss = _regression_setup(params, rabi)
+    gen, x_ss, _ = _regression_setup(params, float(rabi))
     x0 = _g1_start(x_ss)
     x_dec = x0 - x_ss * x0[3]
     deflated = gen - np.outer(x_ss, [0.0, 0.0, 0.0, 1.0])

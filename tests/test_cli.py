@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohscat import _text, cli, hom, pulsed
+from cohscat import _text, cli, correlations, hom, pulsed
 from cohscat import emitter as em
 from cohscat._svg import render_lines
 from cohscat.scenario import Scenario, SchemaError
@@ -390,6 +390,19 @@ def test_fig2e_builds_each_hom_pair_once(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("argv, most", [(["fig", "fig2e"], 4), (["fig", "fig2d"], 1), (["sim", "g2"], 1)],
+                         ids=["fig2e", "fig2d", "sim-g2"])
+def test_cw_commands_decompose_each_generator_once(tmp_path, monkeypatch, argv, most):
+    # fig2e's four coherence ratios take one eigendecomposition each, shared
+    # by the IRF solve and every g1 and g2 trace of their HOM pairs
+    calls = []
+    real = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or real(a))
+    correlations._regression_setup.cache_clear()
+    assert run_cli([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert 1 <= len(calls) <= most
+
+
 def test_pulsed_commands_call_the_library_through_module_globals(tmp_path, monkeypatch):
     # Wrappers bound over pulsed.simulate_stream and pulsed.pulsed_hom (as
     # the benchmark's probe binds them) must see every call the runners make.
@@ -508,12 +521,13 @@ def test_nonpositive_pairs_in_config_is_schema_error(tmp_path, capsys, n_pairs):
 
 
 @pytest.mark.parametrize("sim", ["g2", "g1", "spectrum", "hom-cw", "rabi"])
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", str((1 << 18) + 1), "1000000000000000"])
 def test_nonpositive_points_flag_exit_code(tmp_path, capsys, sim, value):
+    # a grid is bounded like n_phi, by 2^18 points
     with pytest.raises(SystemExit) as exc:
         run_cli(["sim", sim, "--points", value, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
+    assert ("positive integer" if int(value) < 1 else "must be at most 262144") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -4,7 +4,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import cohscat as cs
-from cohscat.correlations import _evenly_spaced
+from cohscat.correlations import _READ_EE, _READ_GE, _evenly_spaced, _g1_start, _propagate_modes, _regression_setup
+from cohscat.scenario import DriveBlock, EmitterBlock, HomBlock
 from conftest import g2_resonant_closed_form, liouvillian_reference
 
 
@@ -131,6 +132,45 @@ def test_correlations_match_expm_oracle(t1, t2, rabi):
     g1_ref = np.where(taus < 0, np.conj(g1_ref), g1_ref)
     assert np.max(np.abs(cs.g2(params, rabi, taus).values - g2_ref)) < 1e-10
     assert np.max(np.abs(cs.g1(params, rabi, taus).values - g1_ref)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "params, rabi, pair",
+    [(cs.EmitterParams(t1=0.3, t2=0.5), 0.5, False), (EmitterBlock().resolve(), DriveBlock().resolve(), True)],
+    ids=["over-damped", "default"],
+)
+def test_mode_sum_matches_expm_path(params, rabi, pair):
+    # Over-damped, G's eigenvalues are all real; at the default drive two
+    # form a conjugate pair. The grid holds negative, zero and both
+    # delay-shifted taus, as the HOM traces ask for them.
+    gen, x_ss, modes = _regression_setup(params, rabi)
+    assert modes is not None and bool(np.any(modes[0].imag != 0.0)) == pair
+    delay = HomBlock().delay_ns
+    grid = np.linspace(-3.0, 3.0, 61)
+    taus = np.concatenate([grid, grid - delay, grid + delay, [0.0, -0.0]])
+    for x0, read in [(np.array([0.0, 0.0, -1.0, 1.0]), _READ_EE), (_g1_start(x_ss), _READ_GE)]:
+        ours = _propagate_modes(gen, modes, x0, taus, read)
+        oracle = _propagate_modes(gen, None, x0, taus, read)  # exact exponentials, per distinct |tau|
+        assert np.max(np.abs(ours - oracle)) < 1e-12
+
+
+def test_setup_is_shared_across_rabi_types_and_read_only(monkeypatch):
+    calls = []
+    real = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or real(a))
+    _regression_setup.cache_clear()
+    params = cs.EmitterParams(t1=0.3, t2=0.5)
+    taus = np.linspace(-2.0, 2.0, 41)
+    first = cs.g2(params, 5.2, taus).values
+    for rabi in (np.float64(5.2), np.array(5.2)):
+        assert np.array_equal(cs.g2(params, rabi, taus).values, first)
+    cs.g1(params, np.array(5.2), taus)
+    cs.incoherent_spectrum(params, np.float64(5.2), np.linspace(-20.0, 20.0, 41))
+    assert len(calls) == 1 and _regression_setup.cache_info().currsize == 1
+    gen, x_ss, (evals, vecs) = _regression_setup(params, 5.2)
+    for array in (gen, x_ss, evals, vecs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_g1_offset_matches_rrs_for_random_draws(rng):

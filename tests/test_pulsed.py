@@ -553,11 +553,32 @@ def test_coincidence_histogram_fills_its_outer_bins(rng):
     assert counts[-1] == counts[0] == pytest.approx(counts[-2], rel=0.01)
 
 
+@pytest.mark.parametrize("bin_width", [0.05, 0.1, 0.3, 1.0 / 3.0])
+def test_coincidence_histogram_bins_as_np_histogram(rng, bin_width):
+    # Times on multiples of the bin width put lags on every edge, the last
+    # one included, and within roundoff of either side; the bin index rule
+    # must give np.histogram's counts on its explicit edges.
+    max_lag = 7.5 * bin_width
+    edges = np.arange(0.0, max_lag + bin_width, bin_width)
+    grid = np.sort(np.concatenate([[0.0], edges, rng.integers(0, 400, 300) * bin_width]))
+    for times in (grid, np.sort(grid + rng.choice([0.0, 1e3, 12.345], len(grid)).cumsum())):
+        centers, counts = pulsed.coincidence_histogram(times, max_lag=max_lag, bin_width=bin_width)
+        i, j = np.triu_indices(len(times), 1)
+        lags = times[j] - times[i]
+        expected = np.histogram(lags, bins=edges)[0]
+        assert np.array_equal(counts, np.concatenate([expected[::-1], expected]))
+        assert len(centers) == len(counts)
+        assert times is not grid or np.isin(edges, lags).all()
+
+
 def test_coincidence_histogram_pairs():
     times = np.array([0.0, 0.1, 5.0])
     centers, counts = pulsed.coincidence_histogram(times, max_lag=1.0, bin_width=0.2)
     assert counts.sum() == 2  # the 0.1 lag counted at +-
     assert len(centers) == len(counts)
+    # max_lag 0 leaves the single edge 0 and no bin for the zero lag to count in
+    empty = pulsed.coincidence_histogram([0.0, 0.0, 0.1], max_lag=0.0, bin_width=0.2)
+    assert [len(a) for a in empty] == [0, 0]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e9], ids=["ns", "sub-ps", "seconds"])
