@@ -197,10 +197,11 @@ def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> Correlation
     """Convolve a G2 trace with the Gaussian detector response.
 
     An ideal detector (fwhm 0) returns the trace; otherwise the tau grid
-    must be uniform. The kernel is unit-normalized on the grid, so the
-    integral is preserved provided the trace has settled to a constant
-    within a kernel width of the grid edges (edge bins are replicated
-    outward).
+    must be uniform, and sigma <= dt / 40 returns the trace too (the
+    kernel's side weights underflow to 0 from dt / sigma ~ 38.7 on). The
+    kernel is unit-normalized on the grid, so the integral is preserved
+    provided the trace has settled to a constant within a kernel width of
+    the grid edges (edge bins are replicated outward).
     """
     if trace.kind != "G2":
         raise ValueError("timing convolution applies to G2 traces only")
@@ -210,6 +211,8 @@ def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> Correlation
         raise ValueError("convolve_timing requires a uniform tau grid")
     dt = float(trace.tau_grid[1] - trace.tau_grid[0])
     sigma = irf.fwhm_ns / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    if sigma <= dt / 40.0:  # a subnormal width even underflows to sigma = 0
+        return trace
     half = max(1, int(math.ceil(6.0 * sigma / dt)))
     x = np.arange(-half, half + 1) * dt
     kernel = np.exp(-0.5 * (x / sigma) ** 2)

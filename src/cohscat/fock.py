@@ -36,8 +36,8 @@ class SourceModel:
     def __post_init__(self):
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
-        if self.multiphoton_g < 0:
-            raise ValueError("multiphoton_g must be >= 0")
+        if not (self.multiphoton_g >= 0 and math.isfinite(1.0 + 2.0 * self.multiphoton_g)):
+            raise ValueError("multiphoton_g must be >= 0 with a finite normalization 1 + 2 multiphoton_g")
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ boundary b: a pass moves all of them to b with one 4x4 product and tests the
 trace there. Those that stay above their threshold are done with the
 segment; the others locate their click by binary search on the
 non-increasing trace, re-anchor there and go round again. Later passes carry
-only the clicking trajectories, and write the state of one back only where
-it ends. Every trajectory enters the first pulse window in the ground state,
-so there the first pass searches one precomputed survival column instead.
+only the clicking trajectories, test them on a tabulated trace at b, and
+write the state of one back only where it ends. In the first pulse window
+all start in the ground state, so the first search reads a tabulated column.
 The step exponentials have 1-norms near 0.01, where ``emitter._expm`` takes
 the degree-3 Pade approximant.
 
@@ -56,6 +56,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
@@ -196,13 +197,14 @@ class _WindowTables:
       product over that segment;
     - reset[:, k]: the ground state (0, 0, -1, 1) mapped by the inverse of
       C_k, which is the identity at a segment start;
+    - live: the l, ascending, whose trace_row[l] is not identically zero
+      (the u entry vanishes without detuning); ``trace_at`` sums only those;
+    - exit_trace[k]: tr(C_b reset[:, k]) for k in segment [a, b);
     - decay[i]: expm(L0 gaps[i]) at zero drive, over the drive-free gaps
       after pulse i (the ground state is its fixed point);
     - ground_trace[j]: tr(C_j g) from the ground state g = (0, 0, -1, 1)
-      for j in the first segment [0, b], non-increasing once clipped at 1.
-      Every trajectory enters the first pulse window in g, so its first
-      click boundary there is one ``np.searchsorted`` on this column
-      (``ground_crossing``).
+      for j in [0, b] of the first segment, searched by the first pass of the
+      first pulse window; entries a few ulp above 1 pass any threshold < 1.
 
     A trajectory anchored at boundary k of segment [a, b) with state x
     carries y, with x = C_k y (y = x at a, y = reset[:, k] after a click at
@@ -236,28 +238,25 @@ class _WindowTables:
         # One contiguous array per entry: per-trajectory gathers from 1-D
         # tables are several times faster than from stacked ones.
         self.trace_row = [np.ascontiguousarray(c[:, 3, l]) for l in range(4)]
+        self.live = [l for l in range(4) if self.trace_row[l].any()]
         self.reset = np.ascontiguousarray(reset.T)
+        self.exit_trace = self.trace_at(np.repeat(self.bounds[1:], np.diff(self.bounds)), self.reset[:, :-1])
         self.ground_trace = self.trace_at(np.arange(self.bounds[1] + 1), _GROUND[:, None])
         self.gaps = (train.separation - 2.0 * half, train.pair_period - train.separation - 2.0 * half)
         self.decay = _expm(np.multiply.outer(self.gaps, free))
 
     def trace_at(self, j, y) -> np.ndarray:
-        """tr(C_j y) for the (4, n) anchored states y."""
+        """tr(C_j y) for the (4, n) anchored states y, over the live rows."""
         # Elementwise sums: a matrix product would hand these
         # per-trajectory arrays to multithreaded BLAS.
-        row = self.trace_row
-        return row[0].take(j) * y[0] + row[1].take(j) * y[1] + row[2].take(j) * y[2] + row[3].take(j) * y[3]
-
-    def ground_crossing(self, u):
-        """``_crossing`` for trajectories anchored in the ground state g at
-        the window start, whose thresholds u in [0, 1) lie above tr(C_b g)
-        at the end b of the first segment: one search of ``ground_trace``,
-        with the comparisons of the binary search."""
-        # Clipped at 1, above every threshold: no comparison with a
-        # threshold in [0, 1) changes, and the rounding that lifts the
-        # trace a few ulp above 1 early in a pulse no longer breaks its order.
-        hi = np.searchsorted(-np.minimum(self.ground_trace[:-1], 1.0), -u, side="right")
-        return hi, _click_steps(hi, self.ground_trace.take(hi - 1), self.ground_trace.take(hi), u)
+        first, *rest = self.live
+        total = self.trace_row[first].take(j)
+        total *= y[first]
+        for l in rest:
+            term = self.trace_row[l].take(j)
+            term *= y[l]
+            total += term
+        return total
 
 
 class _ChunkState:
@@ -319,10 +318,9 @@ def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx
     (``_reanchor``). Anchored states and their products live only inside
     the helper that uses them, so a window holds little beyond state.x.
 
-    The click boundary comes from a binary search, except where every
-    trajectory starts the window in the ground state (``from_ground``):
-    the first pass of the first segment then searches the precomputed
-    column tr(C_j g) (``_WindowTables.ground_crossing``).
+    Every pass locates its clicks with ``_crossing``; where all start the
+    window in the ground state (``from_ground``), the first pass searches
+    the tabulated column ``_WindowTables.ground_trace``.
 
     Draw order: the trajectories of a pass are kept in ascending order, so
     its clicks draw their new thresholds in that order, and the draws of
@@ -337,10 +335,10 @@ def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx
         u = state.thresh.take(idx)
         if from_ground and a == 0:
             del y  # every state is the ground state, whose traces are tabulated
-            hi, steps = tab.ground_crossing(u)
+            hi, steps = _crossing(tab.ground_trace.take, a, b, 1.0, u)
         else:
             y = y.take(idx, axis=1)
-            hi, steps = _crossing(tab, a, b, y, y[3], u)
+            hi, steps = _crossing(partial(tab.trace_at, y=y), a, b, y[3], u)
             del y  # later passes anchor in the reset states
         while True:
             state.record(idx, t_start + steps * tab.dt, pulse_idx)
@@ -354,23 +352,23 @@ def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx
             idx, k, u = _reanchor(state, tab, end, idx, hi, u)
             if not len(idx):
                 break
-            hi, steps = _crossing(tab, k, b, tab.reset.take(k, axis=1), 1.0, u)
+            hi, steps = _crossing(partial(tab.trace_at, y=tab.reset.take(k, axis=1)), k, b, 1.0, u)
 
 
-def _crossing(tab: _WindowTables, k, b, y, s_anchor, u):
-    """The first boundary hi in (k, b] with tr(C_hi y) < u for states y
-    anchored at boundary k, whose trace there is s_anchor >= u and at b is
-    below u, and the click time in steps (``_click_steps``).
+def _crossing(trace, k, b, s_anchor, u):
+    """The first boundary hi in (k, b] with trace(hi) < u, where trace(j) is
+    tr(C_j y) for states y anchored at boundary k whose trace there is
+    s_anchor >= u and at b is below u, and the click time in steps.
 
-    The last boundary lo = hi - 1 with tr(C_lo y) >= u comes in binary
-    steps of falling size; a candidate past b is clamped to b, where the
-    trace is below u, so it is never taken."""
-    lo = np.broadcast_to(k, u.shape)
+    The last boundary lo = hi - 1 with trace(lo) >= u comes in binary steps
+    of falling size, a candidate past b tested at b; hi is clamped to b,
+    where trace(b) may round to >= u against the click test there."""
+    lo = np.full(u.shape, k)
     for shift in reversed(range(int(b - np.min(k) - 1).bit_length())):
-        cand = np.minimum(lo + (1 << shift), b)
-        lo = lo + (cand - lo) * (tab.trace_at(cand, y) >= u)
-    hi = lo + 1
-    return hi, _click_steps(hi, np.where(lo == k, s_anchor, tab.trace_at(lo, y)), tab.trace_at(hi, y), u)
+        lo += (1 << shift) * (trace(np.minimum(lo + (1 << shift), b)) >= u)
+    hi = np.minimum(lo + 1, b)
+    lo = hi - 1
+    return hi, _click_steps(hi, np.where(lo == k, s_anchor, trace(lo)), trace(hi), u)
 
 
 def _click_steps(hi, s0, s1, u):
@@ -385,12 +383,11 @@ def _click_steps(hi, s0, s1, u):
 def _reanchor(state: _ChunkState, tab: _WindowTables, end, idx, k, u):
     """Anchor the trajectories idx, which clicked at boundaries k before
     the segment's end b, in the ground state there. Those whose trace at b
-    stays above their new threshold u are done: their state there is
-    written. Returns (idx, k, u) of the others, which click again."""
-    x_b = np.einsum("ij,jn->in", end, tab.reset.take(k, axis=1))
-    clicks = x_b[3] < u
+    (``exit_trace``) stays above their new threshold u are done: their
+    state there is written. Returns (idx, k, u) of the others, which click again."""
+    clicks = tab.exit_trace.take(k) < u
     stay = np.flatnonzero(~clicks)
-    state.x[:, idx.take(stay)] = x_b.take(stay, axis=1)
+    state.x[:, idx.take(stay)] = np.einsum("ij,jn->in", end, tab.reset.take(k.take(stay), axis=1))
     again = np.flatnonzero(clicks)
     return idx.take(again), k.take(again), u.take(again)
 

@@ -215,6 +215,35 @@ def test_out_of_range_circuit_and_source_values_are_schema_errors(tmp_path, caps
     assert not out.exists()
 
 
+def test_multiphoton_weight_with_a_non_finite_normalization_is_a_schema_error(tmp_path, capsys):
+    # 1 + 2 g overflows to inf: the fringes would divide by it and the
+    # manifest would hold inf, which JSON cannot carry.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"source_model": {"multiphoton_g": 1.7e308}}))
+    out = tmp_path / "o"
+    assert run_cli(["fig", "fig3e", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "source_model" in err and "1 + 2 multiphoton_g" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fig", "fig2a"], ["sim", "hom-cw"]], ids=["fig2a", "hom-cw"])
+def test_sub_grid_timing_width_leaves_the_trace_unsmeared(tmp_path, command):
+    # A subnormal fwhm underflows sigma to 0; the detector response is then
+    # the identity on the grid, as it is for fwhm 0, and no cell is NaN.
+    outputs = []
+    for fwhm in (5e-324, 0.0):
+        cfg = tmp_path / f"{fwhm}.json"
+        cfg.write_text(json.dumps({"timing": {"fwhm_ns": fwhm}}))
+        out = tmp_path / str(fwhm)
+        assert run_cli([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        (csv,) = out.glob("*.csv")
+        text = csv.read_text()
+        assert "nan" not in text.lower()
+        outputs.append((text, json.loads((out / "manifest.json").read_text())["results"]))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "command, config, message",
     [(["sim", "stream"], {"pulse_train": {"pulse_area_pi": -1}}, "pulse_area must be >= 0"),
@@ -458,16 +487,23 @@ def test_every_figure_svg_parses(tmp_path):
 
 
 def test_results_do_not_depend_on_the_thread_count(tmp_path):
-    # 70000 pairs make two 2^16-pair chunks, so two threads really run
-    outputs = []
-    for threads in (1, 2):
-        out = tmp_path / str(threads)
-        assert run_cli(["sim", "stream", "--pairs", "70000", "--threads", str(threads), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diagnostics"] == {"threads": threads}
-        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
-        outputs.append((files, _portable_manifest(out)))
-    assert outputs[0] == outputs[1]
+    # 70000 pairs make two 2^16-pair chunks, so two threads really run. The
+    # dense train (3 pi, 0.4 ns, coherence ratio 0.5) clicks often enough
+    # that both re-anchoring passes and the ground column run in each chunk.
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps({"emitter": {"coherence_ratio": 0.5},
+                                 "pulse_train": {"pulse_area_pi": 3.0, "pulse_fwhm_ns": 0.4}}))
+    for config in ([], ["--config", str(dense)]):
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{len(config)}-{threads}"
+            args = ["sim", "stream", "--pairs", "70000", "--threads", str(threads), "--out", str(out), *config]
+            assert run_cli(args) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["diagnostics"] == {"threads": threads}
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            outputs.append((files, _portable_manifest(out)))
+        assert outputs[0] == outputs[1]
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

@@ -267,6 +267,25 @@ def test_convolve_timing_against_direct_sum():
     assert np.sum(out.values) * dt == pytest.approx(np.sum(trace.values) * dt, rel=1e-9)
 
 
+def test_convolve_timing_returns_the_trace_below_the_grid_width():
+    taus = np.linspace(-2.0, 2.0, 801)
+    dt = taus[1] - taus[0]
+    trace = cs.g2(cs.EmitterParams(t1=1.0, t2=2.0), 5.0, taus)
+    to_fwhm = 2.0 * np.sqrt(2.0 * np.log(2.0))
+    # a subnormal width underflows sigma to 0, whose kernel was all NaN
+    for fwhm in (5e-324, dt / 40.0 * to_fwhm, 1e-6 * dt):
+        out = cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=fwhm))
+        assert out.values.tobytes() == trace.values.tobytes()
+    # just wider, the kernel's side weights have already underflowed: the
+    # full convolution is the identity too, so the rule moves no output
+    for ratio in (38.8, 39.9):
+        out = cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=dt / ratio * to_fwhm))
+        assert out.values.tobytes() == trace.values.tobytes()
+    # at dt / sigma = 38 they have not
+    out = cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=dt / 38.0 * to_fwhm))
+    assert not np.array_equal(out.values, trace.values)
+
+
 def test_convolve_timing_rejects_nonuniform():
     taus = np.array([0.0, 0.1, 0.3])
     trace = cs.CorrelationTrace(taus, np.ones(3), kind="G2")

@@ -652,24 +652,101 @@ def test_pulse_window_matches_reference(name):
         pulsed._run_free_decay(state, center + half, tab.gaps[pulse], pulse, params, tab.decay[pulse])
 
 
+def four_row_trace(tab, j, y):
+    """tr(C_j y) summed over all four trace-row entries, dropped or not."""
+    row = tab.trace_row
+    return row[0].take(j) * y[0] + row[1].take(j) * y[1] + row[2].take(j) * y[2] + row[3].take(j) * y[3]
+
+
 @pytest.mark.parametrize("name", ["default", "dense", "segmented"])
 def test_ground_crossing_matches_binary_search(rng, name):
+    # The first pass from the ground state searches the tabulated column;
+    # over the same thresholds it clicks where the search over the full
+    # four-row sum tr(C_j g) clicks, to the byte.
     params, train = window_train(name)
     tab = pulsed._WindowTables(params, train, pulsed._STEPS_PER_PULSE)
     b = tab.bounds[1]
     col = tab.ground_trace
     assert len(col) == b + 1
-    # the column searched: clipped at 1, above every threshold
+    # clipped at 1, above every threshold, the column does not increase
     assert np.all(np.diff(np.minimum(col, 1.0)) <= 0.0)
     # thresholds that click within the first segment, at and beside every
     # value of the column
     u = np.concatenate([rng.uniform(col[b], 1.0, 20000), col, np.nextafter(col, 0.0), np.nextafter(col, 1.0)])
     u = u[(u > col[b]) & (u < 1.0)]
     ground = np.broadcast_to(pulsed._GROUND[:, None], (4, len(u)))
-    hi, steps = pulsed._crossing(tab, 0, b, ground, 1.0, u)
-    got_hi, got_steps = tab.ground_crossing(u)
-    assert np.array_equal(got_hi, hi)
+    hi, steps = pulsed._crossing(lambda j: four_row_trace(tab, j, ground), 0, b, 1.0, u)
+    got_hi, got_steps = pulsed._crossing(col.take, 0, b, 1.0, u)
+    assert got_hi.tobytes() == hi.tobytes()
     assert got_steps.tobytes() == steps.tobytes()
+
+
+def detuned_window():
+    """The detuned case of WINDOW_CASES, whose trace rows are all live."""
+    params, train = WINDOW_CASES[0]
+    assert params.detuning != 0.0
+    return params, train
+
+
+@pytest.mark.parametrize("name", ["default", "detuned"])
+def test_live_row_trace_equals_the_four_row_sum(rng, name):
+    # The dropped entries are exact zeros, so the sum over the live rows,
+    # left to right, has the bits of the four-term sum.
+    params, train = detuned_window() if name == "detuned" else window_train(name)
+    tab = pulsed._WindowTables(params, train, pulsed._STEPS_PER_PULSE)
+    assert tab.live == ([0, 1, 2, 3] if name == "detuned" else [1, 2, 3])
+    n = 50000
+    j = rng.integers(0, pulsed._STEPS_PER_PULSE + 1, n)
+    # re-anchored states at every kind of boundary, and general states
+    # with a positive trace
+    y = np.concatenate([tab.reset.take(rng.integers(0, pulsed._STEPS_PER_PULSE + 1, n // 2), axis=1),
+                        np.vstack([rng.uniform(-1.0, 1.0, (3, n - n // 2)), rng.uniform(1e-3, 1.0, n - n // 2)])],
+                       axis=1)
+    assert tab.trace_at(j, y).tobytes() == four_row_trace(tab, j, y).tobytes()
+    ground = pulsed._GROUND[:, None]
+    assert tab.trace_at(j, ground).tobytes() == four_row_trace(tab, j, ground).tobytes()
+
+
+@pytest.mark.parametrize("name", ["default", "dense", "segmented", "detuned"])
+def test_live_drops_only_all_zero_rows(name):
+    params, train = detuned_window() if name == "detuned" else window_train(name)
+    tab = pulsed._WindowTables(params, train, pulsed._STEPS_PER_PULSE)
+    assert tab.live == sorted(tab.live)
+    for l in range(4):
+        assert (l in tab.live) == bool(np.any(tab.trace_row[l] != 0.0))
+    # without detuning the u entry decouples from the trace; with it, none does
+    assert (0 in tab.live) == (params.detuning != 0.0)
+    assert {1, 2, 3} <= set(tab.live)
+
+
+@pytest.mark.parametrize("name", ["dense", "segmented", "detuned"])
+def test_exit_trace_is_the_trace_at_the_segment_end(name):
+    params, train = detuned_window() if name == "detuned" else window_train(name)
+    tab = pulsed._WindowTables(params, train, pulsed._STEPS_PER_PULSE)
+    assert len(tab.exit_trace) == pulsed._STEPS_PER_PULSE
+    for a, b, end in zip(tab.bounds[:-1], tab.bounds[1:], tab.ends):
+        expected = np.einsum("ij,jn->in", end, tab.reset[:, a:b])[3]
+        np.testing.assert_allclose(tab.exit_trace[a:b], expected, rtol=0, atol=1e-15)
+
+
+def test_crossing_never_leaves_the_segment():
+    # The click test at b and the search may round tr(C_b y) apart by an
+    # ulp; where the search sees a trace still >= u at b, the click is at b.
+    b = 37
+    col = np.linspace(1.0, 0.2, b + 1)
+    k = np.array([0, 5, 36, 3, 0, 20, 36])
+    u = np.array([col[b], np.nextafter(col[b], 0.0), 0.1, 0.5, 0.9, col[21], np.nextafter(col[b], 1.0)])
+    hi, steps = pulsed._crossing(col.take, k, b, col.take(k), u)
+    assert np.all(hi <= b) and np.all(hi > k)
+    beyond = col[b] >= u
+    assert beyond.tolist() == [True, True, True, False, False, False, False]
+    assert np.all(hi[beyond] == b)
+    # elsewhere: the first boundary below u
+    assert np.array_equal(hi[~beyond], np.argmax(col[None, :] < u[~beyond, None], axis=1))
+    assert np.all((steps >= hi - 1) & (steps <= hi))
+    # the scalar anchor of a first pass takes the same clamp
+    hi, steps = pulsed._crossing(col.take, 0, b, 1.0, np.full(3, col[b]))
+    assert hi.tolist() == [b] * 3 and np.all((steps >= b - 1) & (steps <= b))
 
 
 def stream_bytes(stream):
