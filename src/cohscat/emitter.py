@@ -10,6 +10,7 @@ rad/ns, energies in µeV.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 # A gaussian is stepped within this many sigma of its center (5 sigma past
 # its window); beyond, it is below e^-50 of its peak and counts as off.
 _GAUSS_REACH_SIGMAS = 10.0
+_STEPS_PER_PULSE = 4096  # steps of a pulse window in the jump engine (``pulsed``)
 
 
 class IntegrationError(RuntimeError):
@@ -101,6 +103,14 @@ class Pulse:
             raise ValueError("pulse_fwhm must be > 0")
         if self.shape not in ("square", "gaussian"):
             raise ValueError(f"unknown pulse shape {self.shape!r}")
+        step = 2.0 * self.half_window / _STEPS_PER_PULSE
+        if not step >= sys.float_info.min:
+            raise ValueError(
+                f"pulse_fwhm {self.fwhm!r} leaves a window step of {step!r} ns "
+                f"({_STEPS_PER_PULSE} steps), which must be a positive normal float"
+            )
+        if not math.isfinite(self.peak):
+            raise ValueError(f"peak Rabi rate pulse_area / pulse_fwhm must be finite, got {self.peak}")
 
     @property
     def half_window(self) -> float:
@@ -118,13 +128,19 @@ class Pulse:
         reach = _GAUSS_REACH_SIGMAS * self.fwhm / _FWHM_PER_SIGMA
         return self.half_window - reach, self.half_window + reach
 
+    @property
+    def peak(self) -> float:
+        """Peak Rabi frequency (rad/ns)."""
+        if self.shape == "square":
+            return self.area / self.fwhm
+        return self.area / (self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0))))
+
     def omega(self, t):
         """Instantaneous Rabi frequency (rad/ns) at window time(s) t."""
         t = np.asarray(t, dtype=float)
         if self.shape == "square":
-            return np.where((t >= 0.0) & (t < self.fwhm), self.area / self.fwhm, 0.0)
-        peak = self.area / (self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0))))
-        return peak * np.exp(-0.5 * ((t - self.half_window) / (self.fwhm / _FWHM_PER_SIGMA)) ** 2)
+            return np.where((t >= 0.0) & (t < self.fwhm), self.peak, 0.0)
+        return self.peak * np.exp(-0.5 * ((t - self.half_window) / (self.fwhm / _FWHM_PER_SIGMA)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -287,11 +303,11 @@ def _expm(m) -> np.ndarray:
     s = np.zeros(len(a), dtype=int)
     big = norms > _THETA[13]
     s[big] = np.ceil(np.log2(norms[big] / _THETA[13]))
-    a = a / np.ldexp(1.0, s)[:, None, None]
-    power = np.broadcast_to(np.eye(k), a.shape)
-    even = odd = 0.0
-    for j, b in enumerate(_PADE[degree]):
-        if j:
+    if big.any():
+        a = a / np.ldexp(1.0, s)[:, None, None]
+    even, odd, power = np.eye(k), 0.0, a  # b_0 = 1
+    for j, b in enumerate(_PADE[degree][1:], start=1):
+        if j > 1:
             power = power @ a
         if j % 2:
             odd = odd + b * power

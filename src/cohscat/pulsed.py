@@ -61,12 +61,11 @@ from functools import partial
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
-from .emitter import EmitterParams, Pulse, PulseTrain, _expm, _generator, _propagate
+from .emitter import _STEPS_PER_PULSE, EmitterParams, Pulse, PulseTrain, _expm, _generator, _propagate
 
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
 _STREAM, _ROUTE_PARALLEL, _ROUTE_ORTHOGONAL = range(3)  # Philox key purposes
 _SEGMENT_T = 9.0  # propagator-table segment length, in min(t1, t2)
-_STEPS_PER_PULSE = 4096  # pulse-window steps of the jump engine
 _MAX_SIDE_LAG = 20  # side clusters of `hbt_analyze`, in pair periods
 _SPLITTER_RATIO = 0.5  # long-arm probability of `pulsed_hom`'s interferometer
 _GROUND = np.array([0.0, 0.0, -1.0, 1.0])  # (u, v, w, tr)
@@ -218,20 +217,30 @@ class _WindowTables:
         omegas = pulse.omega((np.arange(steps) + 0.5) * dt)
         free = _no_jump_generator(params, 0.0)
         per_rabi = _no_jump_generator(params, 1.0) - free
-        mats = _expm((free + np.multiply.outer(omegas, per_rabi)) * dt)
-
         seg = max(1, min(steps, int(_SEGMENT_T * min(params.t1, params.t2) / dt)))
         n_seg = -(-steps // seg)
-        prod = np.tile(np.eye(4), (n_seg * seg, 1, 1))
-        prod[:steps] = mats
-        prod = prod.reshape(n_seg, seg, 4, 4)
-        # Hillis-Steele scan within each segment, later steps on the left.
-        shift = 1
-        while shift < seg:
-            prod[:, shift:] = prod[:, shift:] @ prod[:, :-shift]
-            shift *= 2
+        # A drive too strong for the steps overflows in the squaring of
+        # `_expm` or in the scan; that is checked once, on the products.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = _expm((free + np.multiply.outer(omegas, per_rabi)) * dt)
+            prod = np.tile(np.eye(4), (n_seg * seg, 1, 1))
+            prod[:steps] = mats
+            prod = prod.reshape(n_seg, seg, 4, 4)
+            # Hillis-Steele scan within each segment, later steps on the left.
+            shift = 1
+            while shift < seg:
+                prod[:, shift:] = prod[:, shift:] @ prod[:, :-shift]
+                shift *= 2
         c = np.concatenate([np.eye(4)[None], prod.reshape(-1, 4, 4)[:steps]])
-        reset = np.linalg.solve(c, np.broadcast_to(_GROUND[:, None], (steps + 1, 4, 1)))[..., 0]
+        try:
+            if not np.isfinite(c).all():
+                raise np.linalg.LinAlgError("non-finite step products")
+            reset = np.linalg.solve(c, np.broadcast_to(_GROUND[:, None], (steps + 1, 4, 1)))[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise OverflowError(
+                f"the drive (peak {pulse.peak:.3g} rad/ns) overflows the step exponentials of the "
+                f"{steps} window steps of {dt:.3g} ns ({exc})"
+            ) from None
         reset[::seg] = _GROUND
         self.bounds = list(range(0, steps, seg)) + [steps]
         self.ends = c[self.bounds[1:]]
@@ -395,7 +404,7 @@ def _reanchor(state: _ChunkState, tab: _WindowTables, end, idx, k, u):
 def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, decay):
     """Drive-free stretch: at most one click per trajectory, at the time
     where rho_gg + rho_ee e^(-t/t1) meets the threshold, then the exact
-    propagator ``decay``."""
+    propagator ``decay``, if given."""
     gamma = 1.0 / params.t1
     x = state.x
     pe = 0.5 * (x[3] + x[2])
@@ -405,7 +414,8 @@ def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, deca
         arg = (state.thresh[jumped] - pg[jumped]) / pe[jumped]
         state.record(jumped, t_start - np.log(arg) / gamma, pulse_idx)
         state.reset_ground(jumped)
-    state.x = np.einsum("ij,jn->in", decay, state.x)  # no BLAS threads
+    if decay is not None:
+        state.x = np.einsum("ij,jn->in", decay, state.x)  # no BLAS threads
 
 
 def _simulate_chunk(params, train, tables, rng, n_chunk, first_pair):
@@ -415,7 +425,8 @@ def _simulate_chunk(params, train, tables, rng, n_chunk, first_pair):
     half = train.pulse.half_window
     for pulse, center in enumerate((0.0, train.separation)):
         _run_pulse_window(state, tables, center - half, pulse, from_ground=pulse == 0)
-        _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, tables.decay[pulse])
+        decay = None if pulse else tables.decay[0]  # no state is read after the cycle
+        _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, decay)
     return state.tags(first_pair, train.pair_period)
 
 
@@ -725,6 +736,20 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
     correlator would record it. Sorted times are used as given, others are
     sorted first; the differences are taken for `_CHUNK_PAIRS` start tags
     at a time.
+
+    Bin rule, as np.histogram's on these edges: lag d falls in bin j when
+    e_j <= d < e_(j+1), and the last bin also holds d = L. With n bins of
+    width w, np.arange lays edge j down as e_j = fl(j w), so L = e_n. Each
+    lag takes f = fl(d s), s = fl(n / L), and i = trunc(f); its fractional
+    part r = f - i is exact (Sterbenz). With unit roundoff u,
+    e_j = j w (1 + a_j) and L = n w (1 + a_n) for |a_j| <= u, so
+    f = (d / w)(1 + b) with |b| <= 3u to first order. If tol <= r <= 1 - tol,
+    then d / w >= (i + tol)(1 - 3u) >= i (1 + u) >= e_i / w once tol >= 4u i,
+    and d / w <= (i + 1 - tol)(1 + 3u) < (i + 1)(1 - u) <= e_(i+1) / w once
+    tol > 4u (i + 1). Since i < n (d <= L keeps f <= n (1 + 3u), so i = n
+    only with r <= 3un), tol = 4 n eps = 8 n u bounds both with a factor 2,
+    and such a lag lies strictly inside bin i. Only lags with r within tol
+    of 0 or 1 take the edge comparisons.
     """
     times = np.asarray(times, dtype=float)
     if not np.all(times[1:] >= times[:-1]):
@@ -733,6 +758,8 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
     nbins = len(edges) - 1
     pos = np.zeros(nbins, dtype=np.int64)
     m = len(times) if nbins else 0
+    scale = nbins / edges[-1] if nbins else 0.0
+    tol = 4.0 * nbins * np.finfo(float).eps
     for start in range(0, m, _CHUNK_PAIRS):
         stop = min(start + _CHUNK_PAIRS, m)
         # differences grow with the lag k for every start tag, so a block
@@ -743,10 +770,16 @@ def coincidence_histogram(times: np.ndarray, max_lag: float, bin_width: float):
             close = diffs[diffs <= edges[-1]]
             if len(close) == 0:
                 break
-            # np.histogram's uniform-bin rule: truncate, then fix edge roundoff
-            idx = np.minimum((close * (nbins / edges[-1])).astype(np.intp), nbins - 1)
-            idx -= close < edges[idx]
-            idx += (close >= edges[idx + 1]) & (idx < nbins - 1)
+            f = close * scale
+            idx = f.astype(np.intp)
+            f -= idx
+            near = np.flatnonzero((f < tol) | (f > 1.0 - tol))
+            if len(near):  # np.histogram's fix of edge roundoff
+                lag = close.take(near)
+                j = np.minimum(idx.take(near), nbins - 1)
+                j -= lag < edges[j]
+                j += (lag >= edges[j + 1]) & (j < nbins - 1)
+                idx[near] = j
             pos += np.bincount(idx, minlength=nbins)
     centers_pos = (edges[:-1] + edges[1:]) / 2.0
     centers = np.concatenate([-centers_pos[::-1], centers_pos])

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -251,6 +252,11 @@ def test_sub_grid_timing_width_leaves_the_trace_unsmeared(tmp_path, command):
      # the second pulse's window would run into the next cycle's first
      (["sim", "stream"], {"pulse_train": {"pulse_fwhm_ns": 0.4, "pair_period_ns": 2.5}}, "pulse windows overlap"),
      (["sim", "stream"], {"pulse_train": {"shape": "triangle"}}, "unknown pulse shape"),
+     # a width whose window step underflows, and a peak drive that overflows
+     *[(command, {"pulse_train": {"pulse_fwhm_ns": 5e-324}}, "must be a positive normal float")
+       for command in (["sim", "stream", "--pairs", "300"], ["fig", "fig3b"], ["sim", "rabi"])],
+     (["sim", "stream"], {"pulse_train": {"pulse_area_pi": 1e307, "pulse_fwhm_ns": 1e-3}},
+      "peak Rabi rate pulse_area / pulse_fwhm must be finite"),
      (["fig", "fig2d"], {"hom": {"splitter_ratio": 2}}, "splitter_ratio must lie in (0, 1)"),
      (["fig", "fig2d"], {"hom": {"delay_ns": -1}}, "delay must be > 0"),
      (["fig", "fig2d"], {"timing": {"fwhm_ns": -0.1}}, "timing fwhm must be >= 0"),
@@ -282,7 +288,9 @@ def test_sub_grid_timing_width_leaves_the_trace_unsmeared(tmp_path, command):
      *[(command, config, message) for command in (["fig", "fig1d"], ["fig", "fig2a"])
        for config, message in (({"drive": {"rabi_ghz": -1}}, "rabi must be >= 0"),
                                ({"blinking": {"timescale_ns": 0}}, "blinking timescale must be > 0"))]],
-    ids=["pulse-area", "pulse-fwhm", "pulse-cycle", "pulse-shape", "splitter-ratio", "hom-delay",
+    ids=["pulse-area", "pulse-fwhm", "pulse-cycle", "pulse-shape",
+         *[f"{command}-subnormal-pulse-fwhm" for command in ("stream", "fig3b", "rabi")], "pulse-peak-overflow",
+         "splitter-ratio", "hom-delay",
          "timing-fwhm", "instrument-fwhm", "n-phi", "phi-span", "n-phi-int64-overflow", "n-phi-huge",
          *[f"{command}-{case}" for command in ("fig1d", "fig2a", "steady")
            for case in ("contrast", "knee-scale", "coherence-ratio")],
@@ -300,6 +308,24 @@ def test_out_of_range_block_values_are_schema_errors(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     block = next(iter(config))
     assert "scenario error" in err and message in err and block in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["sim", "stream", "--pairs", "300"], ["fig", "fig3b"]], ids=["stream", "fig3b"])
+@pytest.mark.parametrize("area_pi", [1e20, 1e300], ids=["singular-products", "overflowing-squaring"])
+def test_drive_that_overflows_the_window_steps_is_a_numerical_failure(tmp_path, capsys, command, area_pi):
+    # Far past any physical area, the squaring in the step exponentials
+    # overflows (1e300 pi) or leaves the step products singular (1e20 pi).
+    # Either run exits 3 naming the drive and the window steps, and warns
+    # nothing.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulse_train": {"pulse_area_pi": area_pi}}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: the drive (peak" in err and "4096 window steps" in err
     assert not out.exists()
 
 

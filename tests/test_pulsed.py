@@ -553,22 +553,32 @@ def test_coincidence_histogram_fills_its_outer_bins(rng):
     assert counts[-1] == counts[0] == pytest.approx(counts[-2], rel=0.01)
 
 
-@pytest.mark.parametrize("bin_width", [0.05, 0.1, 0.3, 1.0 / 3.0])
-def test_coincidence_histogram_bins_as_np_histogram(rng, bin_width):
+@pytest.mark.parametrize("bin_width, max_lag", [(w, 7.5 * w) for w in (0.05, 0.1, 0.3, 1.0 / 3.0)] + [(1e-3, 100.0)],
+                         ids=["0.05", "0.1", "0.3", "0.3333333333333333", "large-grid"])
+def test_coincidence_histogram_bins_as_np_histogram(rng, bin_width, max_lag):
     # Times on multiples of the bin width put lags on every edge, the last
     # one included, and within roundoff of either side; the bin index rule
-    # must give np.histogram's counts on its explicit edges.
-    max_lag = 7.5 * bin_width
+    # must give np.histogram's counts on its explicit edges. The large grid
+    # (1e5 bins) samples its edges, the last one included, and puts lags one
+    # ulp either side of each; its third stream sits near 1e6 ns, where a
+    # 1e5-pair stream ends.
     edges = np.arange(0.0, max_lag + bin_width, bin_width)
-    grid = np.sort(np.concatenate([[0.0], edges, rng.integers(0, 400, 300) * bin_width]))
-    for times in (grid, np.sort(grid + rng.choice([0.0, 1e3, 12.345], len(grid)).cumsum())):
+    sampled, streams = edges, ()
+    if len(edges) > 1000:
+        sampled = np.append(rng.choice(edges[1:-1], 200, replace=False), edges[-1])
+        edges_and_ulps = np.concatenate([sampled, np.nextafter(sampled, 0.0), np.nextafter(sampled, np.inf)])
+        grid = np.sort(np.concatenate([[0.0], edges_and_ulps, rng.integers(0, 400, 300) * bin_width]))
+        streams = (grid + 1e6,)
+    else:
+        grid = np.sort(np.concatenate([[0.0], edges, rng.integers(0, 400, 300) * bin_width]))
+    for times in (grid, np.sort(grid + rng.choice([0.0, 1e3, 12.345], len(grid)).cumsum()), *streams):
         centers, counts = pulsed.coincidence_histogram(times, max_lag=max_lag, bin_width=bin_width)
         i, j = np.triu_indices(len(times), 1)
         lags = times[j] - times[i]
         expected = np.histogram(lags, bins=edges)[0]
         assert np.array_equal(counts, np.concatenate([expected[::-1], expected]))
         assert len(centers) == len(counts)
-        assert times is not grid or np.isin(edges, lags).all()
+        assert times is not grid or np.isin(sampled, lags).all()
 
 
 def test_coincidence_histogram_pairs():
