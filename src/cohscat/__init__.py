@@ -26,7 +26,23 @@ Library layout:
 Deterministic outputs do not depend on the machine: they agree within 1e-10
 relative (1e-12 absolute floor) across BLAS kernels, which
 `tests/test_cw_digest.py` checks under the OpenBLAS kernels of other cores.
+
+BLAS runs on one thread. Every product here is a 4x4 or batched-4x4
+product or solve, or as small, so a BLAS worker thread never has work, yet
+OpenBLAS starts one when numpy loads and it spins for about 0.1 s of CPU.
+Importing this package before numpy therefore sets OPENBLAS_NUM_THREADS=1,
+which OpenBLAS reads once, when its library loads. A caller who sets
+OPENBLAS_NUM_THREADS, or who imports numpy first, keeps their own BLAS
+setup; either way results do not change. The variable is inherited by
+child processes. `--threads` (COHSCAT_THREADS) sets only the Monte Carlo
+chunk threads.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -85,6 +85,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _pulse_fwhm(text: str) -> float:
+    """A pulse width that `emitter.Pulse` accepts for either shape: the
+    flag is parsed before the scenario names the shape."""
+    value = _positive_float(text)
+    try:
+        for shape in ("square", "gaussian"):
+            em.Pulse(1.0, value, shape)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
@@ -474,7 +486,7 @@ _SIMS = {
     "spectrum": (_sim_spectrum, _grid_flags("--span-uev", 80.0, 4096)),
     "hom-cw": (_sim_hom_cw, _grid_flags("--tau-max", 25.0, 4001)),
     "rabi": (_sim_rabi, [_flag("--max-area-pi", _nonnegative_float, 3.0),
-                         _flag("--points", _grid_points, 61), _flag("--fwhm-ns", _positive_float)]),
+                         _flag("--points", _grid_points, 61), _flag("--fwhm-ns", _pulse_fwhm)]),
     "stream": (_sim_stream, _PAIRS),
     "hbt": (_sim_hbt, _PAIRS),
     "hom-pulsed": (_sim_hom_pulsed, _PAIRS),
@@ -548,7 +560,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON scenario (a manifest.json also works)")
         p.add_argument("--out", help="output directory (overrides the scenario)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides the scenario)")
-        p.add_argument("--threads", type=_positive_int, help="worker count for Monte Carlo runs")
+        p.add_argument("--threads", type=_positive_int, help="Monte Carlo chunk threads; BLAS always runs on one")
         for flag, spec in flags:
             p.add_argument(flag, **spec)
     return parser

@@ -201,7 +201,9 @@ def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> Correlation
     kernel's side weights underflow to 0 from dt / sigma ~ 38.7 on). The
     kernel is unit-normalized on the grid, so the integral is preserved
     provided the trace has settled to a constant within a kernel width of
-    the grid edges (edge bins are replicated outward).
+    the grid edges (edge bins are replicated outward). A kernel whose
+    half-width 6 sigma exceeds the grid span cannot meet that, and is
+    refused (ValueError) before it is built.
     """
     if trace.kind != "G2":
         raise ValueError("timing convolution applies to G2 traces only")
@@ -213,6 +215,12 @@ def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> Correlation
     sigma = irf.fwhm_ns / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     if sigma <= dt / 40.0:  # a subnormal width even underflows to sigma = 0
         return trace
+    span = float(trace.tau_grid[-1] - trace.tau_grid[0])
+    if 6.0 * sigma > span:
+        raise ValueError(
+            f"timing fwhm {irf.fwhm_ns:g} ns: the kernel half-width 6 sigma = {6.0 * sigma:.4g} ns "
+            f"exceeds the tau grid span of {span:.4g} ns"
+        )
     half = max(1, int(math.ceil(6.0 * sigma / dt)))
     x = np.arange(-half, half + 1) * dt
     kernel = np.exp(-0.5 * (x / sigma) ** 2)

@@ -69,6 +69,7 @@ _SEGMENT_T = 9.0  # propagator-table segment length, in min(t1, t2)
 _MAX_SIDE_LAG = 20  # side clusters of `hbt_analyze`, in pair periods
 _SPLITTER_RATIO = 0.5  # long-arm probability of `pulsed_hom`'s interferometer
 _GROUND = np.array([0.0, 0.0, -1.0, 1.0])  # (u, v, w, tr)
+_BALL_TOL = 1e-9  # relative slack of the step maps' Bloch-ball check in `_WindowTables`
 
 
 def _rng(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -219,10 +220,15 @@ class _WindowTables:
         per_rabi = _no_jump_generator(params, 1.0) - free
         seg = max(1, min(steps, int(_SEGMENT_T * min(params.t1, params.t2) / dt)))
         n_seg = -(-steps // seg)
-        # A drive too strong for the steps overflows in the squaring of
-        # `_expm` or in the scan; that is checked once, on the products.
+        # A drive too strong for the steps loses accuracy in the squaring of
+        # `_expm`, or overflows there or in the scan. The no-jump map keeps
+        # a state in the Bloch ball, |(u, v, w)| <= tr; a step map that
+        # takes the ground state out of it (m_j g = column 3 - column 2)
+        # has lost its accuracy. Both are checked once, before the solve.
         with np.errstate(over="ignore", invalid="ignore"):
             mats = _expm((free + np.multiply.outer(omegas, per_rabi)) * dt)
+            step_g = mats[:, :, 3] - mats[:, :, 2]
+            in_ball = np.linalg.norm(step_g[:, :3], axis=1) <= step_g[:, 3] * (1.0 + _BALL_TOL)
             prod = np.tile(np.eye(4), (n_seg * seg, 1, 1))
             prod[:steps] = mats
             prod = prod.reshape(n_seg, seg, 4, 4)
@@ -233,6 +239,8 @@ class _WindowTables:
                 shift *= 2
         c = np.concatenate([np.eye(4)[None], prod.reshape(-1, 4, 4)[:steps]])
         try:
+            if not in_ball.all():
+                raise np.linalg.LinAlgError("a step map takes the ground state out of the Bloch ball")
             if not np.isfinite(c).all():
                 raise np.linalg.LinAlgError("non-finite step products")
             reset = np.linalg.solve(c, np.broadcast_to(_GROUND[:, None], (steps + 1, 4, 1)))[..., 0]
@@ -256,8 +264,7 @@ class _WindowTables:
 
     def trace_at(self, j, y) -> np.ndarray:
         """tr(C_j y) for the (4, n) anchored states y, over the live rows."""
-        # Elementwise sums: a matrix product would hand these
-        # per-trajectory arrays to multithreaded BLAS.
+        # Elementwise sums in this order: the stream's rounding rests on it.
         first, *rest = self.live
         total = self.trace_row[first].take(j)
         total *= y[first]
@@ -337,7 +344,7 @@ def _run_pulse_window(state: _ChunkState, tab: _WindowTables, t_start, pulse_idx
     """
     for a, b, end in zip(tab.bounds[:-1], tab.bounds[1:], tab.ends):
         y = state.x  # C_a = I at a segment start
-        state.x = np.einsum("ij,jn->in", end, y)  # no BLAS threads
+        state.x = np.einsum("ij,jn->in", end, y)  # not @: the stream's rounding rests on einsum
         idx = np.flatnonzero(state.x[3] < state.thresh)
         if not len(idx):
             continue
@@ -415,7 +422,7 @@ def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, deca
         state.record(jumped, t_start - np.log(arg) / gamma, pulse_idx)
         state.reset_ground(jumped)
     if decay is not None:
-        state.x = np.einsum("ij,jn->in", decay, state.x)  # no BLAS threads
+        state.x = np.einsum("ij,jn->in", decay, state.x)  # not @, as in the window
 
 
 def _simulate_chunk(params, train, tables, rng, n_chunk, first_pair):
@@ -529,8 +536,7 @@ def hbt_analyze(stream: PhotonStream) -> PeakReport:
     if n < 3:
         raise ValueError("need at least 3 pulse pairs for side clusters")
     # Lag sums stay on the int64 counts: numpy's integer dot is exact and
-    # never enters BLAS, whose threaded float dot can stall for milliseconds
-    # per call waking a second thread on a busy core.
+    # never enters BLAS.
     c0, c1 = counts[:, 0], counts[:, 1]
 
     same_pulse = _same_pulse_pairs(counts, stream.n_tags)

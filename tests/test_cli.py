@@ -329,6 +329,35 @@ def test_drive_that_overflows_the_window_steps_is_a_numerical_failure(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("area_pi", [1e15, 1e18, 1e19], ids=["1e15pi", "1e18pi", "1e19pi"])
+def test_step_maps_that_leave_the_bloch_ball_are_a_numerical_failure(tmp_path, capsys, area_pi):
+    # Short of overflow, the squaring in the step exponentials loses its
+    # accuracy (a ground state radius of 1.0001 tr at 1e15 pi, 6 tr at
+    # 1e19 pi, where sim hbt printed g = 1.41); the run exits 3 naming the
+    # drive and the window steps instead.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulse_train": {"pulse_area_pi": area_pi}}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["sim", "hbt", "--pairs", "3000", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: the drive (peak" in err and "4096 window steps" in err
+    assert "out of the Bloch ball" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fig", "fig2a"], ["fig", "fig2d"], ["sim", "hom-cw"]],
+                         ids=["fig2a", "fig2d", "hom-cw"])
+def test_timing_kernel_wider_than_the_grid_is_a_numerical_failure(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"timing": {"fwhm_ns": 1e3}}))
+    out = tmp_path / "o"
+    assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 3
+    assert "numerical failure: timing fwhm 1000 ns: the kernel half-width" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fig1d_counts_that_overflow_above_the_knee_fail_naming_gating(tmp_path, capsys):
     # the leaked laser is finite at the knee (1e308 counts/s) and overflows at 5x its power
     params = Scenario().emitter.resolve()
@@ -606,6 +635,17 @@ def test_rabi_float_flags_exit_code(tmp_path, capsys, flag, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["5e-324", "1e-310"], ids=["subnormal-fwhm", "subnormal-window-step"])
+def test_rabi_fwhm_flag_that_pulse_refuses_is_a_flag_error(tmp_path, capsys, value):
+    # the config path refuses the same widths naming pulse_train (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sim", "rabi", "--fwhm-ns", value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --fwhm-ns" in err and "must be a positive normal float" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "sim, flag, value",
     [("g2", "--tau-max", "-1"), ("g1", "--tau-max", "0"), ("g2", "--tau-max", "nan"),
@@ -829,6 +869,42 @@ def test_only_the_pulsed_commands_load_the_monte_carlo_engine(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sim_noon" / "noon.csv").exists()
+
+
+def _fresh_interpreter(code: str, **env_vars):
+    """Run code in a new interpreter on this package, OPENBLAS_NUM_THREADS
+    unset unless given."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(src), **env_vars)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_import_pins_blas_to_one_thread():
+    # OpenBLAS reads the variable when numpy loads it; without it, a worker
+    # thread starts and spins for ~0.1 s of CPU with nothing to do
+    code = (
+        "import os, sys\n"
+        "import cohscat.cli\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '1', os.environ.get('OPENBLAS_NUM_THREADS')\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    threads = len(os.listdir('/proc/self/task'))\n"
+        "    assert threads == 1, threads\n"
+    )
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_keeps_a_preset_blas_thread_count():
+    code = "import os\nimport cohscat.cli\nassert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"
+    proc = _fresh_interpreter(code, OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_after_numpy_leaves_blas_alone():
+    code = "import os\nimport numpy\nimport cohscat\nassert 'OPENBLAS_NUM_THREADS' not in os.environ\n"
+    proc = _fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_runtime_dependencies_name_no_scipy():

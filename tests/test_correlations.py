@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -284,6 +287,29 @@ def test_convolve_timing_returns_the_trace_below_the_grid_width():
     # at dt / sigma = 38 they have not
     out = cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=dt / 38.0 * to_fwhm))
     assert not np.array_equal(out.values, trace.values)
+
+
+def test_convolve_timing_refuses_a_kernel_wider_than_the_grid():
+    # fig2a's grid: a 1 us IRF would ask for a kernel of 254801 entries
+    # (a 1 ms one, for GiB); the refusal comes before any of it exists
+    taus = np.linspace(-120.0, 120.0, 12001)
+    trace = cs.CorrelationTrace(taus, np.ones_like(taus), kind="G2")
+    to_fwhm = 2.0 * np.sqrt(2.0 * np.log(2.0))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the tau grid span of 240 ns"):
+            cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=1e3))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 1 << 20
+    # 6 sigma = 240 ns is still a kernel, just past it is not
+    edge = 40.0 * to_fwhm
+    assert cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=edge)).values.shape == taus.shape
+    with pytest.raises(ValueError, match="kernel half-width"):
+        cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=edge * (1.0 + 1e-12)))
 
 
 def test_convolve_timing_rejects_nonuniform():
