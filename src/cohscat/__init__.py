@@ -4,12 +4,12 @@ Library layout:
 
 - emitter       parameters, the Bloch generator on (u, v, w, tr) with its
                 closed-form steady state, coherent fraction, Pulse (one pulse
-                on its own window) with its propagator (behind
-                `pulsed.rabi_curve`), the pulse train and its window rule,
-                and GatingModel: the gated detection model of fig1d, which
-                is also the scenario's `gating` block
+                on its own window) with its propagator, and two scenario
+                blocks: PulseTrain (`pulse_train`, areas in pi, times in ns;
+                only `bench`'s `_multi_frac` passes its `resolve` n_pairs)
+                and GatingModel (`gating`, the gated detection of fig1d)
 - correlations  g1/g2 by the regression theorem on that generator as G1 and
-                G2 traces, blinking envelope, detector timing response
+                G2 traces, blinking, detector timing response, GridError
 - spectrum      coherent + incoherent emission spectrum (the resolvent of the
                 same generator)
 - hom           CW two-photon interference in a delay interferometer: the
@@ -49,6 +49,7 @@ __version__ = "0.1.0"
 from .correlations import (
     BlinkingParams,
     CorrelationTrace,
+    GridError,
     TimingResponse,
     apply_blinking,
     convolve_timing,
@@ -83,7 +84,6 @@ from .hom import (
 )
 from .scenario import Scenario, SchemaError
 from .spectrum import (
-    GridError,
     SpectralResponse,
     SpectrumTrace,
     emission_spectrum,

@@ -22,17 +22,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emitter import EmitterParams, _expm, _generator, steady_state
+from .emitter import _FWHM_PER_SIGMA, _GROUND, EmitterParams, _expm, _generator, steady_state
 
 _EVEN_TOL = 1e-9
 
 
-def _evenly_spaced(d: np.ndarray) -> bool:
-    """np.allclose(d, d[0], rtol=1e-9, atol=1e-12) for non-empty steps d."""
-    d0 = float(d[0])
-    if math.isfinite(d0):
-        return bool((np.abs(d - d0) <= 1e-12 + 1e-9 * abs(d0)).all())
-    return bool((d == d0).all())
+class GridError(ValueError):
+    """A tau or energy grid unsuitable for the computation: not increasing
+    and evenly spaced, too narrow, or too coarse to resolve a line."""
+
+
+def _uniform_step(grid: np.ndarray, name: str) -> float:
+    """Step of an increasing, evenly spaced grid: every step within 1e-9
+    relative and 1e-12 absolute of the first, which is finite and > 0.
+    Otherwise raises GridError naming the grid."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.diff(grid)
+        d0 = float(d[0]) if len(d) else math.nan
+        if not (math.isfinite(d0) and d0 > 0 and (np.abs(d - d0) <= 1e-12 + 1e-9 * d0).all()):
+            raise GridError(f"{name} must be increasing and evenly spaced")
+    return d0
 
 
 @dataclass(frozen=True)
@@ -88,10 +97,6 @@ class CorrelationTrace:
             raise ValueError(f"unknown correlation kind {self.kind!r}")
         if self.tau_grid.shape != self.values.shape:
             raise ValueError("tau_grid and values must have matching shapes")
-
-    def is_uniform(self) -> bool:
-        d = np.diff(self.tau_grid)
-        return len(d) > 0 and _evenly_spaced(d)
 
 
 # Above this eigenvector condition number the eigen path loses more than
@@ -153,7 +158,7 @@ def g2(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     gen, x_ss, modes = _regression_setup(params, float(rabi))
     tau_grid = np.asarray(tau_grid, dtype=float)
     rho_ee = _READ_EE @ x_ss
-    vals = _propagate_modes(gen, modes, np.array([0.0, 0.0, -1.0, 1.0]), tau_grid, _READ_EE).real / rho_ee
+    vals = _propagate_modes(gen, modes, _GROUND, tau_grid, _READ_EE).real / rho_ee
     return CorrelationTrace(tau_grid=tau_grid, values=np.clip(vals, 0.0, None), kind="G2")
 
 
@@ -197,27 +202,25 @@ def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> Correlation
     """Convolve a G2 trace with the Gaussian detector response.
 
     An ideal detector (fwhm 0) returns the trace; otherwise the tau grid
-    must be uniform, and sigma <= dt / 40 returns the trace too (the
-    kernel's side weights underflow to 0 from dt / sigma ~ 38.7 on). The
-    kernel is unit-normalized on the grid, so the integral is preserved
-    provided the trace has settled to a constant within a kernel width of
-    the grid edges (edge bins are replicated outward). A kernel whose
-    half-width 6 sigma exceeds the grid span cannot meet that, and is
-    refused (ValueError) before it is built.
+    must be increasing and uniform (GridError), and sigma <= dt / 40
+    returns the trace too (the kernel's side weights underflow to 0 from
+    dt / sigma ~ 38.7 on). The kernel is unit-normalized on the grid, so
+    the integral is preserved provided the trace has settled to a constant
+    within a kernel width of the grid edges (edge bins are replicated
+    outward). A kernel whose half-width 6 sigma exceeds the grid span
+    cannot meet that, and is refused (GridError) before it is built.
     """
     if trace.kind != "G2":
         raise ValueError("timing convolution applies to G2 traces only")
     if irf.fwhm_ns == 0.0:
         return trace
-    if not trace.is_uniform():
-        raise ValueError("convolve_timing requires a uniform tau grid")
-    dt = float(trace.tau_grid[1] - trace.tau_grid[0])
-    sigma = irf.fwhm_ns / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    dt = _uniform_step(trace.tau_grid, "tau grid")
+    sigma = irf.fwhm_ns / _FWHM_PER_SIGMA
     if sigma <= dt / 40.0:  # a subnormal width even underflows to sigma = 0
         return trace
     span = float(trace.tau_grid[-1] - trace.tau_grid[0])
     if 6.0 * sigma > span:
-        raise ValueError(
+        raise GridError(
             f"timing fwhm {irf.fwhm_ns:g} ns: the kernel half-width 6 sigma = {6.0 * sigma:.4g} ns "
             f"exceeds the tau grid span of {span:.4g} ns"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ _WINDOW_SIGMAS = 5.0  # gaussian pulse window half-width, in sigma
 # its window); beyond, it is below e^-50 of its peak and counts as off.
 _GAUSS_REACH_SIGMAS = 10.0
 _STEPS_PER_PULSE = 4096  # steps of a pulse window in the jump engine (``pulsed``)
+_GROUND = np.array([0.0, 0.0, -1.0, 1.0])  # the ground state on (u, v, w, tr)
 
 
 class IntegrationError(RuntimeError):
@@ -145,40 +146,39 @@ class Pulse:
 
 @dataclass(frozen=True)
 class PulseTrain:
-    """Two excitation pulses per cycle.
+    """Two excitation pulses per cycle; the scenario's `pulse_train` block.
 
-    pulse_area : dimensionless rotation area of each pulse
-    pulse_fwhm : ns (square pulses use this as the duration)
-    separation : ns between the two pulses of a pair
-    pair_period: ns between consecutive pairs
-
-    Each pulse runs in its ``pulse``'s window, shorter than both separation
-    and pair_period - separation: no two windows overlap, within or across
-    cycles.
+    Pulse areas are in units of pi, times in ns; a square pulse lasts
+    pulse_fwhm_ns. Each pulse runs in its ``pulse``'s window, shorter than
+    both separation_ns and pair_period_ns - separation_ns: no two windows
+    overlap, within or across cycles. ``resolve`` returns the train, or a
+    copy of n_pairs pairs for `bench`'s `_multi_frac`, its only such caller.
     """
 
-    pulse_area: float
-    pulse_fwhm: float
-    separation: float = 2.36
-    pair_period: float = 13.1
-    n_pairs: int = 1
+    pulse_area_pi: float = 0.71
+    pulse_fwhm_ns: float = 0.057
+    separation_ns: float = 2.36
+    pair_period_ns: float = 13.1
+    n_pairs: int = 100000
     shape: str = "gaussian"
 
     def __post_init__(self):
-        pulse = self.pulse
-        for name in ("separation", "pair_period"):
+        for name in ("separation_ns", "pair_period_ns"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.separation < self.pair_period:
-            raise ValueError("separation must be smaller than pair_period")
+        if not self.separation_ns < self.pair_period_ns:
+            raise ValueError("separation_ns must be smaller than pair_period_ns")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
-        if 2.0 * pulse.half_window >= min(self.separation, self.pair_period - self.separation):
-            raise ValueError("pulse windows overlap; reduce pulse_fwhm")
+        if 2.0 * self.pulse.half_window >= min(self.separation_ns, self.pair_period_ns - self.separation_ns):
+            raise ValueError("pulse windows overlap; reduce pulse_fwhm_ns")
 
     @property
     def pulse(self) -> Pulse:
-        return Pulse(self.pulse_area, self.pulse_fwhm, self.shape)
+        return Pulse(self.pulse_area_pi * math.pi, self.pulse_fwhm_ns, self.shape)
+
+    def resolve(self, n_pairs: int | None = None) -> "PulseTrain":
+        return self if n_pairs is None else replace(self, n_pairs=n_pairs)
 
 
 _BLOCH_BALL_TOL = 1e-9
@@ -229,8 +229,14 @@ def _check_rabi(rabi):  # a Rabi frequency or an array of them
 
 def saturation_parameter(params: EmitterParams, rabi):
     """s = W^2 T1 T2 / (1 + D^2 T2^2) for Rabi frequency (or array) W and
-    detuning D; the steady state has rho_ee = s / (2 (1 + s))."""
+    detuning D."""
     return rabi ** 2 * params.t1 * params.t2 / (1.0 + (params.detuning * params.t2) ** 2)
+
+
+def steady_rho_ee(params: EmitterParams, rabi):
+    """Steady-state rho_ee = s / (2 (1 + s)), to full precision also at s << 1, where (1 + w) / 2 cancels."""
+    s = saturation_parameter(params, rabi)
+    return 0.5 * s / (1.0 + s)
 
 
 def steady_state(params: EmitterParams, rabi: float) -> BlochState:
@@ -469,9 +475,9 @@ class GatingModel:
 
     def _detected(self, params: EmitterParams, rabi):
         """Detected emission (counts/s) at Rabi frequency (or array) rabi: occupation *
-        efficiency * rho_ee / T1, rho_ee = (1 + w) / 2 and w = -1 / (1 + s) as in ``steady_state``."""
+        efficiency * rho_ee / T1, rho_ee from ``steady_rho_ee``."""
         _check_rabi(rabi)
-        rho = (1.0 + -1.0 / (1.0 + saturation_parameter(params, rabi))) / 2.0
+        rho = steady_rho_ee(params, rabi)
         return self.charge_occupation * self.collection_efficiency * (rho / params.t1 * NS_PER_S)
 
     def counts(self, params: EmitterParams, powers, gate_on: bool = True):

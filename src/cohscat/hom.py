@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlations import CorrelationTrace, TimingResponse, convolve_timing, g1, g2
+from .correlations import _EVEN_TOL, CorrelationTrace, TimingResponse, _uniform_step, convolve_timing, g1, g2
 from .emitter import EmitterParams
 
 PARALLEL = "parallel"
@@ -52,7 +52,9 @@ def _pair_values(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid: 
     # both detector orderings: the side weights r^2 and t^2 fold into their mean
     perp = 2.0 * r * t * center + (r ** 2 + t ** 2) / 2.0 * (minus + plus)
     coh = np.abs(g1(params, rabi, tau_grid).values) ** 2
-    par = np.clip(perp - 2.0 * r * t * coh, 0.0, None)
+    par = perp - 2.0 * r * t * coh
+    if par.min() < -_EVEN_TOL:
+        raise ValueError(f"delay {setup.delay:g} ns is too short: the parallel trace reaches {par.min():.3g} < 0")
     return par, perp
 
 
@@ -61,7 +63,8 @@ def hom_g2(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> Cor
 
     Requires the grid to reach at least twice the path delay so that the
     side structure is contained. The side dips at -+delay both have the
-    folded depth (R^2 + T^2)/2, on any grid.
+    folded depth (R^2 + T^2)/2, on any grid. A parallel trace below 0 beyond
+    roundoff raises ValueError: the delay is too short for the model.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.max(np.abs(tau_grid)) < 2.0 * setup.delay:
@@ -104,10 +107,7 @@ def solve_timing_for_visibility(par: CorrelationTrace, perp: CorrelationTrace, t
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target visibility must lie in (0, 1)")
-    tau_grid = par.tau_grid
-    if len(tau_grid) < 2 or not tau_grid[1] > tau_grid[0]:
-        raise ValueError("tau grid must be increasing")
-    lo = tau_grid[1] - tau_grid[0]
+    lo = _uniform_step(par.tau_grid, "tau grid")
 
     def peak(fwhm: float) -> float:
         irf = TimingResponse(fwhm_ns=fwhm)

@@ -61,14 +61,13 @@ from functools import partial
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy loads it lazily; load it with the module, not in a run
 
-from .emitter import _STEPS_PER_PULSE, EmitterParams, Pulse, PulseTrain, _expm, _generator, _propagate
+from .emitter import _GROUND, _STEPS_PER_PULSE, EmitterParams, Pulse, PulseTrain, _expm, _generator, _propagate
 
 _CHUNK_PAIRS = 1 << 16  # pairs per Philox key
 _STREAM, _ROUTE_PARALLEL, _ROUTE_ORTHOGONAL = range(3)  # Philox key purposes
 _SEGMENT_T = 9.0  # propagator-table segment length, in min(t1, t2)
 _MAX_SIDE_LAG = 20  # side clusters of `hbt_analyze`, in pair periods
 _SPLITTER_RATIO = 0.5  # long-arm probability of `pulsed_hom`'s interferometer
-_GROUND = np.array([0.0, 0.0, -1.0, 1.0])  # (u, v, w, tr)
 _BALL_TOL = 1e-9  # relative slack of the step maps' Bloch-ball check in `_WindowTables`
 
 
@@ -161,7 +160,7 @@ def rabi_curve(
     driven = areas > 0.0
     if np.any(driven):
         t_end = 2.0 * unit.half_window + 15.0 * params.t1
-        x0 = np.tile([[0.0], [0.0], [-1.0], [1.0], [0.0]], np.count_nonzero(driven))
+        x0 = np.tile(np.append(_GROUND, 0.0)[:, None], np.count_nonzero(driven))
         x = _propagate(params, unit, x0, np.array([0.0, t_end]), scale=areas[driven])
         photons[driven] = x[4, :, -1]
     return [(float(a), float(n)) for a, n in zip(areas, photons)]
@@ -259,7 +258,7 @@ class _WindowTables:
         self.reset = np.ascontiguousarray(reset.T)
         self.exit_trace = self.trace_at(np.repeat(self.bounds[1:], np.diff(self.bounds)), self.reset[:, :-1])
         self.ground_trace = self.trace_at(np.arange(self.bounds[1] + 1), _GROUND[:, None])
-        self.gaps = (train.separation - 2.0 * half, train.pair_period - train.separation - 2.0 * half)
+        self.gaps = (train.separation_ns - 2.0 * half, train.pair_period_ns - train.separation_ns - 2.0 * half)
         self.decay = _expm(np.multiply.outer(self.gaps, free))
 
     def trace_at(self, j, y) -> np.ndarray:
@@ -428,13 +427,13 @@ def _run_free_decay(state: _ChunkState, t_start, length, pulse_idx, params, deca
 def _simulate_chunk(params, train, tables, rng, n_chunk, first_pair):
     state = _ChunkState(n_chunk, rng)
     # Local timeline: pulse 0 spans [-half, half] around 0, pulse 1 around
-    # `separation`; the cycle ends where the next cycle's window begins.
+    # `separation_ns`; the cycle ends where the next cycle's window begins.
     half = train.pulse.half_window
-    for pulse, center in enumerate((0.0, train.separation)):
+    for pulse, center in enumerate((0.0, train.separation_ns)):
         _run_pulse_window(state, tables, center - half, pulse, from_ground=pulse == 0)
         decay = None if pulse else tables.decay[0]  # no state is read after the cycle
         _run_free_decay(state, center + half, tables.gaps[pulse], pulse, params, decay)
-    return state.tags(first_pair, train.pair_period)
+    return state.tags(first_pair, train.pair_period_ns)
 
 
 def simulate_stream(

@@ -6,15 +6,16 @@ to its outputs, so a manifest can be fed back as the config of a later run.
 
 One loader reads the document: each key must name a field, each value must
 have the field's type (numbers finite), and each block is an object loaded
-the same way. Five blocks are the library's own value classes. Four check
+the same way. Six blocks are the library's own value classes. Five check
 their values when built: `blinking` (BlinkingParams), `timing`
-(TimingResponse), `spectral` (SpectralResponse) and `source_model`
-(SourceModel). The fifth, `gating` (GatingModel), is checked against the
-resolved emitter, by the same call that solves its laser leakage when
-that is left None. The other blocks derive something and resolve to it:
-`emitter` to EmitterParams, `drive` to a Rabi frequency, `hom` to
-HomSetup, `pulse_train` to PulseTrain and `circuit` to its couplers and
-phases. A scenario is valid if and only if every block builds and resolves.
+(TimingResponse), `spectral` (SpectralResponse), `source_model`
+(SourceModel) and `pulse_train` (PulseTrain, areas in pi, times in ns;
+only `bench`'s `_multi_frac` passes its `resolve` an n_pairs). `gating`
+(GatingModel) is checked against the resolved emitter, by the call that
+solves its laser leakage when that is None. The rest resolve to what they
+derive: `emitter` to EmitterParams, `drive` to a Rabi frequency, `hom` to
+HomSetup and `circuit` to its couplers and phases. A scenario is valid if
+and only if every block builds and resolves.
 `Scenario.__post_init__` resolves them all, so every way of making a
 Scenario (a config, `dataclasses.replace` with a flag's value) passes the
 same check, and a failure is a SchemaError that names its block.
@@ -146,26 +147,6 @@ class HomBlock:
 
 
 @dataclass(frozen=True)
-class PulseTrainBlock:
-    pulse_area_pi: float = 0.71
-    pulse_fwhm_ns: float = 0.057
-    separation_ns: float = 2.36
-    pair_period_ns: float = 13.1
-    n_pairs: int = 100000
-    shape: str = "gaussian"
-
-    def resolve(self, n_pairs: int | None = None) -> em.PulseTrain:
-        return em.PulseTrain(
-            pulse_area=self.pulse_area_pi * math.pi,
-            pulse_fwhm=self.pulse_fwhm_ns,
-            separation=self.separation_ns,
-            pair_period=self.pair_period_ns,
-            n_pairs=self.n_pairs if n_pairs is None else n_pairs,
-            shape=self.shape,
-        )
-
-
-@dataclass(frozen=True)
 class CircuitBlock:
     r1: float = 0.5
     r2: float = 0.5
@@ -196,7 +177,7 @@ class Scenario:
     timing: TimingResponse = field(default_factory=TimingResponse)
     spectral: SpectralResponse = field(default_factory=SpectralResponse)
     hom: HomBlock = field(default_factory=HomBlock)
-    pulse_train: PulseTrainBlock = field(default_factory=PulseTrainBlock)
+    pulse_train: em.PulseTrain = field(default_factory=em.PulseTrain)
     source_model: SourceModel = field(default_factory=SourceModel)
     circuit: CircuitBlock = field(default_factory=CircuitBlock)
     seed: int = 12345

@@ -16,17 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _READ_GE, _evenly_spaced, _g1_start, _regression_setup
+from .correlations import _READ_GE, GridError, _g1_start, _regression_setup, _uniform_step
 from .emitter import HBAR_UEV_NS, EmitterParams, rrs_fraction
 
 # Largest relative change of a part's trapezoid sum when every other grid
 # point is dropped; beyond it the grid does not resolve that part.
 _RESOLUTION_RTOL = 1e-3
-
-
-class GridError(ValueError):
-    """Energy grid unsuitable for the requested spectrum (too narrow, not
-    uniform, or too coarse to resolve a line)."""
 
 
 @dataclass(frozen=True)
@@ -70,15 +65,6 @@ def lorentzian(energy, center: float, fwhm: float):
     """Unit-area Lorentzian of the given FWHM."""
     half = fwhm / 2.0
     return (half / math.pi) / ((np.asarray(energy, float) - center) ** 2 + half ** 2)
-
-
-def _uniform_spacing(grid: np.ndarray) -> float:
-    d = np.diff(grid)
-    if len(d) == 0 or not _evenly_spaced(d):
-        raise GridError("energy grid must be uniform and ascending")
-    if d[0] <= 0:
-        raise GridError("energy grid must be ascending")
-    return float(d[0])
 
 
 def _resolved_total(part: str, density: np.ndarray, grid: np.ndarray) -> float:
@@ -136,11 +122,12 @@ def emission_spectrum(
     """Full emission spectrum: coherent line plus incoherent part, both
     convolved with the instrument response, unit-normalized on the grid.
 
-    Raises GridError when the grid does not resolve a smooth part (the
-    incoherent density, or the coherent line when its width is > 0).
+    Raises GridError when the grid is not increasing and uniform, or does
+    not resolve a smooth part (the incoherent density, or the coherent line
+    when its width is > 0).
     """
     energy_grid = np.asarray(energy_grid, dtype=float)
-    de = _uniform_spacing(energy_grid)
+    de = _uniform_step(energy_grid, "energy grid")
     span = energy_grid[-1] - energy_grid[0]
     if span < 10.0 * params.linewidth_uev():
         raise GridError(

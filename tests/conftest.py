@@ -25,7 +25,8 @@ from cohscat.emitter import (
 )
 from cohscat.pulsed import _CHUNK_PAIRS, _SPLITTER_RATIO, _STREAM, PhotonStream, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
-from cohscat.spectrum import GridError, SpectralResponse, SpectrumTrace, _uniform_spacing, lorentzian
+from cohscat.correlations import _uniform_step
+from cohscat.spectrum import GridError, SpectralResponse, SpectrumTrace, lorentzian
 
 Config = tuple[tuple[int, int], ...]  # sorted ((mode, label), ...)
 _MAX_PHOTONS = 3  # largest photon number the Fock engine and the permanent take
@@ -478,11 +479,11 @@ def _simulate_chunk(params, train, tables, rng, n_chunk):
     # `separation`; the cycle ends where the next cycle's window begins.
     if tables is not None:
         _run_pulse_window(state, tables, -half, 0)
-    _run_free_decay(state, half, train.separation - 2.0 * half, 0, params)
+    _run_free_decay(state, half, train.separation_ns - 2.0 * half, 0, params)
     if tables is not None:
-        _run_pulse_window(state, tables, train.separation - half, 1)
+        _run_pulse_window(state, tables, train.separation_ns - half, 1)
     _run_free_decay(
-        state, train.separation + half, train.pair_period - train.separation - 2.0 * half, 1, params
+        state, train.separation_ns + half, train.pair_period_ns - train.separation_ns - 2.0 * half, 1, params
     )
 
     if state.tag_idx:
@@ -499,7 +500,7 @@ def _simulate_chunk(params, train, tables, rng, n_chunk):
 def simulate_stream_flips(params, train, seed, steps_per_pulse=4096, segment_t1=18.0):
     """``cohscat.pulsed.simulate_stream`` with the flip-based engine, one chunk
     after another; segment_t1 is the table segment length in t1."""
-    tables = _WindowTables(params, train, steps_per_pulse, segment_t1) if train.pulse_area > 0 else None
+    tables = _WindowTables(params, train, steps_per_pulse, segment_t1) if train.pulse_area_pi > 0 else None
     n = train.n_pairs
     parts = []
     for chunk in range(-(-n // _CHUNK_PAIRS)):
@@ -510,7 +511,7 @@ def simulate_stream_flips(params, train, seed, steps_per_pulse=4096, segment_t1=
     pair_idx = np.concatenate([p[0] for p in parts])
     t_local = np.concatenate([p[1] for p in parts])
     pulse = np.concatenate([p[2] for p in parts])
-    times = pair_idx * train.pair_period + t_local
+    times = pair_idx * train.pair_period_ns + t_local
     order = np.argsort(times, kind="stable")
     return PhotonStream(
         times=times[order], pair_index=pair_idx[order], pulse_index=pulse[order],
@@ -553,8 +554,8 @@ def synthetic_stream(
     starts = np.cumsum(flat) - flat
     two_start = starts[flat == 2]
     offsets[two_start + 1] = waits[two_start]
-    t_local = pulse_idx * train.separation + waits + offsets
-    times = pair_idx * train.pair_period + t_local
+    t_local = pulse_idx * train.separation_ns + waits + offsets
+    times = pair_idx * train.pair_period_ns + t_local
     order = np.argsort(times, kind="stable")
     return PhotonStream(
         times=times[order],
@@ -976,7 +977,7 @@ def fit_linewidth(trace: SpectrumTrace, response: SpectralResponse) -> Linewidth
     """
     grid = trace.energy_grid
     dens = trace.density
-    de = _uniform_spacing(grid)
+    de = _uniform_step(grid, "energy grid")
     fwhm_obs = _estimate_fwhm(grid, dens)
     if fwhm_obs < de:
         raise GridError("spectral peak is not resolvable above the grid spacing")

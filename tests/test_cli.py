@@ -408,6 +408,30 @@ def test_detuned_steady_state_is_reported_consistently():
     assert np.max(np.abs(i_total - 2.0 * rho)) < 1e-12
 
 
+def test_steady_rho_ee_at_weak_drive_is_the_closed_form(tmp_path):
+    # (1 + w)/2 cancels to 0 at s ~ 1e-18; s/(2(1 + s)) keeps every digit
+    out = tmp_path / "weak"
+    assert run_cli(["sim", "steady", "--rabi-ghz", "1e-9", "--out", str(out)]) == 0
+    rows = json.loads((out / "manifest.json").read_text())["results"]
+    for row in rows.values():
+        s = row["s"]
+        assert s < 1e-16 and row["rho_ee"] == pytest.approx(s / (2.0 * (1.0 + s)), rel=1e-12, abs=0)
+    for line in (out / "steady.csv").read_text().splitlines()[1:]:
+        assert float(line.split(",")[3]) > 0
+
+
+@pytest.mark.parametrize("command", [["sim", "hom-cw"], ["fig", "fig2d"]], ids=["hom-cw", "fig2d"])
+def test_hom_delay_too_short_for_the_folded_model_is_a_numerical_failure(tmp_path, capsys, command):
+    # at 0.3 ns the parallel trace reaches -0.10: too short a delay for the folded model
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"hom": {"delay_ns": 0.3}}))
+    out = tmp_path / "o"
+    assert run_cli([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: delay 0.3 ns is too short: the parallel trace reaches -0.1" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sim", "g2", "--no-such-flag"])

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import cohscat as cs
-from cohscat.correlations import _READ_EE, _READ_GE, _evenly_spaced, _g1_start, _propagate_modes, _regression_setup
+from cohscat.correlations import _READ_EE, _READ_GE, GridError, _g1_start, _propagate_modes, _regression_setup, _uniform_step
 from cohscat.scenario import DriveBlock, EmitterBlock, HomBlock
 from conftest import g2_resonant_closed_form, liouvillian_reference
 
@@ -319,6 +319,15 @@ def test_convolve_timing_rejects_nonuniform():
         cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=0.1))
 
 
+def test_convolve_timing_rejects_a_descending_uniform_grid():
+    # evenly spaced but descending: the grid rule refuses it before the
+    # kernel is checked against the (negative) span
+    taus = np.linspace(25.0, -25.0, 4001)
+    trace = cs.CorrelationTrace(taus, np.ones_like(taus), kind="G2")
+    with pytest.raises(GridError, match="tau grid must be increasing"):
+        cs.convolve_timing(trace, cs.TimingResponse(fwhm_ns=0.1))
+
+
 def test_convolve_timing_rejects_g1():
     g1 = cs.g1(cs.EmitterParams(t1=1.0, t2=2.0), 3.0, np.linspace(-5.0, 5.0, 101))
     for fwhm in (0.0, 0.1):
@@ -351,8 +360,14 @@ _GRIDS = [
 
 @pytest.mark.parametrize("grid", _GRIDS)
 def test_grid_checks_match_allclose(grid):
-    # the direct comparison returns np.allclose's boolean, also on inf and NaN
+    # the step is np.allclose's verdict on the steps, less a first step that
+    # is not finite and > 0; inf and NaN grids raise GridError, no warning
     grid = np.array(grid)
-    with np.errstate(invalid="ignore", over="ignore"):  # both sides overflow alike
+    with np.errstate(invalid="ignore", over="ignore"):
         d = np.diff(grid)
-        assert _evenly_spaced(d) == np.allclose(d, d[0], rtol=1e-9, atol=1e-12)
+        uniform = np.isfinite(d[0]) and d[0] > 0 and np.allclose(d, d[0], rtol=1e-9, atol=1e-12)
+    if uniform:
+        assert _uniform_step(grid, "tau grid") == d[0]
+    else:
+        with pytest.raises(GridError, match="tau grid must be increasing"):
+            _uniform_step(grid, "tau grid")

@@ -206,3 +206,9 @@ def test_irf_solve_failures_raise(monkeypatch):
     for grid in (TAUS[::-1], TAUS[-1:]):
         with pytest.raises(ValueError, match="increasing"):
             cs.solve_timing_for_visibility(*cs.hom_pair(PARAMS, RABI, SETUP, grid), target=0.89)
+
+
+def test_irf_solve_refuses_a_descending_grid_as_a_grid_error():
+    pair = cs.hom_pair(PARAMS, RABI, SETUP, TAUS[::-1])
+    with pytest.raises(cs.GridError, match="tau grid must be increasing"):
+        cs.solve_timing_for_visibility(*pair, target=0.89)

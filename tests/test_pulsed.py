@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import cohscat as cs
 from cohscat import cli, emitter, pulsed
 from cohscat.emitter import _GAUSS_REACH_SIGMAS, _WINDOW_SIGMAS, _expm, _generator, _split_steps
-from cohscat.scenario import EmitterBlock, PulseTrainBlock
+from cohscat.scenario import EmitterBlock, Scenario
 from conftest import (
     cluster_areas_whole_stream,
     coincidence_counts_whole_array,
@@ -31,36 +31,48 @@ SEGMENTED = cs.EmitterParams(t1=0.01, t2=0.02)  # a 1 ns window spans several ta
 
 def make_train(area_pi, fwhm, n_pairs):
     return cs.PulseTrain(
-        pulse_area=area_pi * math.pi,
-        pulse_fwhm=fwhm,
-        separation=2.36,
-        pair_period=13.1,
+        pulse_area_pi=area_pi,
+        pulse_fwhm_ns=fwhm,
+        separation_ns=2.36,
+        pair_period_ns=13.1,
         n_pairs=n_pairs,
     )
 
 
 def test_train_validation():
     with pytest.raises(ValueError):
-        cs.PulseTrain(pulse_area=1.0, pulse_fwhm=3.0, separation=2.36, pair_period=13.1)
+        cs.PulseTrain(pulse_area_pi=1.0, pulse_fwhm_ns=3.0, separation_ns=2.36, pair_period_ns=13.1)
     with pytest.raises(ValueError):
-        cs.PulseTrain(pulse_area=1.0, pulse_fwhm=0.1, separation=14.0, pair_period=13.1)
+        cs.PulseTrain(pulse_area_pi=1.0, pulse_fwhm_ns=0.1, separation_ns=14.0, pair_period_ns=13.1)
     with pytest.raises(ValueError):
-        cs.PulseTrain(pulse_area=-1.0, pulse_fwhm=0.1, separation=2.0, pair_period=13.0)
+        cs.PulseTrain(pulse_area_pi=-1.0, pulse_fwhm_ns=0.1, separation_ns=2.0, pair_period_ns=13.0)
 
 
 @pytest.mark.parametrize("shape, fwhm", [("gaussian", 2.36), ("gaussian", 3.0), ("square", 2.36), ("square", 3.0)])
 def test_train_rejects_a_pulse_as_wide_as_the_separation(shape, fwhm):
     # a window is at least the fwhm wide, so it then runs into the next pulse's
     with pytest.raises(ValueError, match="pulse windows overlap"):
-        cs.PulseTrain(pulse_area=1.0, pulse_fwhm=fwhm, separation=2.36, pair_period=13.1, shape=shape)
+        cs.PulseTrain(pulse_area_pi=1.0, pulse_fwhm_ns=fwhm, separation_ns=2.36, pair_period_ns=13.1, shape=shape)
 
 
 @pytest.mark.parametrize("name, value", [("pulse_area", math.nan), ("pulse_fwhm", math.nan),
                                          ("separation", math.inf), ("pair_period", math.inf),
                                          ("pulse_area", -math.inf)])
 def test_train_rejects_non_finite_fields(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        cs.PulseTrain(**{"pulse_area": 1.0, "pulse_fwhm": 0.057, name: value})
+    field = "pulse_area_pi" if name == "pulse_area" else f"{name}_ns"
+    with pytest.raises(ValueError, match=rf"{name}\w* must be finite"):
+        cs.PulseTrain(**{field: value})
+
+
+def test_pulse_train_block_is_the_train():
+    block = {"pulse_area_pi": 3.0, "pulse_fwhm_ns": 0.4, "separation_ns": 3.0, "pair_period_ns": 12.0,
+             "n_pairs": 50, "shape": "square"}
+    train = Scenario.from_dict({"pulse_train": block}).pulse_train
+    assert type(train) is cs.PulseTrain and dataclasses.asdict(train) == block
+    assert train.pulse == cs.Pulse(3.0 * math.pi, 0.4, "square")
+    assert train.resolve() is train
+    fewer = train.resolve(n_pairs=7)
+    assert fewer.n_pairs == 7 and fewer == dataclasses.replace(train, n_pairs=7)
 
 
 def test_rabi_curve_examples():
@@ -166,8 +178,8 @@ def test_rabi_curve_checks_inputs_before_integrating(monkeypatch, areas, fwhm, s
 def test_zero_area_gives_empty_stream():
     train = make_train(0.0, 0.01, 200)
     # zero-area "pulses" cannot excite anything
-    train = cs.PulseTrain(pulse_area=0.0, pulse_fwhm=0.01, separation=2.36,
-                          pair_period=13.1, n_pairs=200)
+    train = cs.PulseTrain(pulse_area_pi=0.0, pulse_fwhm_ns=0.01, separation_ns=2.36,
+                          pair_period_ns=13.1, n_pairs=200)
     stream = pulsed.simulate_stream(PARAMS, train, seed=1)
     assert stream.n_tags == 0
 
@@ -206,7 +218,7 @@ def test_stream_determinism_and_worker_equivalence(monkeypatch):
     cases = [
         (PARAMS, make_train(0.71, 0.057, (1 << 16) + 3000), 1 << 16),
         (SEGMENTED,
-         cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=5000, shape="square"),
+         cs.PulseTrain(pulse_area_pi=3.0, pulse_fwhm_ns=1.0, n_pairs=5000, shape="square"),
          1 << 11),
     ]
     for params, train, chunk in cases:
@@ -313,10 +325,10 @@ def test_step_exponentials_match_expm(rng):
 WINDOW_CASES = [
     # several re-anchoring segments, so segment starts and ends are covered
     (cs.EmitterParams(t1=0.01, t2=0.02, detuning=3.0),
-     cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=0.4, n_pairs=1)),
+     cs.PulseTrain(pulse_area_pi=3.0, pulse_fwhm_ns=0.4, n_pairs=1)),
     # dephased, t2 << t1: the segments follow t2
     (cs.EmitterParams(t1=0.01, t2=0.002),
-     cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=1, shape="square")),
+     cs.PulseTrain(pulse_area_pi=3.0, pulse_fwhm_ns=1.0, n_pairs=1, shape="square")),
 ]
 
 
@@ -349,7 +361,7 @@ def test_window_tables_match_sequential_products():
     "params, train",
     [
         (PARAMS, make_train(0.71, 0.057, 100000)),
-        (SEGMENTED, cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")),
+        (SEGMENTED, cs.PulseTrain(pulse_area_pi=3.0, pulse_fwhm_ns=1.0, n_pairs=20000, shape="square")),
     ],
     ids=["default", "segmented-square"],
 )
@@ -364,8 +376,8 @@ def test_stream_matches_flip_engine_without_dephasing(params, train):
     # Where u sits just above rho_gg its time is ill-conditioned (a click
     # 17 t1 after the pulse moved 1.2e-7 ns), but the survival factor
     # e^(-t/t1) is not, so such a click may match by that instead.
-    free_start = train.pulse.half_window + new.pulse_index * train.separation
-    local = [s.times - s.pair_index * train.pair_period for s in (new, old)]
+    free_start = train.pulse.half_window + new.pulse_index * train.separation_ns
+    local = [s.times - s.pair_index * train.pair_period_ns for s in (new, old)]
     survival = [np.exp(-(t - free_start) / params.t1) for t in local]
     close = np.abs(new.times - old.times) <= 1e-9
     close |= (local[0] > free_start) & (np.abs(survival[0] - survival[1]) <= 1e-12)
@@ -396,7 +408,7 @@ def test_long_window_stays_finite_and_unbiased():
     # a 1 ns square pulse on a 0.01 ns emitter: the no-jump propagator over
     # the window has |det| = e^-50, so the tables must re-anchor
     params = cs.EmitterParams(t1=0.01, t2=0.02)
-    train = cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")
+    train = cs.PulseTrain(pulse_area_pi=3.0, pulse_fwhm_ns=1.0, n_pairs=20000, shape="square")
     stream = pulsed.simulate_stream(params, train, seed=13)
     assert np.all(np.isfinite(stream.times))
     counts = stream.counts_per_pulse().ravel()
@@ -615,7 +627,7 @@ DENSE_TRAIN_PARAMS = EmitterBlock(coherence_ratio=0.5).resolve()
 
 
 def dense_train(n_pairs):
-    return PulseTrainBlock(pulse_area_pi=3.0, pulse_fwhm_ns=0.4, n_pairs=n_pairs).resolve()
+    return cs.PulseTrain(pulse_area_pi=3.0, pulse_fwhm_ns=0.4, n_pairs=n_pairs)
 
 
 def window_train(name):
@@ -624,7 +636,7 @@ def window_train(name):
         "default": (PARAMS, make_train(0.71, 0.057, 20000)),
         "dense": (DENSE_TRAIN_PARAMS, dense_train(20000)),
         "segmented": (SEGMENTED,
-                      cs.PulseTrain(pulse_area=3.0 * math.pi, pulse_fwhm=1.0, n_pairs=20000, shape="square")),
+                      cs.PulseTrain(pulse_area_pi=3.0, pulse_fwhm_ns=1.0, n_pairs=20000, shape="square")),
     }[name]
 
 
@@ -646,7 +658,7 @@ def test_pulse_window_matches_reference(name):
     tab = pulsed._WindowTables(params, train, pulsed._STEPS_PER_PULSE)
     state = pulsed._ChunkState(train.n_pairs, pulsed._rng(12345, pulsed._STREAM, 0))
     half = train.pulse.half_window
-    for pulse, center in enumerate((0.0, train.separation)):
+    for pulse, center in enumerate((0.0, train.separation_ns)):
         new, ref = state_twin(state), state_twin(state)
         pulsed._run_pulse_window(new, tab, center - half, pulse, from_ground=pulse == 0)
         window_reference(ref, tab, center - half, pulse)
@@ -781,7 +793,7 @@ def test_chunk_merge_equals_a_global_stable_sort(monkeypatch, threads):
     stream = pulsed.simulate_stream(DENSE_TRAIN_PARAMS, train, seed=12345, workers=threads)
     assert sorted(records) == [0, pulsed._CHUNK_PAIRS]
     pair, t_local, pulse = (np.concatenate(column) for column in zip(*(records[k] for k in sorted(records))))
-    times = pair * train.pair_period + t_local
+    times = pair * train.pair_period_ns + t_local
     order = np.argsort(times, kind="stable")
     assert stream.times.tobytes() == times[order].tobytes()
     assert stream.pair_index.tobytes() == pair[order].tobytes()
@@ -809,5 +821,5 @@ def test_pulsed_hom_peak_is_bounded_by_blocks(dense_streams):
 
 def test_coincidence_histogram_peak_is_bounded_by_blocks(dense_streams):
     stream = dense_streams[1 << 17][0]
-    _, peak = traced_peak(pulsed.coincidence_histogram, stream.times, 3.2 * stream.train.pair_period, 0.05)
+    _, peak = traced_peak(pulsed.coincidence_histogram, stream.times, 3.2 * stream.train.pair_period_ns, 0.05)
     assert peak <= 0.5 * stream_bytes(stream)

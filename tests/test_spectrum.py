@@ -150,6 +150,13 @@ def test_narrow_energy_grid_raises_grid_error():
         cs.emission_spectrum(params, 1.0, response, grid)
 
 
+def test_descending_energy_grid_raises_grid_error():
+    response = cs.SpectralResponse()
+    with pytest.raises(GridError, match="energy grid must be increasing"):
+        cs.emission_spectrum(cs.EmitterParams(t1=1.0, t2=0.6), 1.0, response, np.linspace(40.0, -40.0, 4096))
+    assert GridError is cs.GridError and issubclass(GridError, ValueError)
+
+
 def test_spectrum_trace_guards():
     grid = np.linspace(-10.0, 10.0, 101)
     good = lorentzian(grid, 0.0, 1.0)
