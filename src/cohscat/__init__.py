@@ -8,12 +8,13 @@ Library layout:
                 blocks: PulseTrain (`pulse_train`, areas in pi, times in ns;
                 only `bench`'s `_multi_frac` passes its `resolve` n_pairs)
                 and GatingModel (`gating`, the gated detection of fig1d)
-- correlations  g1/g2 by the regression theorem on that generator as G1 and
-                G2 traces, blinking, detector timing response, GridError
+- correlations  g1/g2 by the regression theorem on that generator, as value
+                arrays on the caller's tau grid; blinking, detector timing
+                response, GridError
 - spectrum      coherent + incoherent emission spectrum (the resolvent of the
-                same generator)
+                same generator), as the density on the caller's energy grid
 - hom           CW two-photon interference in a delay interferometer: the
-                ideal-detector (parallel, orthogonal) G2 pair, its two
+                ideal-detector (parallel, orthogonal) g2 pair, its two
                 detector orderings folded in closed form, and its visibility
 - pulsed        Rabi curves, quantum-jump photon streams, coincidence-peak
                 analysis, click-level pulsed interference; not re-exported
@@ -48,7 +49,6 @@ __version__ = "0.1.0"
 
 from .correlations import (
     BlinkingParams,
-    CorrelationTrace,
     GridError,
     TimingResponse,
     apply_blinking,
@@ -58,7 +58,6 @@ from .correlations import (
 )
 from .emitter import (
     HBAR_UEV_NS,
-    BlochState,
     EmitterParams,
     GatingModel,
     IntegrationError,
@@ -85,7 +84,6 @@ from .hom import (
 from .scenario import Scenario, SchemaError
 from .spectrum import (
     SpectralResponse,
-    SpectrumTrace,
     emission_spectrum,
     incoherent_spectrum,
 )

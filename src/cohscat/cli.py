@@ -169,13 +169,15 @@ def _hom_cw(scenario: Scenario, taus):
     params = scenario.emitter.resolve()
     rabi = scenario.drive.resolve()
     pair = hom_pair(params, rabi, scenario.hom.resolve(), taus)
-    return tuple(convolve_timing(t, scenario.timing) for t in pair)
+    return tuple(convolve_timing(taus, t, scenario.timing) for t in pair)
 
 
 def _spectrum(scenario: Scenario, grid):
+    """params, the emission density on grid and its coherent weight."""
     params = scenario.emitter.resolve()
     rabi = scenario.drive.resolve()
-    return params, emission_spectrum(params, rabi, scenario.spectral, grid)
+    density = emission_spectrum(params, rabi, scenario.spectral, grid)
+    return params, density, min(em.rrs_fraction(params, rabi), 1.0)
 
 
 _FRINGE_HEADER = "phi_rad,p_out0,p_out1,p_coincidence"
@@ -217,23 +219,23 @@ def _fig2a(scenario: Scenario, args, threads: int) -> _Output:
     rabi = scenario.drive.resolve()
     taus = np.linspace(-120.0, 120.0, 12001)
     ideal = g2(params, rabi, taus)
-    detected = convolve_timing(apply_blinking(ideal, scenario.blinking), scenario.timing)
+    detected = convolve_timing(taus, apply_blinking(taus, ideal, scenario.blinking), scenario.timing)
     return _Output(
-        "fig2a.csv", "tau_ns,g2,g2_detected", [taus, ideal.values, detected.values],
-        {"g2_zero_ideal": float(ideal.values[len(taus) // 2]), "rabi_rad_ns": rabi},
-        plot=({"ideal": (taus, ideal.values), "detected": (taus, detected.values)},
+        "fig2a.csv", "tau_ns,g2,g2_detected", [taus, ideal, detected],
+        {"g2_zero_ideal": float(ideal[len(taus) // 2]), "rabi_rad_ns": rabi},
+        plot=({"ideal": (taus, ideal), "detected": (taus, detected)},
               "Intensity autocorrelation under CW drive", "tau (ns)", "g2"),
     )
 
 
 def _fig2b(scenario: Scenario, args, threads: int) -> _Output:
     grid = np.linspace(-40.0, 40.0, 4096)
-    params, trace = _spectrum(scenario, grid)
+    params, density, weight = _spectrum(scenario, grid)
     instrument = lorentzian(grid, 0.0, scenario.spectral.instrument_fwhm_uev)
     return _Output(
-        "fig2b.csv", "energy_uev,density,instrument_profile", [grid, trace.density, instrument],
-        {"coherent_weight": trace.coherent_weight, "natural_linewidth_uev": params.linewidth_uev()},
-        plot=({"emission": (grid, trace.density), "instrument": (grid, instrument)},
+        "fig2b.csv", "energy_uev,density,instrument_profile", [grid, density, instrument],
+        {"coherent_weight": weight, "natural_linewidth_uev": params.linewidth_uev()},
+        plot=({"emission": (grid, density), "instrument": (grid, instrument)},
               "Emission spectrum", "energy - laser (µeV)", "density (1/µeV)"),
     )
 
@@ -267,9 +269,9 @@ def _fig2d(scenario: Scenario, args, threads: int) -> _Output:
     par, orth = _hom_cw(scenario, _HOM_TAUS)
     mid = len(_HOM_TAUS) // 2
     return _Output(
-        "fig2d.csv", "tau_ns,g2_parallel,g2_orthogonal", [_HOM_TAUS, par.values, orth.values],
-        {"g2_parallel_zero": float(par.values[mid]), "g2_orthogonal_zero": float(orth.values[mid])},
-        plot=({"parallel": (_HOM_TAUS, par.values), "orthogonal": (_HOM_TAUS, orth.values)},
+        "fig2d.csv", "tau_ns,g2_parallel,g2_orthogonal", [_HOM_TAUS, par, orth],
+        {"g2_parallel_zero": float(par[mid]), "g2_orthogonal_zero": float(orth[mid])},
+        plot=({"parallel": (_HOM_TAUS, par), "orthogonal": (_HOM_TAUS, orth)},
               "Two-photon interference (CW)", "tau (ns)", "g2"),
     )
 
@@ -281,9 +283,9 @@ def _fig2e(scenario: Scenario, args, threads: int) -> _Output:
     ratios = [0.3, 0.5, 0.8, 1.0]
     pairs = [hom_pair(params.with_coherence_ratio(r), rabi, setup, _HOM_TAUS) for r in ratios]
     # the ratio-1.0 pair sets the IRF
-    irf_fwhm = solve_timing_for_visibility(*pairs[-1], target=0.89)
+    irf_fwhm = solve_timing_for_visibility(_HOM_TAUS, *pairs[-1], target=0.89)
     irf = TimingResponse(fwhm_ns=irf_fwhm)
-    traces = [visibility(*(convolve_timing(t, irf) for t in pair)) for pair in pairs]
+    traces = [visibility(*(convolve_timing(_HOM_TAUS, t, irf) for t in pair)) for pair in pairs]
     peak = float(np.max(traces[-1]))
     return _Output(
         "fig2e.csv", "tau_ns," + ",".join(f"v_ratio{r:g}" for r in ratios),
@@ -383,24 +385,22 @@ def _sim_steady(scenario: Scenario, args, threads: int) -> _Output:
 def _sim_g2(scenario: Scenario, args, threads: int) -> _Output:
     params, rabi = scenario.emitter.resolve(), scenario.drive.resolve()
     taus = np.linspace(-args.tau_max, args.tau_max, args.points)
-    trace = g2(params, rabi, taus)
-    return _Output("g2.csv", "tau_ns,g2", [taus, trace.values],
-                   {"g2_zero": float(g2(params, rabi, [0.0]).values[0])})
+    return _Output("g2.csv", "tau_ns,g2", [taus, g2(params, rabi, taus)],
+                   {"g2_zero": float(g2(params, rabi, [0.0])[0])})
 
 
 def _sim_g1(scenario: Scenario, args, threads: int) -> _Output:
+    params, rabi = scenario.emitter.resolve(), scenario.drive.resolve()
     taus = np.linspace(0.0, args.tau_max, args.points)
-    trace = g1(scenario.emitter.resolve(), scenario.drive.resolve(), taus)
-    return _Output("g1.csv", "tau_ns,g1_real,g1_imag,g1_abs",
-                   [taus, trace.values.real, trace.values.imag, np.abs(trace.values)],
-                   {"coherent_offset": trace.coherent_offset})
+    vals = g1(params, rabi, taus)
+    return _Output("g1.csv", "tau_ns,g1_real,g1_imag,g1_abs", [taus, vals.real, vals.imag, np.abs(vals)],
+                   {"coherent_offset": em.rrs_fraction(params, rabi)})
 
 
 def _sim_spectrum(scenario: Scenario, args, threads: int) -> _Output:
     grid = np.linspace(-args.span_uev / 2.0, args.span_uev / 2.0, args.points)
-    _, trace = _spectrum(scenario, grid)
-    return _Output("spectrum.csv", "energy_uev,density", [grid, trace.density],
-                   {"coherent_weight": trace.coherent_weight})
+    _, density, weight = _spectrum(scenario, grid)
+    return _Output("spectrum.csv", "energy_uev,density", [grid, density], {"coherent_weight": weight})
 
 
 def _sim_hom_cw(scenario: Scenario, args, threads: int) -> _Output:
@@ -408,7 +408,7 @@ def _sim_hom_cw(scenario: Scenario, args, threads: int) -> _Output:
     par, orth = _hom_cw(scenario, taus)
     vis = visibility(par, orth)
     return _Output("hom_cw.csv", "tau_ns,g2_parallel,g2_orthogonal,visibility",
-                   [taus, par.values, orth.values, vis],
+                   [taus, par, orth, vis],
                    {"peak_visibility": float(np.max(vis))})
 
 

@@ -12,19 +12,21 @@ and its modes per drive; g1 and g2 sum the modes, or take exact matrix
 exponentials when G is (nearly) defective. The spectrum solves the
 resolvent of G. Evenness in tau comes from the regression on |tau|; the
 HOM layer folds its two detector orderings itself.
+
+Every function here takes the caller's tau grid and returns the values on
+it as an array: g2 real, g1 complex; `apply_blinking` and
+`convolve_timing` take such an array of g2 values with its grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .emitter import _FWHM_PER_SIGMA, _GROUND, EmitterParams, _expm, _generator, steady_state
-
-_EVEN_TOL = 1e-9
 
 
 class GridError(ValueError):
@@ -69,36 +71,6 @@ class TimingResponse:
             raise ValueError("timing fwhm must be >= 0")
 
 
-@dataclass(frozen=True)
-class CorrelationTrace:
-    """Sampled correlation function on a tau grid (ns).
-
-    kind is "G1" (complex values, with the constant coherent part recorded
-    in coherent_offset) or "G2" (real, stored as given, clipped at 0).
-    """
-
-    tau_grid: np.ndarray
-    values: np.ndarray
-    kind: str
-    coherent_offset: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
-        if self.kind == "G1":
-            object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-            if np.any(np.abs(self.values) > 1.0 + _EVEN_TOL):
-                raise ValueError("|g1| must not exceed 1")
-        elif self.kind == "G2":
-            vals = np.asarray(self.values, dtype=float)
-            if np.any(vals < -_EVEN_TOL):
-                raise ValueError("G2 values must be >= 0")
-            object.__setattr__(self, "values", np.clip(vals, 0.0, None))
-        else:
-            raise ValueError(f"unknown correlation kind {self.kind!r}")
-        if self.tau_grid.shape != self.values.shape:
-            raise ValueError("tau_grid and values must have matching shapes")
-
-
 # Above this eigenvector condition number the eigen path loses more than
 # about 1e-12 (the error grows like cond * 1e-16); the generator is then
 # (nearly) defective, as at the critical drive, and exact exponentials
@@ -115,11 +87,10 @@ def _regression_setup(params: EmitterParams, rabi: float):
     """(G, its stationary vector (u, v, w, 1), its modes), read-only and
     cached per (params, rabi), rabi a float. The modes are (eigenvalues,
     eigenvectors) from a real `eig`, or None at condition `_COND_MAX`."""
-    ss = steady_state(params, rabi)
+    x_ss = steady_state(params, rabi)
     if rabi == 0.0:
         raise ValueError("correlation functions require a nonzero CW drive")
     gen = _generator(params, rabi)[:4, :4]
-    x_ss = np.array([ss.u, ss.v, ss.w, 1.0])
     evals, vecs = np.linalg.eig(gen)
     for a in (gen, x_ss, evals, vecs):
         a.flags.writeable = False
@@ -148,8 +119,9 @@ def _propagate_modes(gen: np.ndarray, modes, x0: np.ndarray, taus: np.ndarray, r
     return out
 
 
-def g2(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
-    """Normalized intensity autocorrelation g2(tau) of the driven emitter.
+def g2(params: EmitterParams, rabi: float, tau_grid) -> np.ndarray:
+    """Normalized intensity autocorrelation g2(tau) of the driven emitter at
+    each tau of tau_grid, clipped at 0.
 
     Evolves the ground state (0, 0, -1, 1), the post-emission state, and
     normalizes the regrowth of rho_ee by its steady-state value. Even in
@@ -159,7 +131,7 @@ def g2(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     tau_grid = np.asarray(tau_grid, dtype=float)
     rho_ee = _READ_EE @ x_ss
     vals = _propagate_modes(gen, modes, _GROUND, tau_grid, _READ_EE).real / rho_ee
-    return CorrelationTrace(tau_grid=tau_grid, values=np.clip(vals, 0.0, None), kind="G2")
+    return np.clip(vals, 0.0, None)
 
 
 def _g1_start(x_ss: np.ndarray) -> np.ndarray:
@@ -169,14 +141,14 @@ def _g1_start(x_ss: np.ndarray) -> np.ndarray:
     return np.array([rho_ee, 1j * rho_ee, -s_minus, s_minus])
 
 
-def g1(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
-    """First-order coherence g1(tau) = <s+(t+tau) s-(t)> / rho_ee.
+def g1(params: EmitterParams, rabi: float, tau_grid) -> np.ndarray:
+    """First-order coherence g1(tau) = <s+(t+tau) s-(t)> / rho_ee at each
+    tau of tau_grid, complex, with |g1| trimmed to 1.
 
     By the regression theorem the operator s- rho_ss evolves under the
-    Bloch generator like a state, and <s+> of it is its rho_ge. The
-    constant coherent part |<s->|^2 / rho_ee is stored as coherent_offset
-    and equals the coherently scattered fraction. Negative taus are filled
-    by conjugate symmetry.
+    Bloch generator like a state, and <s+> of it is its rho_ge. g1 tends to
+    its constant coherent part |<s->|^2 / rho_ee, which is
+    `emitter.rrs_fraction`. Negative taus are filled by conjugate symmetry.
     """
     gen, x_ss, modes = _regression_setup(params, float(rabi))
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -185,40 +157,35 @@ def g1(params: EmitterParams, rabi: float, tau_grid) -> CorrelationTrace:
     vals = _propagate_modes(gen, modes, x0, tau_grid, _READ_GE) / rho_ee
     vals = np.where(tau_grid < 0, np.conj(vals), vals)
     mag = np.abs(vals)
-    vals = np.where(mag > 1.0, vals / np.maximum(mag, 1.0), vals)  # trim roundoff
-    offset = float(abs(x0[3])) ** 2 / rho_ee
-    return CorrelationTrace(tau_grid=tau_grid, values=vals, kind="G1", coherent_offset=offset)
+    return np.where(mag > 1.0, vals / np.maximum(mag, 1.0), vals)  # trim roundoff
 
 
-def apply_blinking(trace: CorrelationTrace, blinking: BlinkingParams) -> CorrelationTrace:
-    """Multiply a G2 trace by the bunching envelope (1 + a*exp(-|tau|/tau_b))."""
-    if trace.kind != "G2":
-        raise ValueError("blinking applies to G2 traces only")
-    env = 1.0 + blinking.amplitude * np.exp(-np.abs(trace.tau_grid) / blinking.timescale_ns)
-    return replace(trace, values=trace.values * env)
+def apply_blinking(tau_grid, values, blinking: BlinkingParams) -> np.ndarray:
+    """g2 values on tau_grid times the bunching envelope (1 + a*exp(-|tau|/tau_b))."""
+    return values * (1.0 + blinking.amplitude * np.exp(-np.abs(tau_grid) / blinking.timescale_ns))
 
 
-def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> CorrelationTrace:
-    """Convolve a G2 trace with the Gaussian detector response.
+def convolve_timing(tau_grid, values, irf: TimingResponse) -> np.ndarray:
+    """g2 values on tau_grid convolved with the Gaussian detector response.
 
-    An ideal detector (fwhm 0) returns the trace; otherwise the tau grid
+    An ideal detector (fwhm 0) returns the values; otherwise the tau grid
     must be increasing and uniform (GridError), and sigma <= dt / 40
-    returns the trace too (the kernel's side weights underflow to 0 from
+    returns the values too (the kernel's side weights underflow to 0 from
     dt / sigma ~ 38.7 on). The kernel is unit-normalized on the grid, so
     the integral is preserved provided the trace has settled to a constant
     within a kernel width of the grid edges (edge bins are replicated
     outward). A kernel whose half-width 6 sigma exceeds the grid span
     cannot meet that, and is refused (GridError) before it is built.
     """
-    if trace.kind != "G2":
-        raise ValueError("timing convolution applies to G2 traces only")
+    if np.shape(values) != np.shape(tau_grid):
+        raise ValueError("tau_grid and values must have matching shapes")
     if irf.fwhm_ns == 0.0:
-        return trace
-    dt = _uniform_step(trace.tau_grid, "tau grid")
+        return values
+    dt = _uniform_step(tau_grid, "tau grid")
     sigma = irf.fwhm_ns / _FWHM_PER_SIGMA
     if sigma <= dt / 40.0:  # a subnormal width even underflows to sigma = 0
-        return trace
-    span = float(trace.tau_grid[-1] - trace.tau_grid[0])
+        return values
+    span = float(tau_grid[-1] - tau_grid[0])
     if 6.0 * sigma > span:
         raise GridError(
             f"timing fwhm {irf.fwhm_ns:g} ns: the kernel half-width 6 sigma = {6.0 * sigma:.4g} ns "
@@ -228,6 +195,5 @@ def convolve_timing(trace: CorrelationTrace, irf: TimingResponse) -> Correlation
     x = np.arange(-half, half + 1) * dt
     kernel = np.exp(-0.5 * (x / sigma) ** 2)
     kernel /= kernel.sum()
-    vals = trace.values
-    padded = np.concatenate([np.full(half, vals[0]), vals, np.full(half, vals[-1])])
-    return replace(trace, values=np.convolve(padded, kernel, mode="valid"))
+    padded = np.concatenate([np.full(half, values[0]), values, np.full(half, values[-1])])
+    return np.convolve(padded, kernel, mode="valid")

@@ -181,26 +181,6 @@ class PulseTrain:
         return self if n_pairs is None else replace(self, n_pairs=n_pairs)
 
 
-_BLOCH_BALL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Coherence/population vector (u, v, w): u + iv = 2<sigma->, w = rho_ee - rho_gg."""
-
-    u: float
-    v: float
-    w: float
-
-    def __post_init__(self):
-        norm2 = self.u ** 2 + self.v ** 2 + self.w ** 2
-        if norm2 > 1.0 + _BLOCH_BALL_TOL:
-            raise ValueError(f"state outside the Bloch ball: |r|^2 = {norm2}")
-
-    def rho_ee(self) -> float:
-        return (1.0 + self.w) / 2.0
-
-
 def bloch_system(params: EmitterParams, rabi: float):
     """Matrix A and offset b of the Bloch equations d(u,v,w)/dt = A x + b.
 
@@ -234,20 +214,27 @@ def saturation_parameter(params: EmitterParams, rabi):
 
 
 def steady_rho_ee(params: EmitterParams, rabi):
-    """Steady-state rho_ee = s / (2 (1 + s)), to full precision also at s << 1, where (1 + w) / 2 cancels."""
+    """Steady-state rho_ee = s / (2 (1 + s)), to full precision also at s << 1, where (1 + w) / 2 cancels.
+
+    s is capped at 2^53, from where 1 + s rounds to s and the quotient is
+    0.5 exactly, so an s that overflows to inf gives the saturated 0.5. A
+    Python float stays one."""
     s = saturation_parameter(params, rabi)
+    s = np.minimum(s, 2.0 ** 53) if np.ndim(s) else min(s, 2.0 ** 53)
     return 0.5 * s / (1.0 + s)
 
 
-def steady_state(params: EmitterParams, rabi: float) -> BlochState:
-    """Closed-form fixed point of the Bloch equations under CW drive."""
+def steady_state(params: EmitterParams, rabi: float) -> np.ndarray:
+    """Closed-form fixed point of the Bloch equations under CW drive, as the
+    stationary vector (u, v, w, 1) on (u, v, w, tr); u + iv = 2<sigma->,
+    w = rho_ee - rho_gg."""
     _check_rabi(rabi)
     d2t2 = 1.0 + (params.detuning * params.t2) ** 2
     s_eff = saturation_parameter(params, rabi)
     w = -1.0 / (1.0 + s_eff)
     v = -rabi * params.t2 * w / d2t2
     u = params.detuning * params.t2 * v
-    return BlochState(u=u, v=v, w=w)
+    return np.array([u, v, w, 1.0])
 
 
 def rrs_fraction(params: EmitterParams, rabi):

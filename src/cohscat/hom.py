@@ -7,8 +7,9 @@ source g2 plus, for parallel polarizations, an interference term carrying
 between the two paths are dropped (the delay far exceeds the correlation
 times of interest). A trace records both detector orderings, so the
 ordered R^2/T^2 side weights enter folded, as their mean at -+delay.
-`hom_pair` gives the traces of an ideal detector; a caller smears them
-with `correlations.convolve_timing`.
+`hom_pair` gives the traces of an ideal detector as arrays on the
+caller's tau grid; a caller smears them with `correlations.convolve_timing`
+and compares them with `visibility`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlations import _EVEN_TOL, CorrelationTrace, TimingResponse, _uniform_step, convolve_timing, g1, g2
+from .correlations import TimingResponse, _uniform_step, convolve_timing, g1, g2
 from .emitter import EmitterParams
 
 PARALLEL = "parallel"
@@ -44,22 +45,25 @@ class HomSetup:
 
 
 def _pair_values(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid: np.ndarray):
+    """(parallel, orthogonal) values; the parallel trace is clipped at 0,
+    where a fully coherent source's dip sits at roundoff, and refused below
+    -1e-9."""
     r = setup.splitter_ratio
     t = 1.0 - r
-    center = g2(params, rabi, tau_grid).values
-    minus = g2(params, rabi, tau_grid - setup.delay).values
-    plus = g2(params, rabi, tau_grid + setup.delay).values
+    center = g2(params, rabi, tau_grid)
+    minus = g2(params, rabi, tau_grid - setup.delay)
+    plus = g2(params, rabi, tau_grid + setup.delay)
     # both detector orderings: the side weights r^2 and t^2 fold into their mean
     perp = 2.0 * r * t * center + (r ** 2 + t ** 2) / 2.0 * (minus + plus)
-    coh = np.abs(g1(params, rabi, tau_grid).values) ** 2
+    coh = np.abs(g1(params, rabi, tau_grid)) ** 2
     par = perp - 2.0 * r * t * coh
-    if par.min() < -_EVEN_TOL:
+    if par.min() < -1e-9:
         raise ValueError(f"delay {setup.delay:g} ns is too short: the parallel trace reaches {par.min():.3g} < 0")
-    return par, perp
+    return np.clip(par, 0.0, None), perp
 
 
-def hom_g2(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> CorrelationTrace:
-    """Post-selected autocorrelation at one interferometer output.
+def hom_g2(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> np.ndarray:
+    """Post-selected autocorrelation at one interferometer output, on tau_grid.
 
     Requires the grid to reach at least twice the path delay so that the
     side structure is contained. The side dips at -+delay both have the
@@ -70,34 +74,28 @@ def hom_g2(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> Cor
     if np.max(np.abs(tau_grid)) < 2.0 * setup.delay:
         raise ValueError("tau grid must extend to at least twice the interferometer delay")
     par, perp = _pair_values(params, rabi, setup, tau_grid)
-    vals = par if setup.polarization == PARALLEL else perp
-    return CorrelationTrace(tau_grid=tau_grid, values=vals, kind="G2")
+    return par if setup.polarization == PARALLEL else perp
 
 
-def hom_pair(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> tuple[CorrelationTrace, CorrelationTrace]:
+def hom_pair(params: EmitterParams, rabi: float, setup: HomSetup, tau_grid) -> tuple[np.ndarray, np.ndarray]:
     """(parallel, orthogonal) traces of an ideal detector."""
     par = hom_g2(params, rabi, replace(setup, polarization=PARALLEL), tau_grid)
     perp = hom_g2(params, rabi, replace(setup, polarization=ORTHOGONAL), tau_grid)
     return par, perp
 
 
-def visibility(parallel: CorrelationTrace, orthogonal: CorrelationTrace) -> np.ndarray:
-    """Pointwise (g2_perp - g2_par)/g2_perp in [0, 1]; zero where the
-    orthogonal trace vanishes."""
-    if parallel.tau_grid.shape != orthogonal.tau_grid.shape or not np.allclose(
-        parallel.tau_grid, orthogonal.tau_grid, rtol=0, atol=1e-12
-    ):
-        raise ValueError("visibility requires identical tau grids")
-    denom = orthogonal.values
-    bad = denom < 1e-12
-    vals = np.where(bad, 0.0, (denom - parallel.values) / np.where(bad, 1.0, denom))
+def visibility(parallel: np.ndarray, orthogonal: np.ndarray) -> np.ndarray:
+    """Pointwise (g2_perp - g2_par)/g2_perp of two traces on one tau grid,
+    in [0, 1]; zero where the orthogonal trace vanishes."""
+    bad = orthogonal < 1e-12
+    vals = np.where(bad, 0.0, (orthogonal - parallel) / np.where(bad, 1.0, orthogonal))
     return np.clip(vals, 0.0, 1.0)
 
 
-def solve_timing_for_visibility(par: CorrelationTrace, perp: CorrelationTrace, target: float = 0.89) -> float:
+def solve_timing_for_visibility(tau_grid, par: np.ndarray, perp: np.ndarray, target: float = 0.89) -> float:
     """Detector-response FWHM (ns) at which the peak visibility of the
-    IRF-free traces (par, perp) of ``hom_pair``, each convolved with that
-    IRF, equals target.
+    IRF-free traces (par, perp) of ``hom_pair`` on tau_grid, each convolved
+    with that IRF, equals target.
 
     The IRF only smooths the two traces, so they are built once, by the
     caller. Peak visibility falls monotonically from 1 as the IRF smears
@@ -107,11 +105,11 @@ def solve_timing_for_visibility(par: CorrelationTrace, perp: CorrelationTrace, t
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target visibility must lie in (0, 1)")
-    lo = _uniform_step(par.tau_grid, "tau grid")
+    lo = _uniform_step(tau_grid, "tau grid")
 
     def peak(fwhm: float) -> float:
         irf = TimingResponse(fwhm_ns=fwhm)
-        return float(np.max(visibility(convolve_timing(par, irf), convolve_timing(perp, irf))))
+        return float(np.max(visibility(convolve_timing(tau_grid, par, irf), convolve_timing(tau_grid, perp, irf))))
 
     hi, f_hi = lo, peak(lo) - target
     if f_hi < 0:

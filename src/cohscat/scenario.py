@@ -10,12 +10,14 @@ the same way. Six blocks are the library's own value classes. Five check
 their values when built: `blinking` (BlinkingParams), `timing`
 (TimingResponse), `spectral` (SpectralResponse), `source_model`
 (SourceModel) and `pulse_train` (PulseTrain, areas in pi, times in ns;
-only `bench`'s `_multi_frac` passes its `resolve` an n_pairs). `gating`
+only `bench`'s `_multi_frac` passes its `resolve` an n_pairs; its
+pair_period_ns is also capped at `_MAX_PAIR_PERIOD_NS`). `gating`
 (GatingModel) is checked against the resolved emitter, by the call that
-solves its laser leakage when that is None. The rest resolve to what they
-derive: `emitter` to EmitterParams, `drive` to a Rabi frequency, `hom` to
-HomSetup and `circuit` to its couplers and phases. A scenario is valid if
-and only if every block builds and resolves.
+solves its laser leakage when that is None, and so is the saturation
+parameter of the `drive`, which must be finite. The rest resolve to what
+they derive: `emitter` to EmitterParams, `drive` to a Rabi frequency, `hom`
+to HomSetup and `circuit` to its couplers and phases. A scenario is valid
+if and only if every block builds and resolves.
 `Scenario.__post_init__` resolves them all, so every way of making a
 Scenario (a config, `dataclasses.replace` with a flag's value) passes the
 same check, and a failure is a SchemaError that names its block.
@@ -42,6 +44,10 @@ TWO_PI = 2.0 * math.pi
 # Largest circuit.n_phi. A `fig fig3e` run holds about 220 bytes per phase
 # point (two fringe tables, their fits and the CSV), so about 57 MB here.
 _MAX_PHI_POINTS = 1 << 18
+# Largest pulse_train.pair_period_ns: the coincidence histogram of fig3b and
+# sim hbt spans 3.2 pair periods in 0.05 ns bins, 64 bins per ns, so this
+# caps it at 2^18 bins (2 MiB of counts, plus as many centers).
+_MAX_PAIR_PERIOD_NS = 4096.0
 
 
 class SchemaError(ValueError):
@@ -186,7 +192,7 @@ class Scenario:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise SchemaError("seed must be a 64-bit unsigned integer")
-        params = None  # the emitter resolves first; gating is checked against it
+        params = None  # the emitter resolves first; gating and drive are checked against it
         for f in dataclasses.fields(self):
             block = getattr(self, f.name)
             try:
@@ -194,6 +200,16 @@ class Scenario:
                     params = block.resolve()
                 elif f.name == "gating":
                     block.leakage(params)
+                elif f.name == "drive":
+                    rabi = block.resolve()
+                    with np.errstate(over="ignore"):
+                        s = em.saturation_parameter(params, np.float64(rabi))
+                    if not np.isfinite(s):
+                        raise ValueError(f"saturation parameter s = W^2 T1 T2 / (1 + (D T2)^2) must be finite, "
+                                         f"got {s} at rabi {rabi!r} rad/ns")
+                elif f.name == "pulse_train" and not block.pair_period_ns <= _MAX_PAIR_PERIOD_NS:
+                    raise ValueError(f"pair_period_ns must be at most {_MAX_PAIR_PERIOD_NS:g} "
+                                     f"(the coincidence histogram's 2^18 bins), got {block.pair_period_ns!r}")
                 elif hasattr(block, "resolve"):
                     block.resolve()
             except (ValueError, ArithmeticError) as exc:

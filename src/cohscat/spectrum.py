@@ -7,6 +7,8 @@ taken in closed form as the resolvent of the Bloch generator that g1
 propagates (Mollow 1969). Both instrument and laser lines are modeled as
 Lorentzians, so instrument convolution is exact: Lorentzian widths add, and
 the instrument line shifts the resolvent's argument by half its width.
+`emission_spectrum` returns the density on the caller's energy grid; the
+coherent weight it splits off is `emitter.rrs_fraction`.
 """
 
 from __future__ import annotations
@@ -34,31 +36,6 @@ class SpectralResponse:
     def __post_init__(self):
         if self.instrument_fwhm_uev < 0 or self.laser_fwhm_uev < 0:
             raise ValueError("spectral widths must be >= 0")
-
-
-@dataclass(frozen=True)
-class SpectrumTrace:
-    """Spectral density (1/µeV) on an energy grid (µeV, relative to the laser).
-
-    The density is renormalized to unit integral on the grid, part by part
-    (the Lorentzian tails outside a finite window are re-assigned
-    proportionally); coherent_weight records the analytic coherent fraction.
-    """
-
-    energy_grid: np.ndarray
-    density: np.ndarray
-    coherent_weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "energy_grid", np.asarray(self.energy_grid, dtype=float))
-        object.__setattr__(self, "density", np.asarray(self.density, dtype=float))
-        if np.any(self.density < 0):
-            raise ValueError("spectral density must be >= 0")
-        if not 0.0 <= self.coherent_weight <= 1.0:
-            raise ValueError("coherent_weight must lie in [0, 1]")
-        total = float(np.trapezoid(self.density, self.energy_grid))
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"spectral density must integrate to 1, got {total}")
 
 
 def lorentzian(energy, center: float, fwhm: float):
@@ -118,13 +95,16 @@ def emission_spectrum(
     rabi: float,
     response: SpectralResponse,
     energy_grid,
-) -> SpectrumTrace:
-    """Full emission spectrum: coherent line plus incoherent part, both
-    convolved with the instrument response, unit-normalized on the grid.
+) -> np.ndarray:
+    """Full emission spectrum: the spectral density (1/µeV) at each energy
+    of the grid (µeV, relative to the laser), coherent line plus incoherent
+    part, both convolved with the instrument response.
 
-    Raises GridError when the grid is not increasing and uniform, or does
-    not resolve a smooth part (the incoherent density, or the coherent line
-    when its width is > 0).
+    Each part is renormalized to unit integral on the grid (its Lorentzian
+    tails outside a finite window are re-assigned proportionally) and
+    weighted by rrs_fraction and its complement. Raises GridError when the
+    grid is not increasing and uniform, or does not resolve a smooth part
+    (the incoherent density, or the coherent line when its width is > 0).
     """
     energy_grid = np.asarray(energy_grid, dtype=float)
     de = _uniform_step(energy_grid, "energy grid")
@@ -151,4 +131,9 @@ def emission_spectrum(
         density = frac * coh / coh_total + (1.0 - frac) * inc / inc_total
     else:
         density = coh / coh_total
-    return SpectrumTrace(energy_grid=energy_grid, density=density, coherent_weight=min(frac, 1.0))
+    if np.any(density < 0):
+        raise ValueError("spectral density must be >= 0")
+    total = float(np.trapezoid(density, energy_grid))
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"spectral density must integrate to 1, got {total}")
+    return density

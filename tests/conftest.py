@@ -26,7 +26,7 @@ from cohscat.emitter import (
 from cohscat.pulsed import _CHUNK_PAIRS, _SPLITTER_RATIO, _STREAM, PhotonStream, _rng
 from cohscat._svg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, _ticks
 from cohscat.correlations import _uniform_step
-from cohscat.spectrum import GridError, SpectralResponse, SpectrumTrace, lorentzian
+from cohscat.spectrum import GridError, SpectralResponse, lorentzian
 
 Config = tuple[tuple[int, int], ...]  # sorted ((mode, label), ...)
 _MAX_PHOTONS = 3  # largest photon number the Fock engine and the permanent take
@@ -967,16 +967,15 @@ def _estimate_fwhm(grid: np.ndarray, dens: np.ndarray) -> float:
     return float(right - left)
 
 
-def fit_linewidth(trace: SpectrumTrace, response: SpectralResponse) -> LinewidthFit:
-    """Least-squares fit of an instrument-convolved Lorentzian line.
+def fit_linewidth(grid: np.ndarray, dens: np.ndarray, response: SpectralResponse) -> LinewidthFit:
+    """Least-squares fit of an instrument-convolved Lorentzian line to the
+    spectral density dens on the energy grid.
 
     Lorentzian (x) Lorentzian widths add, so the model is a single
     Lorentzian of FWHM (intrinsic + instrument); the known instrument width
     is subtracted inside the fit. The peak must be resolvable above the
     grid spacing.
     """
-    grid = trace.energy_grid
-    dens = trace.density
     de = _uniform_step(grid, "energy grid")
     fwhm_obs = _estimate_fwhm(grid, dens)
     if fwhm_obs < de:
@@ -1023,9 +1022,9 @@ def incoherent_spectrum_quadrature(params, rabi, energies, instrument_fwhm=0.0):
     for _ in range(block - 1):
         powers.append(step @ powers[-1])
     leap = step @ powers[-1]
-    ss = steady_state(params, rabi)
-    rho_ee = ss.rho_ee()
-    coherence = (ss.u + 1j * ss.v) / 2.0
+    u, v, w, _ = steady_state(params, rabi)
+    rho_ee = (1.0 + w) / 2.0
+    coherence = (u + 1j * v) / 2.0
     x = np.array([0.0, 0.0, rho_ee, coherence], dtype=complex)
     starts = []
     for _ in range(n // block + 1):

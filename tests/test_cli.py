@@ -179,11 +179,12 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_float_overflow_is_a_numerical_failure(tmp_path, capsys):
-    # a finite drive whose square overflows: OverflowError, not a traceback
+def test_drive_flag_whose_square_overflows_is_a_schema_error(tmp_path, capsys):
+    # a finite drive whose square overflows: its saturation parameter is
+    # checked when the flag rebuilds the scenario
     out = tmp_path / "o"
-    assert run_cli(["sim", "steady", "--rabi-ghz", "1e200", "--out", str(out)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert run_cli(["sim", "steady", "--rabi-ghz", "1e200", "--out", str(out)]) == 2
+    assert "scenario error: drive: saturation parameter" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -358,6 +359,40 @@ def test_timing_kernel_wider_than_the_grid_is_a_numerical_failure(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["fig", "fig3b"], ["sim", "hbt", "--pairs", "300"]], ids=["fig3b", "hbt"])
+def test_pair_period_past_the_histogram_cap_is_a_schema_error(tmp_path, capsys, command):
+    # The coincidence histogram takes 64 bins per ns of pair period, so
+    # 1e12 ns would ask for 466 TiB; 4096 ns, 2^18 bins, is the most a
+    # scenario may ask for.
+    for period in (1e12, 4096.0 * (1.0 + 1e-15)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pulse_train": {"pair_period_ns": period}}))
+        out = tmp_path / "o"
+        assert run_cli([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: pulse_train: pair_period_ns must be at most 4096" in err
+        assert not out.exists()
+    assert Scenario.from_dict({"pulse_train": {"pair_period_ns": 4096.0}}).pulse_train.pair_period_ns == 4096.0
+
+
+@pytest.mark.parametrize("command", [["sim", "g2"], ["sim", "steady"], ["fig", "fig2a"]], ids=["g2", "steady", "fig2a"])
+@pytest.mark.parametrize("drive", [{"rabi_rad_ns": 1e300}, {"rabi_rad_ns": 1e154, "rabi_ghz": 1.0}, {"rabi_ghz": 1e200}],
+                         ids=["square-overflow", "product-overflow", "ghz"])
+def test_drive_whose_saturation_parameter_overflows_is_a_schema_error(tmp_path, capsys, command, drive):
+    # s overflows in the square, in the product with T1 T2, or from a GHz
+    # value; the drive is checked against the resolved emitter when the
+    # scenario loads, before any command runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drive": drive, "emitter": {"t1_ns": 10.0, "t2_ns": 20.0}}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error: drive: saturation parameter s = W^2 T1 T2 / (1 + (D T2)^2) must be finite" in err
+    assert not out.exists()
+
+
 def test_fig1d_counts_that_overflow_above_the_knee_fail_naming_gating(tmp_path, capsys):
     # the leaked laser is finite at the knee (1e308 counts/s) and overflows at 5x its power
     params = Scenario().emitter.resolve()
@@ -404,7 +439,7 @@ def test_detuned_steady_state_is_reported_consistently():
     fig = cli._fig2c(sc, None, 1)
     params = sc.emitter.resolve().with_coherence_ratio(1.0)
     freqs, i_total = fig.columns[0], fig.columns[1]
-    rho = np.array([em.steady_state(params, 2.0 * math.pi * f).rho_ee() for f in freqs])
+    rho = np.array([(1.0 + em.steady_state(params, 2.0 * math.pi * f)[2]) / 2.0 for f in freqs])
     assert np.max(np.abs(i_total - 2.0 * rho)) < 1e-12
 
 

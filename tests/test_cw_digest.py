@@ -9,8 +9,9 @@ cells (such as ``steady.csv``'s labels) as text: a refactor that keeps the
 numbers passes whatever kernel or summation order it uses, and one that
 moves them fails. The Monte Carlo commands run at 5000 pairs on one
 thread. The digest cases also rerun under the OpenBLAS kernels of other
-cores, so the outputs are checked not to depend on the machine. Rewrite
-the digest only for a deliberate change of the outputs:
+cores, and with numpy's SIMD extensions above its baseline disabled, so
+the outputs are checked not to depend on the machine. Rewrite the digest
+only for a deliberate change of the outputs:
 
     PYTHONPATH=src python tests/test_cw_digest.py
 """
@@ -120,6 +121,24 @@ def test_digest_holds_under_other_openblas_kernels(coretype):
     if f"Core: {coretype}" not in probe.stdout + probe.stderr:
         pytest.skip(f"OpenBLAS does not take core {coretype}: {(probe.stdout + probe.stderr).strip()!r}")
     del env["OPENBLAS_VERBOSE"]
+    _rerun_digest(env)
+
+
+def test_digest_holds_without_numpy_simd_extensions():
+    # The digest cases rerun in a fresh process whose numpy dispatches none
+    # of its SIMD targets above the x86-64 baseline it was built for.
+    features = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    # every feature must be known to this numpy and read as disabled
+    check = ("import sys; from numpy._core._multiarray_umath import __cpu_features__ as f; "
+             "sys.exit(not all(f.get(k) is False for k in sys.argv[1:]))")
+    probe = subprocess.run([sys.executable, "-c", check, *features], env=env, capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy cannot import with {features} disabled: {probe.stderr.strip()[-300:]!r}")
+    _rerun_digest(env)
+
+
+def _rerun_digest(env: dict) -> None:
     nested = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
               "tests/test_cw_digest.py::test_cw_outputs_match_digest"]
     run = subprocess.run(nested, env=env, capture_output=True, text=True, cwd=Path(__file__).parents[1])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,37 +45,60 @@ def test_linewidth_inverts_exactly():
     assert abs(params.t2 - 2.0 * params.t1) < 1e-12
 
 
-def test_bloch_state_invariants():
-    with pytest.raises(ValueError):
-        cs.BlochState(1.0, 1.0, 1.0)
-    assert cs.BlochState(0.0, 0.0, -1.0).rho_ee() == 0.0
-    assert cs.BlochState(0.0, 0.0, 1.0).rho_ee() == 1.0
+def _rho_ee(params, rabi) -> float:
+    """(1 + w) / 2 of the closed-form steady state."""
+    return (1.0 + cs.steady_state(params, rabi)[2]) / 2.0
+
+
+def test_bloch_state_invariants(rng):
+    # the closed form is the stationary vector (u, v, w, 1), inside the
+    # Bloch ball, whose rho_ee is steady_rho_ee
+    for _ in range(200):
+        t1 = rng.uniform(0.05, 3.0)
+        params = cs.EmitterParams(t1=t1, t2=rng.uniform(0.05, 1.0) * 2.0 * t1, detuning=rng.uniform(-5.0, 5.0))
+        rabi = 10.0 ** rng.uniform(-3.0, 3.0)
+        x = cs.steady_state(params, rabi)
+        assert x.shape == (4,) and x[3] == 1.0
+        assert x[:3] @ x[:3] <= 1.0
+        assert (1.0 + x[2]) / 2.0 == pytest.approx(emitter.steady_rho_ee(params, rabi), rel=1e-12)
+
+
+def test_steady_rho_ee_saturates_where_s_overflows():
+    # s overflows to inf; rho_ee is then its limit 0.5, not inf / inf
+    params = cs.EmitterParams(t1=1.0, t2=0.6)
+    with np.errstate(over="ignore"):
+        rho = emitter.steady_rho_ee(params, np.array([1e200, 1e154, 1.0, 0.0]))
+    assert rho.tolist() == [0.5, 0.5, 0.5 * 0.6 / 1.6, 0.0]
+    # so a power far past the knee counts the saturated emission, and warns nothing
+    gating = cs.GatingModel(laser_leakage=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = gating.counts(params, np.array([1.7e308]))
+    saturated = gating.charge_occupation * gating.collection_efficiency * 0.5 / params.t1 * 1e9
+    assert counts.tolist() == [saturated + 1e-300 * 1.7e308]
 
 
 def test_steady_state_undriven():
     params = cs.EmitterParams(t1=1.0, t2=0.6)
-    st = cs.steady_state(params, 0.0)
-    assert (st.u, st.v, st.w) == (0.0, 0.0, -1.0)
-    assert st.rho_ee() == 0.0
+    assert cs.steady_state(params, 0.0).tolist() == [0.0, 0.0, -1.0, 1.0]
+    assert _rho_ee(params, 0.0) == 0.0
 
 
 def test_steady_state_saturation_limit():
     params = cs.EmitterParams(t1=1.0, t2=0.6)
     rabi = math.sqrt(1e12 / (params.t1 * params.t2))  # s = 1e12
-    assert cs.steady_state(params, rabi).rho_ee() == pytest.approx(0.5, abs=1e-6)
+    assert _rho_ee(params, rabi) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_steady_state_s_equals_one_against_ode():
     params = cs.EmitterParams(t1=1.0, t2=0.6)
     rabi = math.sqrt(1.0 / (params.t1 * params.t2))
     st = cs.steady_state(params, rabi)
-    assert st.rho_ee() == pytest.approx(0.25, abs=1e-12)
+    assert _rho_ee(params, rabi) == pytest.approx(0.25, abs=1e-12)
     # Independent check: integrate the equations of motion to 50 lifetimes.
     t_end = 50.0 * params.t1
-    u, v, w = _bloch_path(params, _constant(rabi, t_end), GROUND, [0.0, t_end])[-1]
-    assert u == pytest.approx(st.u, abs=1e-8)
-    assert v == pytest.approx(st.v, abs=1e-8)
-    assert w == pytest.approx(st.w, abs=1e-8)
+    final = _bloch_path(params, _constant(rabi, t_end), GROUND, [0.0, t_end])[-1]
+    assert final == pytest.approx(st[:3], abs=1e-8)
 
 
 def test_steady_state_rejects_bad_rabi():
@@ -89,12 +113,10 @@ def test_rho_ee_saturation_curve_shape():
     params = cs.EmitterParams(t1=0.7, t2=1.1)
     for s in (0.1, 1.0, 1.857, 25.0):
         rabi = math.sqrt(s / (params.t1 * params.t2))
-        assert cs.steady_state(params, rabi).rho_ee() == pytest.approx(
-            s / (2.0 * (1.0 + s)), abs=1e-12
-        )
+        assert _rho_ee(params, rabi) == pytest.approx(s / (2.0 * (1.0 + s)), abs=1e-12)
     # intensity reaches 0.65 of its asymptote at s = 1.857
     rabi = math.sqrt(1.857 / (params.t1 * params.t2))
-    assert cs.steady_state(params, rabi).rho_ee() / 0.5 == pytest.approx(0.65, abs=1e-3)
+    assert _rho_ee(params, rabi) / 0.5 == pytest.approx(0.65, abs=1e-3)
 
 
 def test_evolve_free_decay():
@@ -118,9 +140,8 @@ def test_evolve_impulsive_pi_pulse():
 def test_evolve_converges_to_steady_state():
     params = cs.EmitterParams(t1=1.0, t2=1.5)
     rabi = 2.0
-    st = cs.steady_state(params, rabi)
     final = _bloch_path(params, _constant(rabi, 50.0), GROUND, [0.0, 50.0])[-1]
-    assert np.allclose(final, [st.u, st.v, st.w], atol=1e-8)
+    assert np.allclose(final, cs.steady_state(params, rabi)[:3], atol=1e-8)
 
 
 def test_evolve_preserves_bloch_ball(rng):
@@ -311,8 +332,9 @@ def test_rrs_fraction_matches_steady_state_ratio(rng):
         t2 = rng.uniform(0.05, 1.0) * 2.0 * t1
         rabi = rng.uniform(0.0, 20.0)
         params = cs.EmitterParams(t1=t1, t2=t2)
-        st = cs.steady_state(params, rabi)
-        ratio = (st.u ** 2 + st.v ** 2) / 4.0 / st.rho_ee() if st.rho_ee() > 0 else t2 / (2 * t1)
+        u, v, _, _ = cs.steady_state(params, rabi)
+        rho_ee = _rho_ee(params, rabi)
+        ratio = (u ** 2 + v ** 2) / 4.0 / rho_ee if rho_ee > 0 else t2 / (2 * t1)
         assert cs.rrs_fraction(params, rabi) == pytest.approx(ratio, abs=1e-10)
 
 
@@ -329,8 +351,7 @@ def test_bloch_system_steady_state_consistency():
     params = cs.EmitterParams(t1=0.9, t2=1.0, detuning=2.5)
     rabi = 3.0
     a_mat, b_vec = bloch_system(params, rabi)
-    st = cs.steady_state(params, rabi)
-    x = np.array([st.u, st.v, st.w])
+    x = cs.steady_state(params, rabi)[:3]
     assert np.allclose(a_mat @ x + b_vec, 0.0, atol=1e-13)
 
 
@@ -371,6 +392,6 @@ def test_saturation_curve_monotone_and_contrast():
     explicit = dataclasses.replace(gating, laser_leakage=gating.leakage(params))
     assert np.array_equal(explicit.counts(params, powers), counts)
     # point by point the closed-form steady state
-    rho = np.array([cs.steady_state(params, k * math.sqrt(p)).rho_ee() for p in powers])
+    rho = np.array([_rho_ee(params, k * math.sqrt(p)) for p in powers])
     expected = 0.05 * rho / params.t1 * 1e9 + gating.leakage(params) * powers
     assert counts == pytest.approx(expected, rel=1e-14)
